@@ -489,6 +489,17 @@ _WKT_PARAM_MAP = {
 }
 
 
+def _somerc_azimuth(kw: dict):
+    """Hotine oblique Mercator routes to the Swiss oblique cylindrical
+    kernel, which is its 90-degree-azimuth case (CH1903): drop the azimuth
+    once checked (the rectified grid angle is never mapped)."""
+    az = kw.pop("alpha_c", 90.0)
+    if abs(az - 90.0) > 1e-6:
+        raise NotImplementedError(
+            f"Hotine oblique Mercator with azimuth {az} (only the "
+            "90-degree Swiss oblique Mercator case is routed)")
+
+
 def parse_wkt(text: str) -> CRSDef:
     """Parse OGC WKT1 PROJCS/GEOGCS onto a CRSDef (importFromWkt subset:
     PROJECTION + PARAMETERs + SPHEROID + optional TOWGS84 + UNIT)."""
@@ -545,6 +556,8 @@ def parse_wkt(text: str) -> CRSDef:
         kw["k"] = kw.pop("k0", 0.9999)
         kw.setdefault("lat_p", 78.5)
         kw.setdefault("east_north", True)
+    elif family == "somerc":
+        _somerc_azimuth(kw)
     elif family in ("merc", "longlat"):
         kw = {}
     elif family == "lcc" and "lat2" not in kw:
@@ -591,6 +604,11 @@ _WKT2_PARAM_MAP = {
     "co-latitude of cone axis": "alpha_c",
     "latitude of pseudo standard parallel": "lat_p",
     "azimuth of initial line": "alpha_c",
+    "latitude of projection centre": "lat0",
+    "longitude of projection centre": "lon0",
+    "scale factor on initial line": "k0",
+    "easting at projection centre": "fe",
+    "northing at projection centre": "fn",
 }
 
 
@@ -673,6 +691,8 @@ def parse_wkt2(text: str) -> CRSDef:
         kw.setdefault("lat_p", 78.5)
         kw.setdefault("east_north", True)
         kw.pop("lat_ts", None)
+    elif family == "somerc":
+        _somerc_azimuth(kw)
     elif family in ("merc", "longlat"):
         kw = {}
     elif family == "lcc" and "lat2" not in kw:

@@ -214,14 +214,7 @@ def _pts_to_segs(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 def _any_point_in_areal(pts: np.ndarray, g) -> bool:
     from . import pip as _pip
 
-    for rings in g.shells_and_holes():
-        shell = rings[0]
-        inside = _pip.points_in_ring(pts[:, 0], pts[:, 1], shell)
-        for hole in rings[1:]:
-            inside &= ~_pip.points_in_ring(pts[:, 0], pts[:, 1], hole)
-        if inside.any():
-            return True
-    return False
+    return bool(_pip.points_in_geom(pts[:, 0], pts[:, 1], g).any())
 
 
 def _segs_cross(a0, a1, b0, b1) -> bool:

@@ -1,66 +1,120 @@
 """Vectorized exact spatial predicates.
 
-Point-in-polygon uses the crossing-number (even-odd) rule, vectorized over a
-batch of points x all edges of one polygon — the exact test the north star
-mandates after cell-prefilter.  Reference semantics: GEOS-backed
-``OGRGeometry::Intersects/Within/Contains`` (``ogr/ogrgeometry.cpp:6009-6362``)
-and the envelope fast-path + prepared-geometry pretest in
-``ogrlayer.cpp:3887-3922`` / ``ogrlayer.cpp:5510-5543``.
-
-Convention (matches GEOS / OGC):
-  - ``contains_points`` = strict even-odd interior test; points exactly on an
-    edge are resolved by the half-open crossing rule (deterministic, may count
-    boundary either way — tests use off-boundary fixtures, as GDAL's autotest
-    does).
-  - ``within`` for a point vs polygon == interior membership.
+Point-in-polygon is the crossing-number (even-odd) rule over a flat edge CSR
+(zone -> ring -> edge, :class:`EdgeCSR`), tested for a whole batch of
+(point, zone) candidate pairs in one chunked pass (:func:`points_in_edges`)
+— the exact test after the cell prefilter.  A point is in a ring when its
+ray crosses it an odd number of times (half-open per ring, so a vertex
+counts once and boundary points resolve deterministically — tests use
+off-boundary fixtures, as GDAL's autotest does); in a polygon when in its
+shell and in none of its holes; in a zone when in any member polygon.
+Reference semantics: GEOS-backed ``OGRGeometry::Intersects/Within/Contains``
+(``ogr/ogrgeometry.cpp:6009-6362``) and the envelope fast-path +
+prepared-geometry pretest in ``ogrlayer.cpp:3887-3922`` /
+``ogrlayer.cpp:5510-5543``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from . import wkb as _wkb
 
+EDGE_CHUNK = 1 << 16  # (pair, edge) tests per chunk in points_in_edges
+SEG_CHUNK = 1 << 16  # segment pairs per chunk in _any_crossing
+
+
+class EdgeCSR(NamedTuple):
+    """Polygon edges of a list of zones, flat: zone -> ring -> edge offsets."""
+
+    x0: np.ndarray  # edge start x
+    y0: np.ndarray  # edge start y
+    y1: np.ndarray  # edge end y
+    slope: np.ndarray  # dx / dy (dx where dy == 0: such edges never straddle)
+    ring_eoff: np.ndarray  # (rings + 1,) edge offsets of each ring
+    ring_hole: np.ndarray  # (rings,) True for a hole, False for a shell
+    z_roff: np.ndarray  # (zones + 1,) ring offsets of each zone
+
+
+def edge_csr(zones: list) -> EdgeCSR:
+    """Build the edge CSR; ``zones`` holds one list of polygons per zone,
+    each polygon a list of closed (N, 2) rings, shell first (the shape of
+    ``Geom.shells_and_holes()``)."""
+    rings, hole, z_nr = [], [], []
+    for polys in zones:
+        n = len(rings)
+        for poly in polys:
+            rings += poly
+            hole += [j > 0 for j in range(len(poly))]
+        z_nr.append(len(rings) - n)
+    nv = np.fromiter(map(len, rings), np.int64, len(rings))
+    ring_eoff = np.concatenate(([0], np.cumsum(np.maximum(nv - 1, 0))))
+    z_roff = np.concatenate(([0], np.cumsum(z_nr, dtype=np.int64)))
+    v = np.concatenate(rings).astype(np.float64) if rings else np.empty((0, 2))
+    # an edge starts at every vertex but the last of its ring
+    i0 = np.delete(np.arange(len(v)), (np.cumsum(nv) - 1)[nv > 0])
+    (x0, y0), (x1, y1) = v[i0].T, v[i0 + 1].T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = (x1 - x0) / np.where((y1 - y0) == 0, 1.0, (y1 - y0))
+    return EdgeCSR(x0, y0, y1, slope, ring_eoff, np.array(hole, dtype=bool), z_roff)
+
+
+def csr_expand(off: np.ndarray, idx: np.ndarray):
+    """CSR expansion: (position in ``idx``, child index) for every child of
+    every ``idx`` entry under offsets ``off``."""
+    cnt = off[idx + 1] - off[idx]
+    parent = np.repeat(np.arange(idx.size, dtype=np.int64), cnt)
+    first = off[idx] - (np.cumsum(cnt) - cnt)
+    return parent, np.arange(parent.size, dtype=np.int64) + np.repeat(first, cnt)
+
+
+def points_in_edges(px: np.ndarray, py: np.ndarray, zone: np.ndarray, e: EdgeCSR) -> np.ndarray:
+    """Containment of point i in zone ``zone[i]`` for every candidate pair i,
+    by one crossing-number pass over the pairs' edges (chunked)."""
+    px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
+    zone = np.asarray(zone, dtype=np.int64)
+    out = np.zeros(zone.size, dtype=bool)
+    if zone.size == 0:
+        return out
+    z_eoff = e.ring_eoff[e.z_roff]
+    cum = np.cumsum(z_eoff[zone + 1] - z_eoff[zone])
+    # chunk k holds the pairs whose edges end in (k-1, k] * EDGE_CHUNK; the
+    # leading pairs without edges stay False
+    bounds = np.searchsorted(cum, np.arange(0, cum[-1] + EDGE_CHUNK, EDGE_CHUNK), "right")
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        rp, ring = csr_expand(e.z_roff, zone[a:b])
+        ep, edge = csr_expand(e.ring_eoff, ring)
+        qx, qy = px[a:b][rp][ep], py[a:b][rp][ep]
+        y0 = e.y0[edge]
+        straddle = (y0 > qy) != (e.y1[edge] > qy)
+        with np.errstate(invalid="ignore", over="ignore"):
+            crossed = straddle & (qx < e.x0[edge] + (qy - y0) * e.slope[edge])
+        odd = np.bincount(ep, weights=crossed, minlength=ring.size) % 2 == 1
+        # per (pair, polygon): shell odd scores 1, each odd hole -2, so a sum
+        # of exactly 1 means inside the shell and outside every hole
+        hole = e.ring_hole[ring]
+        poly = np.cumsum(~hole) - 1
+        score = np.bincount(poly, weights=np.where(hole, -2.0, 1.0) * odd)
+        out[a:b] = np.bincount(rp[~hole], weights=score == 1, minlength=b - a) > 0
+    return out
+
 
 def points_in_ring(px: np.ndarray, py: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Even-odd crossing parity of each point vs one closed ring.
-
-    Vectorized O(points x edges): broadcast over edge arrays.  Uses the
-    half-open rule (y0 <= py < y1 treatment) so vertices are counted once.
-    """
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    x0, y0 = ring[:-1, 0], ring[:-1, 1]
-    x1, y1 = ring[1:, 0], ring[1:, 1]
-    # For each edge, does the horizontal ray from the point cross it?
-    # (edges with y0 == y1 never satisfy the straddle condition)
-    py_c = py[:, None]
-    straddle = (y0[None, :] > py_c) != (y1[None, :] > py_c)
-    # x coordinate of edge at py
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xi = x0[None, :] + (py_c - y0[None, :]) * (
-            (x1 - x0)[None, :] / np.where((y1 - y0) == 0, 1.0, (y1 - y0))[None, :]
-        )
-    crossings = (straddle & (px[:, None] < xi)).sum(axis=1)
-    return (crossings % 2).astype(bool)
+    """Even-odd crossing parity of each point vs one closed ring."""
+    return points_in_polygon(px, py, [ring])
 
 
 def points_in_polygon(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]) -> np.ndarray:
     """Even-odd membership vs a polygon with holes (shell first)."""
-    if not rings:
-        return np.zeros(np.asarray(px).shape, dtype=bool)
-    inside = points_in_ring(px, py, rings[0])
-    for hole in rings[1:]:
-        inside &= ~points_in_ring(px, py, hole)
-    return inside
+    return points_in_geom(px, py, _wkb.Geom(_wkb.POLYGON, [rings]))
 
 
 def points_in_geom(px: np.ndarray, py: np.ndarray, g: "_wkb.Geom") -> np.ndarray:
     """Membership vs Polygon or MultiPolygon (union of members, even-odd)."""
-    out = np.zeros(np.asarray(px).shape, dtype=bool)
-    for rings in g.shells_and_holes():
-        out |= points_in_polygon(px, py, rings)
-    return out
+    zone = np.zeros(np.size(px), dtype=np.int64)
+    return points_in_edges(px, py, zone, edge_csr([g.shells_and_holes()]))
 
 
 def bbox_intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,8 +139,9 @@ def bbox_contains_points(boxes: np.ndarray, px: np.ndarray, py: np.ndarray) -> n
 
 
 def _segments_intersect(p0, p1, q0, q1) -> np.ndarray:
-    """Vectorized proper/improper segment intersection test.
-    p0,p1: (N,2) segment batch; q0,q1: (2,) one segment."""
+    """Vectorized proper/improper segment intersection test over
+    broadcast segment batches, e.g. p0,p1: (N,2) and q0,q1: (2,) -> (N,), or
+    p0,p1: (N,1,2) and q0,q1: (1,M,2) -> (N,M)."""
 
     def orient(a, b, c):
         return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
@@ -97,9 +152,8 @@ def _segments_intersect(p0, p1, q0, q1) -> np.ndarray:
     d2 = orient(q0, q1, p1)
     d3 = orient(p0, p1, q0)
     d4 = orient(p0, p1, q1)
-    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (
-        d3 != 0
-    ) & (d4 != 0)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    proper &= (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
 
     def on_seg(a, b, c, d):
         # collinear c on segment a-b
@@ -111,58 +165,50 @@ def _segments_intersect(p0, p1, q0, q1) -> np.ndarray:
             & (c[..., 1] <= np.maximum(a[..., 1], b[..., 1]))
         )
 
-    touch = (
-        on_seg(q0, q1, p0, d1)
-        | on_seg(q0, q1, p1, d2)
-        | on_seg(p0, p1, np.broadcast_to(q0, p0.shape), d3)
-        | on_seg(p0, p1, np.broadcast_to(q1, p0.shape), d4)
-    )
-    return proper | touch
+    touch = on_seg(q0, q1, p0, d1) | on_seg(q0, q1, p1, d2)
+    return proper | touch | on_seg(p0, p1, q0, d3) | on_seg(p0, p1, q1, d4)
+
+
+def _any_crossing(p0, p1, q0, q1) -> bool:
+    """Whether any segment of p0-p1 (N,2) meets any of q0-q1 (M,2): every
+    (p, q) pair at once, in chunks of q that bound the (N, M) temporaries."""
+    step = max(1, SEG_CHUNK // max(len(p0), 1))
+    for j in range(0, len(q0), step):
+        qs = slice(j, j + step)
+        if _segments_intersect(p0[:, None], p1[:, None], q0[None, qs], q1[None, qs]).any():
+            return True
+    return False
 
 
 def polygons_intersect(a: "_wkb.Geom", b: "_wkb.Geom") -> bool:
     """Exact areal-areal intersects: any vertex of one inside the other, or
     any boundary edges cross.  Sufficient for valid polygons."""
-    av = a.vertices()
-    bv = b.vertices()
-    if points_in_geom(av[:, 0], av[:, 1], b).any():
-        return True
-    if points_in_geom(bv[:, 0], bv[:, 1], a).any():
-        return True
-    # edge-edge crossings
-    for ring_b in b.rings():
-        q0s, q1s = ring_b[:-1], ring_b[1:]
-        for ring_a in a.rings():
-            p0, p1 = ring_a[:-1], ring_a[1:]
-            for j in range(len(q0s)):
-                if _segments_intersect(p0, p1, q0s[j], q1s[j]).any():
-                    return True
-    return False
+    av, bv = a.vertices(), b.vertices()
+    return bool(
+        points_in_geom(av[:, 0], av[:, 1], b).any()
+        or points_in_geom(bv[:, 0], bv[:, 1], a).any()
+        or any(_any_crossing(p[:-1], p[1:], q[:-1], q[1:]) for q in b.rings() for p in a.rings())
+    )
 
 
 def _line_segments(g: "_wkb.Geom"):
-    """(p0s, p1s) segment arrays of a LINESTRING/MULTILINESTRING."""
-    segs = []
+    """(p0s, p1s) segment arrays of a LINESTRING/MULTILINESTRING; the
+    points of a POINT/MULTIPOINT are zero-length segments."""
+    if g.kind in (_wkb.POINT, _wkb.MULTIPOINT):
+        v = g.vertices()
+        return [(v, v)]
     parts = g.parts if g.kind in (_wkb.LINESTRING, _wkb.MULTILINESTRING) else []
-    for pts in parts:
-        if len(pts) >= 2:
-            segs.append((pts[:-1], pts[1:]))
-    return segs
+    return [(pts[:-1], pts[1:]) for pts in parts if len(pts) >= 2]
 
 
 def _areal_line_intersects(poly: "_wkb.Geom", line: "_wkb.Geom") -> bool:
     """Polygon x line: any line vertex inside, OR any line segment crossing
     any ring edge (covers lines passing through with all vertices outside)."""
-    v = line.vertices()
-    if points_in_geom(v[:, 0], v[:, 1], poly).any():
-        return True
-    for p0s, p1s in _line_segments(line):
-        for ring in poly.rings():
-            q0s, q1s = ring[:-1], ring[1:]
-            for j in range(len(q0s)):
-                if _segments_intersect(p0s, p1s, q0s[j], q1s[j]).any():
-                    return True
-    return False
+    v, rings = line.vertices(), poly.rings()
+    return bool(
+        points_in_geom(v[:, 0], v[:, 1], poly).any()
+        or any(_any_crossing(p0, p1, r[:-1], r[1:]) for p0, p1 in _line_segments(line) for r in rings)
+    )
 
 
 def polygon_predicate(a: "_wkb.Geom", b: "_wkb.Geom") -> str | None:
@@ -220,38 +266,15 @@ def geom_intersects(a: "_wkb.Geom", b: "_wkb.Geom") -> bool:
     membership + edge crossings."""
     a_polys = a.shells_and_holes()
     b_polys = b.shells_and_holes()
-    line_kinds = (_wkb.LINESTRING, _wkb.MULTILINESTRING)
     if a_polys and b_polys:
         return polygons_intersect(a, b)
-    if a_polys and not b_polys:
-        if b.kind in line_kinds:
-            return _areal_line_intersects(a, b)
-        v = b.vertices()
-        return bool(points_in_geom(v[:, 0], v[:, 1], a).any())
-    if b_polys and not a_polys:
-        if a.kind in line_kinds:
-            return _areal_line_intersects(b, a)
-        v = a.vertices()
-        return bool(points_in_geom(v[:, 0], v[:, 1], b).any())
-    av, bv = a.vertices(), b.vertices()
-    if a.kind == _wkb.POINT and b.kind == _wkb.POINT:
-        return bool(np.all(av[0] == bv[0]))
-    # line x line: any segment pair crossing or shared vertex
-    if a.kind in line_kinds and b.kind in line_kinds:
-        for p0s, p1s in _line_segments(a):
-            for q0s, q1s in _line_segments(b):
-                for j in range(len(q0s)):
-                    if _segments_intersect(p0s, p1s, q0s[j], q1s[j]).any():
-                        return True
-        return False
-    # point x line: point on any segment
-    pt, ln = (a, b) if a.kind == _wkb.POINT else (b, a)
-    p = pt.vertices()[0]
-    for p0s, p1s in _line_segments(ln):
-        d = np.abs(np.cross(p1s - p0s, p - p0s))
-        on = (d == 0) & (np.minimum(p0s[:, 0], p1s[:, 0]) <= p[0]) & (
-            p[0] <= np.maximum(p0s[:, 0], p1s[:, 0])
-        ) & (np.minimum(p0s[:, 1], p1s[:, 1]) <= p[1]) & (p[1] <= np.maximum(p0s[:, 1], p1s[:, 1]))
-        if on.any():
-            return True
-    return False
+    if a_polys or b_polys:
+        poly, other = (a, b) if a_polys else (b, a)
+        if other.kind in (_wkb.LINESTRING, _wkb.MULTILINESTRING):
+            return _areal_line_intersects(poly, other)
+        v = other.vertices()
+        return bool(points_in_geom(v[:, 0], v[:, 1], poly).any())
+    # points and lines: any two segments meet (for zero-length segments that
+    # is point equality / point-on-segment)
+    segs_b = _line_segments(b)
+    return any(_any_crossing(p0, p1, q0, q1) for p0, p1 in _line_segments(a) for q0, q1 in segs_b)

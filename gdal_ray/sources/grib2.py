@@ -186,11 +186,13 @@ def decode_message(msg: bytes) -> dict:
         lat0, dlat_signed = lat1, -abs(dlat)
     else:
         lat0, dlat_signed = lat1, abs(dlat)
-    if scan & 0x80:            # -i: columns stored east->west
-        grid = grid[:, ::-1]
+    lon0, lon_last = lon1, lon2
+    if scan & 0x80:            # -i: columns stored east->west; after the
+        grid = grid[:, ::-1]   # flip the first column is the westernmost
+        lon0, lon_last, dlon = lon2, lon1, abs(dlon)
     return {"values": grid, "nx": nx, "ny": ny,
-            "lat0": lat0, "lon0": lon1, "dlat": dlat_signed, "dlon": dlon,
-            "lat_last": lat2, "lon_last": lon2,
+            "lat0": lat0, "lon0": lon0, "dlat": dlat_signed, "dlon": dlon,
+            "lat_last": lat2, "lon_last": lon_last,
             "discipline": discipline, "category": category,
             "parameter": parameter, "template": drt}
 

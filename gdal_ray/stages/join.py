@@ -5,23 +5,24 @@ envelope reject + prepared-geometry pretest, reference ``ogrlayer.cpp:5385``,
 ``5466-5543``) Ray-Data-first, in two physical plans:
 
 1. **Broadcast join** (small polygon side — the common GDAL case): the zone
-   table is ``ray.put`` once; each actor builds an STRtree + decoded
-   geometries in ``__init__`` and streams point batches through it with zero
-   shuffle.  This is the 100 TB-friendly plan whenever the polygon side fits
-   worker memory (millions of zones).
+   table is ``ray.put`` once; each actor builds a :class:`_ZoneIndex` (CSR
+   grid + flat polygon edge CSR) in ``__init__`` and streams point batches
+   through it with zero shuffle.  This is the 100 TB-friendly plan whenever
+   the polygon side fits worker memory (millions of zones).
 
 2. **Partitioned join** (both sides large): both sides are flat-mapped to
    grid-cell keys (zones duplicated over their bbox cover, points to their
    single containing cell), co-partitioned by a salted ``groupby(cell)``, and
-   probed per group with a per-group STRtree.  A point lives in exactly one
+   probed per group with a per-group zone index.  A point lives in exactly one
    cell, so point x polygon pairs are emitted exactly once — no dedup shuffle
    needed (polygon x polygon joins would need the (l,r) first-dedup, §2.7).
 
 Predicate semantics (GEOS/OGC, ``ogr/ogrgeometry.cpp:6009-6362``):
   - ``intersects``: boundary inclusive.  Exact for axis-aligned-rectangle
     zones via envelope test; general polygons use even-odd crossing number
-    (boundary resolution = half-open rule; autotest-style off-boundary
-    fixtures are used for exact assertions).
+    over all candidate pairs at once (``pip.points_in_edges``; boundary
+    resolution = half-open rule; autotest-style off-boundary fixtures are
+    used for exact assertions).
   - ``within``: point strictly in interior (rect fast path: exclusive bounds).
 """
 
@@ -35,7 +36,7 @@ from ..functions import geo, pip, wkb
 
 
 class _ZoneIndex:
-    """Decoded zone geometries + CSR grid-bucket index, built once per
+    """CSR grid-bucket index + flat polygon edge CSR, built once per
     actor/group.
 
     The probe index is a uniform lon/lat grid: each zone is registered in
@@ -48,6 +49,9 @@ class _ZoneIndex:
 
     Grid resolution adapts to the median zone size; zones whose cover would
     explode (near-global geometries) go to a small always-checked list.
+    The exact test runs over the edges of the non-rectangle zones, built once
+    from the decoded rings (:func:`pip.edge_csr`); the decoded geometries
+    themselves are not kept.
     """
 
     MAX_COVER_CELLS = 4096
@@ -59,7 +63,7 @@ class _ZoneIndex:
         else:
             self.zone_key = np.arange(zones.num_rows, dtype=np.int64)
         wkbs = zones["wkb"].to_pylist()
-        self.geoms = [wkb.decode(w) for w in wkbs]
+        geoms = [wkb.decode(w) for w in wkbs]
         if {"minx", "miny", "maxx", "maxy"} <= set(zones.column_names):
             self.boxes = np.column_stack(
                 [zones[c].to_numpy(zero_copy_only=False) for c in ("minx", "miny", "maxx", "maxy")]
@@ -67,8 +71,12 @@ class _ZoneIndex:
         else:
             self.boxes = wkb.bboxes(wkbs)
         self.is_rect = np.array(
-            [self._rect_like(g, b) for g, b in zip(self.geoms, self.boxes)], dtype=bool
+            [self._rect_like(g, b) for g, b in zip(geoms, self.boxes)], dtype=bool
         ).reshape(-1)
+        # rectangles are decided by the envelope test and carry no edges
+        self.edges = pip.edge_csr(
+            [[] if r else g.shells_and_holes() for g, r in zip(geoms, self.is_rect)]
+        )
         self._build_grid()
 
     def _build_grid(self):
@@ -122,12 +130,8 @@ class _ZoneIndex:
         gx = np.clip(((px - self.x0) * self.inv_dx).astype(np.int64), 0, self.nx - 1)
         gy = np.clip(((py - self.y0) * self.inv_dy).astype(np.int64), 0, self.ny - 1)
         cell = gy * self.nx + gx
-        starts = self.csr_off[cell]
-        counts = self.csr_off[cell + 1] - starts
-        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        so = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(so, counts)
-        zidx = self.csr_val[np.repeat(starts, counts) + flat]
+        rows, pos = pip.csr_expand(self.csr_off, cell)
+        zidx = self.csr_val[pos]
         if self.always.size:
             rows = np.concatenate([rows, np.repeat(np.arange(n, dtype=np.int64), self.always.size)])
             zidx = np.concatenate([zidx, np.tile(self.always, n)])
@@ -152,45 +156,28 @@ class _ZoneIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(point_row, zone_index) matching pairs under the predicate."""
         rows, zidx = self._candidates(px, py)
-        if rows.size == 0:
-            return rows, zidx
-        keep = np.zeros(rows.size, dtype=bool)
         if predicate == "within":
             # strict interior: envelope candidates on the boundary drop out
-            strict = (
+            keep = (
                 (px[rows] > self.boxes[zidx, 0])
                 & (px[rows] < self.boxes[zidx, 2])
                 & (py[rows] > self.boxes[zidx, 1])
                 & (py[rows] < self.boxes[zidx, 3])
             )
         else:
-            strict = np.ones(rows.size, dtype=bool)
-        rect_mask = self.is_rect[zidx]
-        keep[rect_mask] = strict[rect_mask]
-        # general polygons: exact crossing-number test, grouped per zone so the
-        # edge arrays are broadcast once per zone, not per pair
-        gen = np.nonzero(~rect_mask)[0]
+            keep = np.ones(rows.size, dtype=bool)
+        # general polygons: one crossing-number pass over all their pairs
+        gen = np.nonzero(keep & ~self.is_rect[zidx])[0]
         if gen.size:
-            order = gen[np.argsort(zidx[gen], kind="stable")]
-            zs = zidx[order]
-            starts = np.nonzero(np.r_[True, zs[1:] != zs[:-1]])[0]
-            bounds = np.r_[starts, zs.size]
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                sel = order[s:e]
-                g = self.geoms[zs[s]]
-                inside = pip.points_in_geom(px[rows[sel]], py[rows[sel]], g)
-                if predicate == "within":
-                    keep[sel] = inside & strict[sel]
-                else:
-                    keep[sel] = inside
+            keep[gen] = pip.points_in_edges(px[rows[gen]], py[rows[gen]], zidx[gen], self.edges)
         return rows[keep], zidx[keep]
 
 
 class BroadcastPointJoin:
     """Actor-pool stage: stream point batches against a broadcast zone index.
 
-    State (zone table fetch + STRtree build + WKB decode) happens ONCE per
-    actor in ``__init__`` (the PROJ-TLS-context pattern,
+    State (zone table fetch + WKB decode + grid and edge CSR build) happens
+    ONCE per actor in ``__init__`` (the PROJ-TLS-context pattern,
     ``ogr/ogr_proj_p.cpp:268``); ``__call__`` is pure vectorized probing.
     """
 
@@ -336,7 +323,7 @@ def _zone_cell_expansion(batch: pa.Table, res: int, salts: dict | None) -> pa.Ta
         "maxx": batch["maxx"].take(take),
         "maxy": batch["maxy"].take(take),
     }
-    tables = [pa.table({**base})]
+    tables = [pa.table(base)]
     if salts:
         # replicate zone rows into every salt bucket of hot cells
         salt_counts = np.array([salts.get(int(c), 1) for c in cells], dtype=np.int32)
@@ -345,21 +332,10 @@ def _zone_cell_expansion(batch: pa.Table, res: int, salts: dict | None) -> pa.Ta
             reps = salt_counts[hot] - 1
             ridx = np.repeat(hot, reps)
             starts = np.concatenate(([0], np.cumsum(reps)[:-1]))
-            salt_vals = (np.arange(reps.sum()) - np.repeat(starts, reps) + 1).astype(np.int32)
-            extra = pa.table(
-                {
-                    "cell": cells[ridx],
-                    "salt": salt_vals,
-                    "side": np.zeros(ridx.size, dtype=np.int8),
-                    "zone_id": base["zone_id"].take(pa.array(ridx)),
-                    "wkb": base["wkb"].take(pa.array(ridx)),
-                    "minx": base["minx"].take(pa.array(ridx)),
-                    "miny": base["miny"].take(pa.array(ridx)),
-                    "maxx": base["maxx"].take(pa.array(ridx)),
-                    "maxy": base["maxy"].take(pa.array(ridx)),
-                }
-            )
-            tables.append(extra)
+            extra = {k: v[ridx] if isinstance(v, np.ndarray) else v.take(pa.array(ridx))
+                     for k, v in base.items()}
+            extra["salt"] = (np.arange(reps.sum()) - np.repeat(starts, reps) + 1).astype(np.int32)
+            tables.append(pa.table(extra))
     return pa.concat_tables(tables)
 
 

@@ -1,0 +1,341 @@
+"""Pair-batched edge-CSR point-in-polygon kernel (``pip.points_in_edges``) and
+the batched segment-crossing predicates, pinned to the per-zone / per-edge
+loops they replace.
+
+The oracles below are verbatim copies of the previous implementations (one
+broadcast per ring, one polygon at a time, one q-segment at a time), kept
+here so the vectorized rewrite must reproduce them bit for bit.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pyarrow as pa
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gdal_ray.functions import pip, wkb
+from gdal_ray.stages.join import _ZoneIndex
+
+# --- oracles: the per-zone loop and per-edge loops before the edge CSR -----
+
+
+def _old_points_in_ring(px, py, ring):
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    x0, y0 = ring[:-1, 0], ring[:-1, 1]
+    x1, y1 = ring[1:, 0], ring[1:, 1]
+    py_c = py[:, None]
+    straddle = (y0[None, :] > py_c) != (y1[None, :] > py_c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi = x0[None, :] + (py_c - y0[None, :]) * (
+            (x1 - x0)[None, :] / np.where((y1 - y0) == 0, 1.0, (y1 - y0))[None, :]
+        )
+    crossings = (straddle & (px[:, None] < xi)).sum(axis=1)
+    return (crossings % 2).astype(bool)
+
+
+def _old_points_in_geom(px, py, g):
+    out = np.zeros(np.asarray(px).shape, dtype=bool)
+    for rings in g.shells_and_holes():
+        if not rings:
+            continue
+        inside = _old_points_in_ring(px, py, rings[0])
+        for hole in rings[1:]:
+            inside &= ~_old_points_in_ring(px, py, hole)
+        out |= inside
+    return out
+
+
+def _old_probe_points(zi, geoms, px, py, predicate):
+    rows, zidx = zi._candidates(px, py)
+    if rows.size == 0:
+        return rows, zidx
+    keep = np.zeros(rows.size, dtype=bool)
+    if predicate == "within":
+        strict = (
+            (px[rows] > zi.boxes[zidx, 0])
+            & (px[rows] < zi.boxes[zidx, 2])
+            & (py[rows] > zi.boxes[zidx, 1])
+            & (py[rows] < zi.boxes[zidx, 3])
+        )
+    else:
+        strict = np.ones(rows.size, dtype=bool)
+    rect_mask = zi.is_rect[zidx]
+    keep[rect_mask] = strict[rect_mask]
+    gen = np.nonzero(~rect_mask)[0]
+    if gen.size:
+        order = gen[np.argsort(zidx[gen], kind="stable")]
+        zs = zidx[order]
+        starts = np.nonzero(np.r_[True, zs[1:] != zs[:-1]])[0]
+        bounds = np.r_[starts, zs.size]
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            sel = order[s:e]
+            inside = _old_points_in_geom(px[rows[sel]], py[rows[sel]], geoms[zs[s]])
+            keep[sel] = inside & strict[sel] if predicate == "within" else inside
+    return rows[keep], zidx[keep]
+
+
+def _old_segments_intersect(p0, p1, q0, q1):
+    def orient(a, b, c):
+        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
+            b[..., 1] - a[..., 1]
+        ) * (c[..., 0] - a[..., 0])
+
+    d1, d2 = orient(q0, q1, p0), orient(q0, q1, p1)
+    d3, d4 = orient(p0, p1, q0), orient(p0, p1, q1)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0) & (
+        d3 != 0
+    ) & (d4 != 0)
+
+    def on_seg(a, b, c, d):
+        return (
+            (d == 0)
+            & (np.minimum(a[..., 0], b[..., 0]) <= c[..., 0])
+            & (c[..., 0] <= np.maximum(a[..., 0], b[..., 0]))
+            & (np.minimum(a[..., 1], b[..., 1]) <= c[..., 1])
+            & (c[..., 1] <= np.maximum(a[..., 1], b[..., 1]))
+        )
+
+    touch = (
+        on_seg(q0, q1, p0, d1)
+        | on_seg(q0, q1, p1, d2)
+        | on_seg(p0, p1, np.broadcast_to(q0, p0.shape), d3)
+        | on_seg(p0, p1, np.broadcast_to(q1, p0.shape), d4)
+    )
+    return proper | touch
+
+
+def _old_any_crossing(p0, p1, q0s, q1s):
+    for j in range(len(q0s)):
+        if _old_segments_intersect(p0, p1, q0s[j], q1s[j]).any():
+            return True
+    return False
+
+
+def _old_polygons_intersect(a, b):
+    av, bv = a.vertices(), b.vertices()
+    if _old_points_in_geom(av[:, 0], av[:, 1], b).any():
+        return True
+    if _old_points_in_geom(bv[:, 0], bv[:, 1], a).any():
+        return True
+    for ring_b in b.rings():
+        for ring_a in a.rings():
+            if _old_any_crossing(ring_a[:-1], ring_a[1:], ring_b[:-1], ring_b[1:]):
+                return True
+    return False
+
+
+def _old_areal_line_intersects(poly, line):
+    v = line.vertices()
+    if _old_points_in_geom(v[:, 0], v[:, 1], poly).any():
+        return True
+    for pts in line.parts:
+        if len(pts) >= 2:
+            for ring in poly.rings():
+                if _old_any_crossing(pts[:-1], pts[1:], ring[:-1], ring[1:]):
+                    return True
+    return False
+
+
+# --- random zone sets -------------------------------------------------------
+
+
+def _star(rng, cx, cy, r, n=None):
+    """Closed star-shaped ring (simple by construction), counter-clockwise."""
+    n = int(n or rng.integers(3, 12))
+    ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+    rad = rng.uniform(0.4 * r, r, n)
+    ring = np.column_stack([cx + rad * np.cos(ang), cy + rad * np.sin(ang)])
+    return np.vstack([ring, ring[:1]])
+
+
+def _holed(rng, cx, cy, r):
+    shell = _star(rng, cx, cy, r)
+    holes = [_star(rng, cx + rng.uniform(-0.1, 0.1) * r, cy, 0.25 * r)
+             for _ in range(int(rng.integers(1, 3)))]
+    return [shell] + holes
+
+
+def _random_zones(rng, n):
+    """Polygons with holes, disjoint and overlapping MultiPolygons,
+    triangles, rectangles, and one zone whose bbox cover is large enough to
+    land on the always-checked list."""
+    wkbs = []
+    for i in range(n):
+        cx, cy = rng.uniform(0, 100, 2)
+        r = rng.uniform(0.3, 1.5)
+        kind = i % 6
+        if kind == 0:
+            wkbs.append(wkb.encode_polygon([_star(rng, cx, cy, r)]))
+        elif kind == 1:
+            wkbs.append(wkb.encode_polygon(_holed(rng, cx, cy, r)))
+        elif kind == 2:  # disjoint members, one with holes
+            wkbs.append(wkb.encode_multipolygon(
+                [_holed(rng, cx, cy, r), [_star(rng, cx + 3 * r, cy, r)]]))
+        elif kind == 3:  # overlapping members: the point set is their union
+            wkbs.append(wkb.encode_multipolygon(
+                [[_star(rng, cx, cy, r)], _holed(rng, cx + 0.5 * r, cy, r)]))
+        elif kind == 4:
+            tri = _star(rng, cx, cy, r, n=3)
+            wkbs.append(wkb.encode_triangle([tri]))
+        else:
+            x0, y0 = cx - r, cy - r
+            wkbs.append(wkb.encode_polygon([np.array(
+                [[x0, y0], [cx + r, y0], [cx + r, cy + r], [x0, cy + r], [x0, y0]])]))
+    # near-global zone: its bbox covers far more than MAX_COVER_CELLS cells
+    wkbs.append(wkb.encode_polygon(_holed(rng, 50.0, 50.0, 200.0)))
+    return pa.table({"zone_id": [f"z{i}" for i in range(len(wkbs))], "wkb": wkbs})
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["intersects", "within"]))
+@settings(max_examples=25, deadline=None)
+def test_probe_points_matches_per_zone_loop(seed, predicate):
+    rng = np.random.default_rng(seed)
+    zones = _random_zones(rng, int(rng.integers(6, 80)))
+    zi = _ZoneIndex(zones)
+    assert zi.always.size >= 1 and zi.is_rect.any()
+    geoms = [wkb.decode(w) for w in zones["wkb"].to_pylist()]
+    n = int(rng.integers(0, 3000))
+    px, py = rng.uniform(-5, 105, n), rng.uniform(-5, 105, n)
+    # vertices as probe points exercise the half-open boundary rule
+    v = geoms[int(rng.integers(len(geoms)))].vertices()
+    px, py = np.r_[px, v[:, 0]], np.r_[py, v[:, 1]]
+    got = zi.probe_points(px, py, predicate)
+    want = _old_probe_points(zi, geoms, px, py, predicate)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_probe_points_empty_input_and_triangle_zone():
+    rng = np.random.default_rng(3)
+    zones = _random_zones(rng, 12)
+    zi = _ZoneIndex(zones)
+    for pred in ("intersects", "within"):
+        r, z = zi.probe_points(np.array([]), np.array([]), pred)
+        assert r.size == 0 and z.size == 0
+    tri = wkb.decode(wkb.encode_triangle([np.array([[0, 0], [4, 0], [0, 4], [0, 0]], float)]))
+    px, py = np.array([1.0, 3.0, -1.0]), np.array([1.0, 3.0, 1.0])
+    assert pip.points_in_geom(px, py, tri).tolist() == [True, False, False]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_points_in_geom_matches_old(seed):
+    rng = np.random.default_rng(seed)
+    zones = _random_zones(rng, 6)
+    px, py = rng.uniform(-5, 105, 500), rng.uniform(-5, 105, 500)
+    for w in zones["wkb"].to_pylist():
+        g = wkb.decode(w)
+        assert np.array_equal(pip.points_in_geom(px, py, g), _old_points_in_geom(px, py, g))
+        for rings in g.shells_and_holes():
+            assert np.array_equal(pip.points_in_polygon(px, py, rings),
+                                  _old_points_in_geom(px, py, wkb.Geom(wkb.POLYGON, [rings])))
+            assert np.array_equal(pip.points_in_ring(px, py, rings[0]),
+                                  _old_points_in_ring(px, py, rings[0]))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_areal_predicates_match_per_edge_loop(seed):
+    """Polygon x polygon and polygon x line on small integer grids, where
+    touching, collinear and crossing edges are all common."""
+    rng = np.random.default_rng(seed)
+
+    def poly():
+        c = rng.integers(0, 12, 2)
+        return wkb.decode(wkb.encode_polygon([np.round(_star(rng, c[0], c[1], 4.0))]))
+
+    def line():
+        pts = rng.integers(0, 16, (int(rng.integers(2, 7)), 2)).astype(float)
+        return wkb.decode(wkb.encode_linestring(pts))
+
+    a, b, ln = poly(), poly(), line()
+    assert pip.polygons_intersect(a, b) == _old_polygons_intersect(a, b)
+    assert pip._areal_line_intersects(a, ln) == _old_areal_line_intersects(a, ln)
+    ln2 = line()
+    old_ll = _old_any_crossing(ln.parts[0][:-1], ln.parts[0][1:], ln2.parts[0][:-1], ln2.parts[0][1:])
+    assert pip.geom_intersects(ln, ln2) == old_ll
+
+
+def test_any_crossing_chunks_the_segment_grid(monkeypatch):
+    """A q side longer than one chunk still finds a crossing in its last
+    chunk and none where there is none."""
+    monkeypatch.setattr(pip, "SEG_CHUNK", 8)
+    p0, p1 = np.array([[0.0, 0.0]]), np.array([[10.0, 0.0]])
+    q0 = np.column_stack([np.arange(50.0) + 100, np.full(50, -1.0)])
+    q1 = q0 + [0.0, 2.0]
+    assert not pip._any_crossing(p0, p1, q0, q1)
+    q0[-1], q1[-1] = [5.0, -1.0], [5.0, 1.0]
+    assert pip._any_crossing(p0, p1, q0, q1)
+
+
+def test_points_in_edges_chunks_match_one_pass(monkeypatch):
+    rng = np.random.default_rng(9)
+    zones = _random_zones(rng, 30)
+    geoms = [wkb.decode(w) for w in zones["wkb"].to_pylist()]
+    e = pip.edge_csr([g.shells_and_holes() for g in geoms])
+    zone = rng.integers(0, len(geoms), 4000)
+    px, py = rng.uniform(-5, 105, zone.size), rng.uniform(-5, 105, zone.size)
+    whole = pip.points_in_edges(px, py, zone, e)
+    monkeypatch.setattr(pip, "EDGE_CHUNK", 7)
+    assert np.array_equal(pip.points_in_edges(px, py, zone, e), whole)
+    want = np.array([_old_points_in_geom(px[i:i + 1], py[i:i + 1], geoms[z])[0]
+                     for i, z in enumerate(zone)])
+    assert np.array_equal(whole, want)
+
+
+def _probe_peak(zi: _ZoneIndex, px, py) -> int:
+    zi.probe_points(px[:64], py[:64], "intersects")
+    tracemalloc.start()
+    try:
+        zi.probe_points(px, py, "intersects")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_peak_bounded_by_candidate_gather():
+    """The exact test runs in fixed-size chunks: against 64-gon zones the
+    probe's peak stays within 1.1x of its peak against the same zones'
+    bounding rectangles, which skip the exact test."""
+    rng = np.random.default_rng(11)
+    n = 3000
+    cx, cy = rng.uniform(0, 100, n), rng.uniform(0, 100, n)
+    r = rng.uniform(2.0, 6.0, n)
+    ang = np.linspace(0, 2 * np.pi, 65)
+    ang[-1] = 0.0
+    polys = [wkb.encode_polygon([np.column_stack([x + s * np.cos(ang), y + s * np.sin(ang)])])
+             for x, y, s in zip(cx, cy, r)]
+    boxes = wkb.bboxes(polys)
+    rects = [wkb.encode_polygon([np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])])
+             for x0, y0, x1, y1 in boxes]
+    ids = [f"z{i}" for i in range(n)]
+    # identical boxes on both sides, so the candidate gathers are identical
+    poly_t = pa.table({"zone_id": ids, "wkb": polys})
+    rect_t = pa.table({"zone_id": ids, "wkb": rects})
+    for name, col in zip(("minx", "miny", "maxx", "maxy"), boxes.T):
+        poly_t = poly_t.append_column(name, pa.array(col))
+        rect_t = rect_t.append_column(name, pa.array(col))
+    px, py = rng.uniform(0, 100, 32768), rng.uniform(0, 100, 32768)
+    poly_zi, rect_zi = _ZoneIndex(poly_t), _ZoneIndex(rect_t)
+    assert rect_zi.is_rect.all() and not poly_zi.is_rect.any()
+    poly_peak = _probe_peak(poly_zi, px, py)
+    rect_peak = _probe_peak(rect_zi, px, py)
+    assert poly_peak <= 1.1 * rect_peak, (poly_peak, rect_peak)
+
+
+def test_points_as_zero_length_segments():
+    """Point x point is equality, point x line is on-segment (either argument
+    order), and every point of a MultiPoint counts."""
+    def pt(x, y):
+        return wkb.decode(wkb.encode_points(np.array([x]), np.array([y]))[0])
+
+    ln = wkb.decode(wkb.encode_linestring(np.array([[0.0, 0.0], [4.0, 4.0], [8.0, 0.0]])))
+    assert pip.geom_intersects(pt(1.0, 2.0), pt(1.0, 2.0))
+    assert not pip.geom_intersects(pt(1.0, 2.0), pt(1.0, 2.5))
+    for p, hit in ((pt(2.0, 2.0), True), (pt(6.0, 2.0), True), (pt(8.0, 0.0), True),
+                   (pt(2.0, 2.5), False), (pt(9.0, -1.0), False)):
+        assert pip.geom_intersects(p, ln) == hit and pip.geom_intersects(ln, p) == hit
+    mp = wkb.Geom(wkb.MULTIPOINT, [np.array([[20.0, 20.0]]), np.array([[6.0, 2.0]])])
+    assert pip.geom_intersects(mp, ln) and pip.geom_intersects(ln, mp)
+    assert pip.geom_intersects(mp, pt(6.0, 2.0)) and not pip.geom_intersects(mp, pt(0.0, 9.0))
