@@ -612,6 +612,44 @@ _WKT2_PARAM_MAP = {
 }
 
 
+# ABRIDGEDTRANSFORMATION parameter name -> TOWGS84 slot (tx ty tz in metres,
+# rx ry rz in arc-seconds, ds in ppm)
+_TOWGS84_SLOT = {
+    "x-axis translation": 0,
+    "y-axis translation": 1,
+    "z-axis translation": 2,
+    "x-axis rotation": 3,
+    "y-axis rotation": 4,
+    "z-axis rotation": 5,
+    "scale difference": 6,
+}
+_ARCSEC_RAD = np.pi / (180.0 * 3600.0)
+
+
+def _abridged_towgs84(params) -> tuple | None:
+    """TOWGS84 7-tuple from BOUNDCRS ABRIDGEDTRANSFORMATION ``(name, value,
+    unit node or None)`` parameters, read by name in any order.  A unit's
+    factor converts to metres / arc-seconds.  ``Scale difference`` comes in
+    ppm, or (ISO 19162, PROJ) as the unity ratio 1 + ds * 1e-6: it is read as
+    a ratio when its SCALEUNIT is unity (factor 1) or, with no unit, when the
+    value lies within 1e-3 of 1."""
+    out = [0.0] * 7
+    seen = set()
+    for name, val, unit in params:
+        slot = _TOWGS84_SLOT.get(name)
+        if slot is None:
+            continue
+        factor = float(unit[2]) if unit is not None and len(unit) > 2 else None
+        if slot == 6:
+            ratio = abs(factor - 1.0) < 1e-12 if factor is not None else abs(val - 1.0) < 1e-3
+            val = (val - 1.0) * 1e6 if ratio else val * (factor or 1e-6) * 1e6
+        elif factor is not None:
+            val = val * factor / (_ARCSEC_RAD if slot >= 3 else 1.0)
+        out[slot] = val
+        seen.add(slot)
+    return tuple(out) if {0, 1, 2} <= seen else None
+
+
 def parse_wkt2(text: str) -> CRSDef:
     """OGC WKT2 (ISO 19162) PROJCRS/GEOGCRS subset: BASEGEOGCRS datum +
     ELLIPSOID, CONVERSION METHOD + PARAMETERs, axis UNIT/LENGTHUNIT.
@@ -635,9 +673,10 @@ def parse_wkt2(text: str) -> CRSDef:
         src = find(root, "SOURCECRS")
         tr = find(root, "ABRIDGEDTRANSFORMATION")
         if tr is not None:
-            vals = [float(c[2]) for c in find_all(tr, "PARAMETER")]
-            if len(vals) >= 3:
-                towgs84 = tuple(vals[:7]) + (0.0,) * (7 - min(7, len(vals)))
+            towgs84 = _abridged_towgs84(
+                [(str(c[1]).lower(), float(c[2]),
+                  find(c, "LENGTHUNIT", "ANGLEUNIT", "SCALEUNIT", "UNIT"))
+                 for c in find_all(tr, "PARAMETER")])
         root = src[1]
         kw_name = root[0].upper()
 

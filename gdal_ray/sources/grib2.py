@@ -66,6 +66,10 @@ def _sections(msg: bytes) -> dict[int, bytes]:
             break
         ln = _u(msg, pos, 4)
         num = msg[pos + 4]
+        if num in out:
+            # WMO FM 92 lets sections 2-7 repeat, one field per repeat
+            raise NotImplementedError(
+                f"GRIB2 message repeats section {num} (one field per message only)")
         out[num] = msg[pos:pos + ln]
         pos += ln
     return out

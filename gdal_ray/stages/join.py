@@ -6,9 +6,11 @@ envelope reject + prepared-geometry pretest, reference ``ogrlayer.cpp:5385``,
 
 1. **Broadcast join** (small polygon side — the common GDAL case): the zone
    table is ``ray.put`` once; each actor builds a :class:`_ZoneIndex` (CSR
-   grid + flat polygon edge CSR) in ``__init__`` and streams point batches
-   through it with zero shuffle.  This is the 100 TB-friendly plan whenever
-   the polygon side fits worker memory (millions of zones).
+   grid with cells of a quarter of the median zone side, ~1.56x expected
+   over-fetch and ~25 CSR entries per median zone, + flat polygon edge CSR)
+   in ``__init__`` and streams point batches through it with zero shuffle.
+   This is the 100 TB-friendly plan whenever the polygon side fits worker
+   memory (millions of zones).
 
 2. **Partitioned join** (both sides large): both sides are flat-mapped to
    grid-cell keys (zones duplicated over their bbox cover, points to their
@@ -47,14 +49,23 @@ class _ZoneIndex:
     precise regime GDAL's own spatial filter handles with envelope prefilter
     + prepared geometry (ogrlayer.cpp:3887-3922).
 
-    Grid resolution adapts to the median zone size; zones whose cover would
-    explode (near-global geometries) go to a small always-checked list.
+    The cell side is the median zone width (height) / ``CELL_DIVISOR``.  A
+    zone of side w with uniform phase against cells of side c meets
+    w/c + 1 cells per axis on average, so it is fetched over an area of
+    (w + c)(h + c) and matched over w*h: an expected over-fetch of
+    (1 + c/w)(1 + c/h), i.e. (1 + 1/4)^2 ~ 1.56x the matches for a median
+    zone (4x at c = w), at (4 + 1)^2 = 25 CSR entries per median zone.  Each
+    axis is capped at 4,096 cells (``csr_off`` <= 16.7M cells).  Zones whose
+    cover exceeds ``MAX_COVER_CELLS * CELL_DIVISOR**2`` cells (the same zones,
+    in median-zone units, at any divisor: near-global geometries) go to a
+    small always-checked list.
     The exact test runs over the edges of the non-rectangle zones, built once
     from the decoded rings (:func:`pip.edge_csr`); the decoded geometries
     themselves are not kept.
     """
 
-    MAX_COVER_CELLS = 4096
+    MAX_COVER_CELLS = 4096  # in median-zone cells
+    CELL_DIVISOR = 4  # grid cells per median zone side
 
     def __init__(self, zones: pa.Table):
         self.zone_id = zones["zone_id"].to_pylist()
@@ -64,12 +75,16 @@ class _ZoneIndex:
             self.zone_key = np.arange(zones.num_rows, dtype=np.int64)
         wkbs = zones["wkb"].to_pylist()
         geoms = [wkb.decode(w) for w in wkbs]
-        if {"minx", "miny", "maxx", "maxy"} <= set(zones.column_names):
-            self.boxes = np.column_stack(
-                [zones[c].to_numpy(zero_copy_only=False) for c in ("minx", "miny", "maxx", "maxy")]
-            )
+        names = ("minx", "miny", "maxx", "maxy")
+        if set(names) <= set(zones.column_names):
+            cols = [zones[c].to_numpy(zero_copy_only=False) for c in names]
         else:
-            self.boxes = wkb.bboxes(wkbs)
+            cols = wkb.bboxes(wkbs).T
+        # (N, 4) boxes over four contiguous columns: the probe gathers each
+        # column by zone index, far cheaper than gathering (N, 4) rows
+        cols = np.array(cols, dtype=np.float64)
+        self.minx, self.miny, self.maxx, self.maxy = cols
+        self.boxes = cols.T
         self.is_rect = np.array(
             [self._rect_like(g, b) for g, b in zip(geoms, self.boxes)], dtype=bool
         ).reshape(-1)
@@ -92,9 +107,9 @@ class _ZoneIndex:
             return
         self.x0, self.y0 = float(b[:, 0].min()), float(b[:, 1].min())
         x1, y1 = float(b[:, 2].max()), float(b[:, 3].max())
-        # cell size ~ median box size => O(1) covered cells per typical zone
-        w = np.median(b[:, 2] - b[:, 0]) or 1.0
-        h = np.median(b[:, 3] - b[:, 1]) or 1.0
+        # cell side = median box side / CELL_DIVISOR (see the class docstring)
+        w = (np.median(b[:, 2] - b[:, 0]) or 1.0) / self.CELL_DIVISOR
+        h = (np.median(b[:, 3] - b[:, 1]) or 1.0) / self.CELL_DIVISOR
         self.nx = int(np.clip((x1 - self.x0) / max(w, 1e-9), 1, 4096))
         self.ny = int(np.clip((y1 - self.y0) / max(h, 1e-9), 1, 4096))
         self.inv_dx = self.nx / max(x1 - self.x0, 1e-9)
@@ -104,7 +119,7 @@ class _ZoneIndex:
         cy0 = np.clip(((b[:, 1] - self.y0) * self.inv_dy).astype(np.int64), 0, self.ny - 1)
         cy1 = np.clip(((b[:, 3] - self.y0) * self.inv_dy).astype(np.int64), 0, self.ny - 1)
         counts = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)
-        big = counts > self.MAX_COVER_CELLS
+        big = counts > self.MAX_COVER_CELLS * self.CELL_DIVISOR**2
         self.always = np.nonzero(big)[0].astype(np.int64)
         counts = np.where(big, 0, counts)
         total = int(counts.sum())
@@ -114,13 +129,11 @@ class _ZoneIndex:
         ncx = np.repeat(cx1 - cx0 + 1, counts)
         gx = np.repeat(cx0, counts) + local % ncx
         gy = np.repeat(cy0, counts) + local // ncx
-        cell = gy * self.nx + gx
-        order = np.argsort(cell, kind="stable")
-        cell, zrep = cell[order], zrep[order]
+        # one sort of the unique (cell, zone) key: cell-major, zones ascending
+        key = np.sort((gy * self.nx + gx) * n + zrep)
+        cell, self.csr_val = np.divmod(key, n)
         self.csr_off = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
-        np.add.at(self.csr_off, cell + 1, 1)
-        np.cumsum(self.csr_off, out=self.csr_off)
-        self.csr_val = zrep
+        np.cumsum(np.bincount(cell, minlength=self.nx * self.ny), out=self.csr_off[1:])
 
     def _candidates(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(point_row, zone_index) candidate pairs from the grid (env-tested)."""
@@ -135,9 +148,10 @@ class _ZoneIndex:
         if self.always.size:
             rows = np.concatenate([rows, np.repeat(np.arange(n, dtype=np.int64), self.always.size)])
             zidx = np.concatenate([zidx, np.tile(self.always, n)])
-        bb = self.boxes[zidx]
-        hit = (px[rows] >= bb[:, 0]) & (px[rows] <= bb[:, 2]) & (py[rows] >= bb[:, 1]) & (
-            py[rows] <= bb[:, 3]
+        qx, qy = px[rows], py[rows]
+        hit = np.flatnonzero(
+            (qx >= self.minx[zidx]) & (qx <= self.maxx[zidx])
+            & (qy >= self.miny[zidx]) & (qy <= self.maxy[zidx])
         )
         return rows[hit], zidx[hit]
 
@@ -158,12 +172,14 @@ class _ZoneIndex:
         rows, zidx = self._candidates(px, py)
         if predicate == "within":
             # strict interior: envelope candidates on the boundary drop out
+            qx, qy = px[rows], py[rows]
             keep = (
-                (px[rows] > self.boxes[zidx, 0])
-                & (px[rows] < self.boxes[zidx, 2])
-                & (py[rows] > self.boxes[zidx, 1])
-                & (py[rows] < self.boxes[zidx, 3])
+                (qx > self.minx[zidx]) & (qx < self.maxx[zidx])
+                & (qy > self.miny[zidx]) & (qy < self.maxy[zidx])
             )
+        elif self.is_rect.all():
+            # the envelope test has decided every pair
+            return rows, zidx
         else:
             keep = np.ones(rows.size, dtype=bool)
         # general polygons: one crossing-number pass over all their pairs
@@ -209,14 +225,6 @@ class BroadcastPointJoin:
         self.lon_col = lon_col
         self.lat_col = lat_col
         self.emit_cols = emit_cols
-        # warm-up probe: pre-faults the numpy allocator pools once per actor
-        # (in parallel across the pool) so steady-state batches run at full
-        # speed from the first real batch
-        rng = np.random.default_rng(0)
-        for _ in range(2):
-            wx = rng.uniform(-180.0, 180.0, 32768)
-            wy = rng.uniform(-85.0, 85.0, 32768)
-            self.index.probe_points(wx, wy, self.predicate)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         px = batch[self.lon_col].to_numpy(zero_copy_only=False)
@@ -242,22 +250,36 @@ class BroadcastPointJoin:
             out[c] = batch[c].take(pa.array(rows))
         return pa.table(out)
 
+    @staticmethod
+    def _check_packable(num_rows: int):
+        """The reduce packs a row index into the low 32 bits of its sort key."""
+        if num_rows >= 2**32:
+            raise ValueError(f"zonal reduce: batch of {num_rows} rows needs < 2**32")
+
     def _zonal_reduce(self, batch: pa.Table, rows: np.ndarray, zidx: np.ndarray) -> pa.Table:
+        """Per-zone count/sum/min/max of the batch's matches by one sort of
+        the packed key (zone << 32) | row: zone runs come from the sorted key
+        and the values are gathered by its row half.  The key holds row
+        indices, not values, so it is exact for any int64 value column."""
+        self._check_packable(batch.num_rows)
         n_zones = len(self.index.zone_id)
-        v = batch[self.zonal_reduce_col].to_numpy(zero_copy_only=False)[rows].astype(np.int64)
-        cnt = np.bincount(zidx, minlength=n_zones).astype(np.int64)
-        # integer-exact sum (bincount weights would accumulate in float64 and
-        # lose exactness above 2^53, breaking the bit-stable policy)
+        key = np.sort((zidx.astype(np.int64) << 32) | rows)
+        cnt = np.zeros(n_zones, dtype=np.int64)
         sm = np.zeros(n_zones, dtype=np.int64)
-        np.add.at(sm, zidx, v)
-        order = np.argsort(zidx, kind="stable")
-        zs, vs = zidx[order], v[order]
-        starts = np.nonzero(np.r_[True, zs[1:] != zs[:-1]])[0]
         mn = np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64)
         mx = np.full(n_zones, np.iinfo(np.int64).min, dtype=np.int64)
-        if zs.size:
-            mn[zs[starts]] = np.minimum.reduceat(vs, starts)
-            mx[zs[starts]] = np.maximum.reduceat(vs, starts)
+        if key.size:
+            col = batch[self.zonal_reduce_col].to_numpy(zero_copy_only=False)
+            v = col[key & 0xFFFFFFFF].astype(np.int64)
+            zs = key >> 32
+            starts = np.flatnonzero(np.r_[True, zs[1:] != zs[:-1]])
+            hit = zs[starts]
+            cnt[hit] = np.diff(np.r_[starts, key.size])
+            # integer-exact int64 sums (wrapping like np.add.at); float64
+            # weights would lose exactness above 2^53
+            sm[hit] = np.add.reduceat(v, starts)
+            mn[hit] = np.minimum.reduceat(v, starts)
+            mx[hit] = np.maximum.reduceat(v, starts)
         return pa.table(
             {
                 "cnt": pa.array([cnt.tobytes()], pa.binary()),

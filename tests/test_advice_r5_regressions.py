@@ -121,3 +121,70 @@ def test_hotine_other_azimuth_is_not_routed():
         crs.resolve_crs(_lv03_wkt1(azimuth=45.0))
     with pytest.raises(NotImplementedError, match="azimuth"):
         crs.resolve_crs(_LV03_WKT2.replace('"Azimuth of initial line",90', '"Azimuth of initial line",33'))
+
+
+def test_grib2_repeated_section_is_refused():
+    """A message carrying two fields repeats sections 4-7; decoding only the
+    last one silently is refused."""
+    one = _grib2_latlon(np.arange(8.0).reshape(2, 4), 10.0, 27.0, 9.0, 30.0, 1.0, 1.0, 0x00)
+    body = one[16:-4]
+    s3_end = 16 + 21 + 72
+    # fields share sections 1 and 3 and repeat 4-7
+    two = body + one[s3_end:-4]
+    msg = b"GRIB" + bytes(2) + bytes([0, 2]) + struct.pack(">Q", 16 + len(two) + 4) + two + b"7777"
+    assert grib2.decode_message(one)["nx"] == 4
+    with pytest.raises(NotImplementedError, match="repeats section 4"):
+        grib2.decode_message(msg)
+
+
+_OSGB36_BNG = (
+    'PROJCRS["OSGB36 / British National Grid",BASEGEOGCRS["OSGB36",'
+    'DATUM["Ordnance Survey of Great Britain 1936",ELLIPSOID["Airy 1830",'
+    '6377563.396,299.3249646,LENGTHUNIT["metre",1]]],PRIMEM["Greenwich",0]],'
+    'CONVERSION["British National Grid",METHOD["Transverse Mercator"],'
+    'PARAMETER["Latitude of natural origin",49,ANGLEUNIT["degree",0.0174532925199433]],'
+    'PARAMETER["Longitude of natural origin",-2,ANGLEUNIT["degree",0.0174532925199433]],'
+    'PARAMETER["Scale factor at natural origin",0.9996012717,SCALEUNIT["unity",1]],'
+    'PARAMETER["False easting",400000,LENGTHUNIT["metre",1]],'
+    'PARAMETER["False northing",-100000,LENGTHUNIT["metre",1]]],'
+    'CS[Cartesian,2],AXIS["(E)",east,ORDER[1],LENGTHUNIT["metre",1]],'
+    'AXIS["(N)",north,ORDER[2],LENGTHUNIT["metre",1]]]')
+
+
+def _boundcrs(params: list) -> str:
+    return ('BOUNDCRS[SOURCECRS[' + _OSGB36_BNG + '],TARGETCRS[GEOGCRS["WGS 84",'
+            'DATUM["WGS84",ELLIPSOID["WGS 84",6378137,298.257223563]],'
+            'CS[ellipsoidal,2],AXIS["latitude",north],AXIS["longitude",east]]],'
+            'ABRIDGEDTRANSFORMATION["OSGB36 to WGS 84",'
+            'METHOD["Position Vector transformation"],' + ",".join(params) + ']]')
+
+
+_OSGB36_TOWGS84 = (446.448, -125.157, 542.06, 0.1502, 0.247, 0.8421, 4.0812)
+
+
+def test_wkt2_boundcrs_scale_difference_as_unity_ratio_in_any_order():
+    """ISO 19162 writes 'Scale difference' as the ratio 1 + ds * 1e-6 (the
+    reference value 1.0000040812 is 4.0812 ppm); parameters are matched by
+    name, not by position."""
+    p = {
+        "tz": 'PARAMETER["Z-axis translation",542.06,LENGTHUNIT["metre",1]]',
+        "ds": 'PARAMETER["Scale difference",1.0000040812{}]',
+        "ry": 'PARAMETER["Y-axis rotation",0.247,ANGLEUNIT["arc-second",4.84813681109536E-06]]',
+        "tx": 'PARAMETER["X-axis translation",446.448,LENGTHUNIT["metre",1]]',
+        "rz": 'PARAMETER["Z-axis rotation",0.8421]',
+        "ty": 'PARAMETER["Y-axis translation",-125.157]',
+        "rx": 'PARAMETER["X-axis rotation",0.1502]',
+    }
+    ppm_form = dict(
+        p, ds='PARAMETER["Scale difference",4.0812,SCALEUNIT["parts per million",1E-06]]')
+    for unit in ("", ',SCALEUNIT["unity",1]'):
+        shuffled = dict(p, ds=p["ds"].format(unit))
+        d = crs.resolve_crs(_boundcrs(list(shuffled.values())))
+        np.testing.assert_allclose(d.towgs84, _OSGB36_TOWGS84, rtol=0, atol=1e-9)
+    d_ppm = crs.resolve_crs(_boundcrs(list(ppm_form.values())))
+    np.testing.assert_allclose(d_ppm.towgs84, _OSGB36_TOWGS84, rtol=0, atol=1e-9)
+    # the ratio form transforms exactly as the ppm form does
+    lon, lat = np.array([-1.0]), np.array([52.0])
+    xa, ya = crs.from_wgs84_lonlat(lon, lat, d)
+    xb, yb = crs.from_wgs84_lonlat(lon, lat, d_ppm)
+    assert abs(xa[0] - xb[0]) < 1e-6 and abs(ya[0] - yb[0]) < 1e-6

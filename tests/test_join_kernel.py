@@ -1,6 +1,7 @@
-"""Pair-batched edge-CSR point-in-polygon kernel (``pip.points_in_edges``) and
-the batched segment-crossing predicates, pinned to the per-zone / per-edge
-loops they replace.
+"""Pair-batched edge-CSR point-in-polygon kernel (``pip.points_in_edges``),
+the batched segment-crossing predicates and the single-sort zonal reduce,
+pinned to the per-zone / per-edge / scatter loops they replace; the grid's
+sizing rule checked on the rectangle zone layer.
 
 The oracles below are verbatim copies of the previous implementations (one
 broadcast per ring, one polygon at a time, one q-segment at a time), kept
@@ -11,11 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pyarrow as pa
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdal_ray.functions import pip, wkb
-from gdal_ray.stages.join import _ZoneIndex
+from gdal_ray.sources import synthetic
+from gdal_ray.stages.join import BroadcastPointJoin, _ZoneIndex
 
 # --- oracles: the per-zone loop and per-edge loops before the edge CSR -----
 
@@ -339,3 +342,94 @@ def test_points_as_zero_length_segments():
     mp = wkb.Geom(wkb.MULTIPOINT, [np.array([[20.0, 20.0]]), np.array([[6.0, 2.0]])])
     assert pip.geom_intersects(mp, ln) and pip.geom_intersects(ln, mp)
     assert pip.geom_intersects(mp, pt(6.0, 2.0)) and not pip.geom_intersects(mp, pt(0.0, 9.0))
+
+
+# --- single-sort zonal reduce and grid sizing -------------------------------
+
+I64 = np.iinfo(np.int64)
+
+
+def _scatter_reduce(col, rows, zidx, n_zones):
+    """The reduce by scatter ufuncs: the oracle of ``_zonal_reduce``."""
+    v = col[rows].astype(np.int64)
+    cnt, sm = np.zeros(n_zones, np.int64), np.zeros(n_zones, np.int64)
+    mn, mx = np.full(n_zones, I64.max), np.full(n_zones, I64.min)
+    np.add.at(cnt, zidx, 1)
+    np.add.at(sm, zidx, v)
+    np.minimum.at(mn, zidx, v)
+    np.maximum.at(mx, zidx, v)
+    return [cnt, sm, mn, mx]
+
+
+_REDUCE_ZONES = synthetic.make_rect_zones(np.arange(7, dtype=np.int64))
+_DTYPES = {"int64": (I64.min, I64.max), "int32": (-(2**31), 2**31 - 1), "uint8": (0, 255)}
+
+
+@st.composite
+def _reduce_case(draw):
+    dtype = draw(st.sampled_from(sorted(_DTYPES)))
+    lo, hi = _DTYPES[dtype]
+    # values straddle zero and 2**32 where the dtype allows
+    vals = draw(st.lists(st.one_of(st.integers(lo, hi), st.sampled_from([lo, hi, 0])),
+                         min_size=1, max_size=60))
+    n = len(vals)
+    one_zone = draw(st.booleans())
+    n_pairs = draw(st.integers(0, 3 * n))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=n_pairs, max_size=n_pairs))
+    zone = st.just(3) if one_zone else st.integers(0, _REDUCE_ZONES.num_rows - 1)
+    zidx = draw(st.lists(zone, min_size=n_pairs, max_size=n_pairs))
+    return np.array(vals, dtype=dtype), np.array(rows, np.int64), np.array(zidx, np.int64)
+
+
+_REDUCE_OP = BroadcastPointJoin(_REDUCE_ZONES, zonal_reduce_col="v")
+
+
+@given(_reduce_case())
+@example((np.array([-5, 2**40, -(2**62)], np.int64), np.array([0, 1, 2, 1]),
+          np.array([2, 2, 2, 2])))  # every match in one zone, > 2**32, negative
+@example((np.array([1, 2], np.uint8), np.array([], np.int64), np.array([], np.int64)))  # none
+@settings(max_examples=200, deadline=None)
+def test_zonal_reduce_matches_scatter_oracle(case):
+    col, rows, zidx = case
+    batch = pa.table({"v": col})
+    part = _REDUCE_OP._zonal_reduce(batch, rows, zidx)
+    got = [np.frombuffer(part[c][0].as_py(), np.int64) for c in ("cnt", "sm", "mn", "mx")]
+    want = _scatter_reduce(col, rows, zidx, _REDUCE_ZONES.num_rows)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # unhit zones keep count 0 and the min/max sentinels
+    unhit = np.setdiff1d(np.arange(_REDUCE_ZONES.num_rows), zidx)
+    assert (got[0][unhit] == 0).all() and (got[2][unhit] == I64.max).all()
+    assert (got[3][unhit] == I64.min).all()
+
+
+def test_zonal_reduce_refuses_unpackable_batches():
+    BroadcastPointJoin._check_packable(2**32 - 1)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        BroadcastPointJoin._check_packable(2**32)
+
+
+def test_grid_sizing_on_rect_zone_layer():
+    """Cell side = median zone side / 4: the raw CSR fetch stays within 2x
+    the matches (expected (1 + 1/4)**2 ~ 1.56x), at most 32 CSR entries per
+    zone (expected 25), and both axes within the 4,096-cell cap."""
+    n_zones = 20_000
+    zi = _ZoneIndex(synthetic.make_rect_zones(np.arange(n_zones, dtype=np.int64)))
+    rng = np.random.default_rng(4)
+    px = -180.0 + rng.integers(0, 36_000, 32_768) / 100.0
+    py = -85.0 + rng.integers(0, 17_000, 32_768) / 100.0
+    gx = np.clip(((px - zi.x0) * zi.inv_dx).astype(np.int64), 0, zi.nx - 1)
+    gy = np.clip(((py - zi.y0) * zi.inv_dy).astype(np.int64), 0, zi.ny - 1)
+    cell = gy * zi.nx + gx
+    fetched = int((zi.csr_off[cell + 1] - zi.csr_off[cell]).sum()) + px.size * zi.always.size
+    matched = zi.probe_points(px, py, "intersects")[0].size
+    assert matched > 0 and fetched / matched <= 2.0, (fetched, matched)
+    assert zi.csr_val.size <= 32 * n_zones
+    assert zi.nx <= 4096 and zi.ny <= 4096
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_near_global_zone_stays_on_always_list(seed):
+    zones = _random_zones(np.random.default_rng(seed), 40)
+    zi = _ZoneIndex(zones)
+    assert zones.num_rows - 1 in zi.always
