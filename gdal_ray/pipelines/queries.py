@@ -2675,17 +2675,11 @@ def png_filters_roundtrip_q(sf_dir: str):
     with open(path, "rb") as f:
         back = pngmod.decode_png(f.read())
     assert np.array_equal(arr, back)
-    import ray.data as rd2
+    from ..sources.openraster import window_tiles
 
-    rows = []
-    for ty in range(3):
-        for tx in range(3):
-            sub = back[ty * 64:(ty + 1) * 64, tx * 64:(tx + 1) * 64]
-            rows.append({"z": 4, "x": tx, "y": ty, "band": 1,
-                         "width": 64, "height": 64, "crs": "EPSG:3857",
-                         "nodata": 0.0, "dtype": "uint8",
-                         "data": sub.tobytes()})
-    return _tile_checksum_rows(rd2.from_arrow(pa.Table.from_pylist(rows)))
+    return _tile_checksum_rows(window_tiles(
+        192, 192, lambda y0, y1, x0, x1: back[y0:y1, x0:x1], tile_size=64,
+        z=4, band=1, crs="EPSG:3857", nodata=0.0))
 
 
 def dted_roundtrip_q(sf_dir: str):

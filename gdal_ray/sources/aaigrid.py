@@ -16,7 +16,6 @@ parquet tile sink for unbounded rasters) and serializes it deterministically.
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 
 def write_asc(path: str, arr: np.ndarray, xll: float = 0.0, yll: float = 0.0,
@@ -61,23 +60,13 @@ def read_asc_tiles(path: str, tile_size: int = 64, z: int = 4):
     """.asc file -> the engine's standard tile-row Dataset (float32 payload,
     edge tiles clipped; global pixel (0,0) = the grid's NW corner, matching
     the engine's row-south-positive image convention)."""
-    import ray.data as rd
+    from .openraster import window_tiles
 
     arr, hdr = read_asc(path)
-    h, w = arr.shape
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = arr[ty * tile_size:(ty + 1) * tile_size,
-                      tx * tile_size:(tx + 1) * tile_size]
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": 1,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:3857", "nodata": float(hdr.get("nodata_value", 0.0)),
-                "dtype": "float32",
-                "data": sub.astype(np.float32).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    arr = arr.astype(np.float32)
+    return window_tiles(*arr.shape, lambda y0, y1, x0, x1: arr[y0:y1, x0:x1],
+                        tile_size=tile_size, z=z, band=1, crs="EPSG:3857",
+                        nodata=hdr.get("nodata_value", 0.0))
 
 
 def write_xyz(path: str, arr: np.ndarray, x0: float = 0.0, y0: float = 0.0,

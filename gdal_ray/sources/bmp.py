@@ -19,7 +19,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 
 
 def _stride(width: int, bpp: int) -> int:
@@ -217,24 +216,10 @@ def read_bmp_tiles(path: str, tile_size: int = 64, z: int = 4,
     """BMP -> the engine's standard tile-row Dataset.  8-bit: one uint8
     band of palette indices (the reference likewise exposes the index band
     plus a color table).  24-bit: ``band`` selects R=1/G=2/B=3."""
-    import ray.data as rd
+    from .openraster import window_tiles
 
     hdr = _parse_header(path)
-    h, w = hdr["height"], hdr["width"]
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = read_bmp_window(path, ty * tile_size,
-                                  min((ty + 1) * tile_size, h),
-                                  tx * tile_size,
-                                  min((tx + 1) * tile_size, w), hdr)
-            if sub.ndim == 3:
-                sub = sub[:, :, band - 1]
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": band,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:3857", "nodata": 0.0,
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return window_tiles(
+        hdr["height"], hdr["width"],
+        lambda y0, y1, x0, x1: read_bmp_window(path, y0, y1, x0, x1, hdr),
+        tile_size=tile_size, z=z, band=band, crs="EPSG:3857", nodata=0.0)

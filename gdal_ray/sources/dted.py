@@ -21,7 +21,6 @@ pages.
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 UHL_SIZE, DSI_SIZE, ACC_SIZE = 80, 648, 2700
 NODATA = -32767
@@ -172,22 +171,10 @@ def read_dted_window(path: str, y0: int, y1: int, x0: int, x1: int,
 
 
 def read_dted_tiles(path: str, tile_size: int = 64, z: int = 4):
-    import ray.data as rd
+    from .openraster import window_tiles
 
     hdr = _parse_header(path)
-    h, w = hdr["height"], hdr["width"]
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = read_dted_window(path, ty * tile_size,
-                                   min((ty + 1) * tile_size, h),
-                                   tx * tile_size,
-                                   min((tx + 1) * tile_size, w), hdr)
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": 1,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:4326", "nodata": float(NODATA),
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return window_tiles(
+        hdr["height"], hdr["width"],
+        lambda y0, y1, x0, x1: read_dted_window(path, y0, y1, x0, x1, hdr),
+        tile_size=tile_size, z=z, band=1, crs="EPSG:4326", nodata=NODATA)

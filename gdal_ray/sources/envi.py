@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pyarrow as pa
 
 _DTYPES = {1: np.uint8, 2: np.int16, 3: np.int32, 4: np.float32,
            5: np.float64, 12: np.uint16, 13: np.uint32}
@@ -169,33 +168,15 @@ def read_envi_tiles(base: str, tile_size: int = 64, z: int = 4,
                     band: int = 1):
     """ENVI dataset -> the engine's standard tile-row Dataset (one band,
     dtype preserved; edge tiles clipped; pixel (0,0) = NW corner).
-    Tiles are cut with windowed memmap reads (read_envi_window), so only
-    the touched pages load — the whole-raster array never materializes."""
-    import ray.data as rd
+    Tiles are cut with windowed memmap reads (read_envi_window) in the
+    workers, so the whole-raster array never materializes."""
+    from .openraster import window_tiles
 
     for ext in (".hdr", ".dat"):
         if base.endswith(ext):
             base = base[: -len(ext)]
     hdr = _parse_hdr(f"{base}.hdr")
-    h, w = int(hdr["lines"]), int(hdr["samples"])
-
-    class _Win:
-        def __getitem__(self, sl):
-            ys, xs = sl
-            return read_envi_window(base, band, ys.start, ys.stop,
-                                    xs.start, xs.stop)
-
-    arr = _Win()
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = arr[ty * tile_size:(ty + 1) * tile_size,
-                      tx * tile_size:(tx + 1) * tile_size]
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": band,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:3857", "nodata": 0.0,
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return window_tiles(
+        int(hdr["lines"]), int(hdr["samples"]),
+        lambda y0, y1, x0, x1: read_envi_window(base, band, y0, y1, x0, x1),
+        tile_size=tile_size, z=z, band=band, crs="EPSG:3857", nodata=0.0)

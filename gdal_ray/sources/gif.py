@@ -20,7 +20,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 
 
 # -- LZW ----------------------------------------------------------------------
@@ -227,20 +226,9 @@ def read_gif(path: str):
 def read_gif_tiles(path: str, tile_size: int = 64, z: int = 4):
     """GIF -> the engine's standard tile-row Dataset (the uint8 index band;
     palette travels in the header like the reference's color table)."""
-    import ray.data as rd
+    from .openraster import window_tiles
 
     arr, _hdr = read_gif(path)
-    h, w = arr.shape
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = arr[ty * tile_size:(ty + 1) * tile_size,
-                      tx * tile_size:(tx + 1) * tile_size]
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": 1,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:3857", "nodata": 0.0,
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return window_tiles(*arr.shape, lambda y0, y1, x0, x1: arr[y0:y1, x0:x1],
+                        tile_size=tile_size, z=z, band=1, crs="EPSG:3857",
+                        nodata=0.0)

@@ -101,16 +101,17 @@ def decode_message(msg: bytes) -> dict:
     lat1 = lon1 = lat2 = lon2 = dlat = dlon = float("nan")
     scan = 0x40
     if gdt == 0:
-        basic_angle = _u(s3, 38, 4) or 1
-        sub_angle = _u(s3, 42, 4)
-        div = 1e6 * basic_angle if sub_angle in (0, 0xFFFFFFFF) \
-            else sub_angle
-        lat1 = _s(s3, 46, 4) / div
-        lon1 = _s(s3, 50, 4) / div
-        lat2 = _s(s3, 55, 4) / div
-        lon2 = _s(s3, 59, 4) / div
-        dlon = _s(s3, 63, 4) / div
-        dlat = _s(s3, 67, 4) / div
+        # angle unit = basic / subdivisions degrees when both are set,
+        # else 1e-6 degrees (code table 3.1 note; degrib's rule)
+        num, den = _u(s3, 38, 4), _u(s3, 42, 4)
+        if {num, den} & {0, 0xFFFFFFFF}:
+            num, den = 1, 1e6
+        lat1 = _s(s3, 46, 4) * num / den
+        lon1 = _s(s3, 50, 4) * num / den
+        lat2 = _s(s3, 55, 4) * num / den
+        lon2 = _s(s3, 59, 4) * num / den
+        dlon = _s(s3, 63, 4) * num / den
+        dlat = _s(s3, 67, 4) * num / den
         scan = s3[71]
 
     # --- section 4: product ---

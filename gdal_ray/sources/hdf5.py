@@ -25,6 +25,8 @@ Ray-Data shape mirrors ``netcdf3``: the driver parses metadata only;
 """
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -134,8 +136,11 @@ class Dataset:
 
 class H5File:
     def __init__(self, path: str):
+        # read-only map: only the pages the header walk and the requested
+        # data touch are read (mmap cannot map an empty file)
         with open(path, "rb") as f:
-            self.buf = f.read()
+            self.buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) \
+                if os.fstat(f.fileno()).st_size else b""
         b = self.buf
         if b[:8] != MAGIC:
             raise ValueError("not an HDF5 file")
@@ -160,6 +165,16 @@ class H5File:
         self.skipped: dict[str, str] = {}
         self._by_addr: dict[int, str] = {}
         self._walk_group(root_hdr, "")
+
+    def close(self) -> None:
+        if isinstance(self.buf, mmap.mmap):
+            self.buf.close()
+
+    def __enter__(self) -> "H5File":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- object headers --
 
@@ -384,7 +399,9 @@ class H5File:
                         name_off = _u(b, p, 8)
                         ohdr = _u(b, p + 8, 8)
                         s = heap_data + name_off
-                        e = b.index(b"\x00", s)
+                        e = b.find(b"\x00", s)
+                        if e < 0:
+                            raise ValueError("unterminated link name")
                         out.append((b[s:e].decode(), ohdr))
                         p += 40
             return out
@@ -661,19 +678,25 @@ class H5File:
                 raise NotImplementedError(f"HDF5 filter id {fid}")
         return raw
 
-    def read(self, name: str) -> np.ndarray:
-        ds = self.datasets[name]
+    def _view(self, ds: Dataset) -> np.ndarray:
+        """A compact or contiguous dataset as a read-only array view (over
+        the file map, so slicing it reads only the touched pages)."""
         dt = ds.dtype.numpy()
         shape = tuple(ds.shape)
         if ds.layout == "compact":
-            return np.frombuffer(ds.compact, dtype=dt).reshape(shape).copy()
-        if ds.layout == "contiguous":
-            if ds.data_addr == UNDEF:
-                return np.full(shape, _fill_value(ds.fill, dt), dtype=dt)
-            return np.frombuffer(
-                self.buf, dtype=dt, count=int(np.prod(shape)),
-                offset=ds.data_addr).reshape(shape).copy()
-        # chunked
+            return np.frombuffer(ds.compact, dtype=dt).reshape(shape)
+        if ds.data_addr == UNDEF:
+            return np.broadcast_to(np.asarray(_fill_value(ds.fill, dt), dt),
+                                   shape)
+        return np.frombuffer(self.buf, dtype=dt, count=int(np.prod(shape)),
+                             offset=ds.data_addr).reshape(shape)
+
+    def read(self, name: str) -> np.ndarray:
+        ds = self.datasets[name]
+        if ds.layout != "chunked":
+            return self._view(ds).copy()
+        dt = ds.dtype.numpy()
+        shape = tuple(ds.shape)
         out = np.full(shape, _fill_value(ds.fill, dt), dtype=dt)
         cs = ds.chunk_shape
         for coords, addr, nbytes, fmask in self.chunk_entries(ds):
@@ -703,9 +726,8 @@ class H5File:
         starts = [int(s) for s in starts]
         counts = [int(c) for c in counts]
         if ds.layout != "chunked":
-            full = self.read(name)
             sl = tuple(slice(s, s + c) for s, c in zip(starts, counts))
-            return full[sl].copy()
+            return self._view(ds)[sl].copy()
         out = np.full(counts, _fill_value(ds.fill, dt), dtype=dt)
         cs = ds.chunk_shape
         for coords, addr, nbytes, fmask in self.chunk_entries(ds):
@@ -776,26 +798,27 @@ def read_header(path: str):
     """(dims, meta, global_attrs) in the shape stages.mdim expects from
     netcdf3.read_header: meta[var] = (dim_names, shape, np_dtype_name,
     None, attrs, None)."""
-    h5 = H5File(path)
-    dims = h5.dimensions()
-    meta = {}
-    for name, ds in h5.datasets.items():
-        if ds.attrs.get("CLASS") == "DIMENSION_SCALE" and \
-                ds.attrs.get("NAME", "").startswith("This is a netCDF dim"):
-            continue  # pure dimension, not a variable
-        try:
-            dtname = ds.dtype.numpy().name
-        except NotImplementedError:
-            continue
-        meta[name] = (h5.var_dims(name), list(ds.shape), dtname, None,
-                      dict(ds.attrs), None)
-        for dn, sz in zip(h5.var_dims(name), ds.shape):
-            dims.setdefault(dn, sz)
+    with H5File(path) as h5:
+        dims = h5.dimensions()
+        meta = {}
+        for name, ds in h5.datasets.items():
+            if ds.attrs.get("CLASS") == "DIMENSION_SCALE" and \
+                    ds.attrs.get("NAME", "").startswith("This is a netCDF dim"):
+                continue  # pure dimension, not a variable
+            try:
+                dtname = ds.dtype.numpy().name
+            except NotImplementedError:
+                continue
+            meta[name] = (h5.var_dims(name), list(ds.shape), dtname, None,
+                          dict(ds.attrs), None)
+            for dn, sz in zip(h5.var_dims(name), ds.shape):
+                dims.setdefault(dn, sz)
     return dims, meta, {}
 
 
 def read_hyperslab(path: str, var: str, starts, counts) -> np.ndarray:
-    a = H5File(path).read_hyperslab(var, starts, counts)
+    with H5File(path) as h5:
+        a = h5.read_hyperslab(var, starts, counts)
     # native byte order for downstream arrow/numpy kernels
     return a.astype(a.dtype.newbyteorder("="), copy=False)
 

@@ -20,7 +20,6 @@ import os
 import re
 
 import numpy as np
-import pyarrow as pa
 
 NODATA = -32768
 _SIZES = {1201 * 1201 * 2: (1201, 1201), 3601 * 3601 * 2: (3601, 3601),
@@ -88,21 +87,9 @@ def geotransform(path: str):
 
 
 def read_hgt_tiles(path: str, tile_size: int = 64, z: int = 4):
-    import ray.data as rd
+    from .openraster import window_tiles
 
-    h, w = hgt_shape(path)
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = read_hgt_window(path, ty * tile_size,
-                                  min((ty + 1) * tile_size, h),
-                                  tx * tile_size,
-                                  min((tx + 1) * tile_size, w))
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": 1,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:4326", "nodata": float(NODATA),
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return window_tiles(
+        *hgt_shape(path),
+        lambda y0, y1, x0, x1: read_hgt_window(path, y0, y1, x0, x1),
+        tile_size=tile_size, z=z, band=1, crs="EPSG:4326", nodata=NODATA)

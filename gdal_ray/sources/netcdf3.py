@@ -26,7 +26,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 
 NC_BYTE, NC_CHAR, NC_SHORT, NC_INT, NC_FLOAT, NC_DOUBLE = 1, 2, 3, 4, 5, 6
 _NP_OF = {NC_BYTE: np.int8, NC_CHAR: np.uint8, NC_SHORT: np.int16,
@@ -392,30 +391,26 @@ def read_netcdf3_hyperslab(path: str, var: str, starts, counts) -> np.ndarray:
     return _mmap_slab(path, shape, t, begin, stride, sel)
 
 
-def read_netcdf3_tiles(path: str, var: str, tile_size: int = 64, z: int = 4):
-    """A 2-D variable -> the engine's standard tile-row Dataset.  Tiles are
-    cut with windowed memmap reads (read_netcdf3_window): only touched
-    pages load; the whole variable never materializes driver-side."""
-    import ray.data as rd
+def read_netcdf3_tiles(path: str, var: str | None = None,
+                       tile_size: int = 64, z: int = 4):
+    """A 2-D variable (default: the first 2-D one) -> the engine's standard
+    tile-row Dataset.  Tiles are cut with windowed memmap reads
+    (read_netcdf3_window) in the workers: only touched pages load; the
+    whole variable never materializes driver-side."""
+    from .openraster import window_tiles
 
     _dims, meta, _g = read_header(path)
+    if var is None:
+        two_d = [n for n, (_dn, shape, *_r) in meta.items() if len(shape) == 2]
+        if not two_d:
+            raise ValueError(f"{path!r} has no 2-D variable")
+        var = two_d[0]
     if var not in meta:
         raise KeyError(f"variable {var!r} not in {sorted(meta)}")
     _vd, shape, _t, _begin, _va, _stride = meta[var]
     if len(shape) != 2:
         raise ValueError(f"{var!r} is {len(shape)}-D; tiles need 2-D")
-    h, w = shape
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = read_netcdf3_window(
-                path, var, ty * tile_size, min((ty + 1) * tile_size, h),
-                tx * tile_size, min((tx + 1) * tile_size, w))
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": 1,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:3857", "nodata": 0.0,
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return window_tiles(
+        *shape,
+        lambda y0, y1, x0, x1: read_netcdf3_window(path, var, y0, y1, x0, x1),
+        tile_size=tile_size, z=z, band=1, crs="EPSG:3857", nodata=0.0)

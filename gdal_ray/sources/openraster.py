@@ -1,16 +1,26 @@
-"""GDALOpen-style raster opener: probe every in-repo driver, return tiles.
+"""GDALOpen-style raster opener and the one window-tile builder.
 
 Re-answers the reference's driver-identify loop (``gcore/gdaldataset.cpp``
 GDALOpenEx -> per-driver Identify/Open probes, each driver sniffing its own
-magic; ``frmts/*/...dataset.cpp`` Identify methods) over the engine's raster
-driver set: the file's leading bytes (or, for the headerless formats, its
-name/size contract) select the driver, and the matched driver's
-``read_*_tiles`` emits the engine's standard tile rows.
+magic; ``frmts/*/...dataset.cpp`` Identify methods) with one table.
+``_DRIVERS`` holds one ``(name, claims, opener)`` entry per raster driver:
+``claims(head, basename, path)`` looks at the file's first 16 bytes, its
+lower-cased basename or a sidecar, and ``opener(path, tile_size, z, band,
+var)`` returns the driver's tile Dataset.  ``identify`` and
+``open_raster_tiles`` walk the table in order and take the first claim; a
+driver is added by adding an entry.
 
 Probe order mirrors the reference's registration order idea: unambiguous
-magics first, then the headerless/sidecar formats (HGT by filename+size,
-ENVI by .hdr sidecar, TGA by extension — TGA has no magic, same caveat as
+magics first, then the headerless/sidecar formats (HGT by filename, ENVI by
+.hdr sidecar, TGA by extension — TGA has no magic, same caveat as
 frmts/tga).
+
+``window_tiles`` is the reference's IReadBlock mapped onto Ray Data (SURVEY
+§1.1), shared by every file driver: the driver process builds only the
+``(ty, tx)`` window manifest, and ``map_batches`` workers read the windows
+and emit the engine's standard tile rows.  Random-access drivers pass a
+windowed file read; whole-stream codecs (GIF, TGA, AAIGrid, PNG, JPEG)
+decode in the driver and pass a slice of the decoded array.
 """
 
 from __future__ import annotations
@@ -20,65 +30,106 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from . import aaigrid, bmp, dted, envi, gif, gtiff, hgt, jpeg, netcdf3, png
+from . import pnm, tga
+
+
+def window_tiles(h: int, w: int, read_window, *, tile_size: int, z: int,
+                 band: int, crs: str, nodata: float):
+    """An ``h`` x ``w`` raster -> the engine's standard tile-row Dataset.
+
+    One row per ``tile_size`` window, row-major from the north-west corner,
+    edge tiles clipped.  ``read_window(y0, y1, x0, x1)`` returns the window
+    as a (rows, cols) array, or (rows, cols, bands), from which ``band``
+    picks one plane; it runs in ``map_batches`` workers, so the driver holds
+    only the manifest.
+    """
+    import ray.data as rd
+
+    ny, nx = -(-h // tile_size), -(-w // tile_size)
+    ty, tx = np.divmod(np.arange(ny * nx, dtype=np.int64), nx)
+    man = pa.table({"ty": ty, "tx": tx})
+
+    def fetch(t: pa.Table) -> pa.Table:
+        rows = []
+        for y, x in zip(t["ty"].to_pylist(), t["tx"].to_pylist()):
+            y0, x0 = y * tile_size, x * tile_size
+            sub = read_window(y0, min(y0 + tile_size, h),
+                              x0, min(x0 + tile_size, w))
+            if sub.ndim == 3:
+                sub = sub[:, :, band - 1]
+            rows.append({
+                "z": z, "x": x, "y": y, "band": band,
+                "width": sub.shape[1], "height": sub.shape[0],
+                "crs": crs, "nodata": float(nodata),
+                "dtype": str(sub.dtype), "data": sub.tobytes(),
+            })
+        return pa.Table.from_pylist(rows)
+
+    return rd.from_arrow(man).map_batches(fetch, batch_format="pyarrow")
+
+
+def _codec_tiles(decode, path: str, tile_size: int, z: int):
+    """PNG / JPEG: decode the whole stream in the driver; RGB folds to its
+    band mean."""
+    with open(path, "rb") as f:
+        arr = decode(f.read())
+    if arr.ndim == 3:
+        arr = arr.mean(axis=2).astype(arr.dtype)
+    return window_tiles(*arr.shape, lambda y0, y1, x0, x1: arr[y0:y1, x0:x1],
+                        tile_size=tile_size, z=z, band=1, crs="EPSG:3857",
+                        nodata=0.0)
+
+
+# (name, claims(head, basename, path), opener(path, tile_size, z, band, var))
+_DRIVERS = [
+    ("BMP", lambda h, n, p: h[:2] == b"BM",
+     lambda p, ts, z, b, v: bmp.read_bmp_tiles(p, ts, z, b)),
+    ("GIF", lambda h, n, p: h[:6] in (b"GIF87a", b"GIF89a"),
+     lambda p, ts, z, b, v: gif.read_gif_tiles(p, ts, z)),
+    ("PNM", lambda h, n, p: h[:2] in (b"P5", b"P6"),
+     lambda p, ts, z, b, v: pnm.read_pnm_tiles(p, ts, z, b)),
+    ("PNG", lambda h, n, p: h[:8] == b"\x89PNG\r\n\x1a\n",
+     lambda p, ts, z, b, v: _codec_tiles(png.decode_png, p, ts, z)),
+    ("JPEG", lambda h, n, p: h[:2] == b"\xff\xd8",
+     lambda p, ts, z, b, v: _codec_tiles(jpeg.decode_baseline, p, ts, z)),
+    # classic TIFF (42) or BigTIFF (43), either byte order
+    ("GTiff", lambda h, n, p: h[:4] in (b"II*\x00", b"MM\x00*", b"II+\x00",
+                                        b"MM\x00+"),
+     lambda p, ts, z, b, v: gtiff.read_gtiff_tiles(p, z, b)),
+    ("DTED", lambda h, n, p: h[:3] == b"UHL",
+     lambda p, ts, z, b, v: dted.read_dted_tiles(p, ts, z)),
+    ("netCDF", lambda h, n, p: h[:3] == b"CDF",
+     lambda p, ts, z, b, v: netcdf3.read_netcdf3_tiles(p, v, ts, z)),
+    ("AAIGrid", lambda h, n, p: h[:5].lower() == b"ncols" or n.endswith(".asc"),
+     lambda p, ts, z, b, v: aaigrid.read_asc_tiles(p, ts, z)),
+    ("SRTMHGT", lambda h, n, p: n.endswith(".hgt"),
+     lambda p, ts, z, b, v: hgt.read_hgt_tiles(p, ts, z)),
+    ("TGA", lambda h, n, p: n.endswith((".tga", ".tpic")),
+     lambda p, ts, z, b, v: tga.read_tga_tiles(p, ts, z, b)),
+    ("ENVI", lambda h, n, p: os.path.exists(os.path.splitext(p)[0] + ".hdr")
+     or os.path.exists(p + ".hdr"),
+     lambda p, ts, z, b, v: envi.read_envi_tiles(p, ts, z, b)),
+]
+
+
+def _driver(path: str):
+    with open(path, "rb") as f:
+        head = f.read(16)
+    name = os.path.basename(path).lower()
+    for entry in _DRIVERS:
+        if entry[1](head, name, path):
+            return entry
+    raise ValueError(
+        f"no driver claims {path!r} (probed, in order: "
+        f"{'/'.join(e[0] for e in _DRIVERS)} — the GDALOpenEx identify "
+        "loop, gcore/gdaldataset.cpp)")
+
 
 def identify(path: str) -> str:
     """Driver short-name for a raster path (GDALIdentifyDriver role).
     Raises ValueError when no driver claims the file."""
-    with open(path, "rb") as f:
-        head = f.read(16)
-    name = os.path.basename(path).lower()
-    if head[:2] == b"BM":
-        return "BMP"
-    if head[:6] in (b"GIF87a", b"GIF89a"):
-        return "GIF"
-    if head[:2] in (b"P5", b"P6"):
-        return "PNM"
-    if head[:8] == b"\x89PNG\r\n\x1a\n":
-        return "PNG"
-    if head[:2] == b"\xff\xd8":
-        return "JPEG"
-    if head[:4] in (b"II*\x00", b"MM\x00*", b"II+\x00", b"MM\x00+"):
-        return "GTiff"  # classic 42 or BigTIFF 43
-    if head[:3] == b"UHL":
-        return "DTED"
-    if head[:3] in (b"CDF",):
-        return "netCDF"
-    if head[:1].isdigit() is False and head[:5].lower() in (b"ncols",):
-        return "AAIGrid"
-    if name.endswith(".asc"):
-        return "AAIGrid"
-    if name.endswith(".hgt"):
-        return "SRTMHGT"
-    if name.endswith((".tga", ".tpic")):
-        return "TGA"
-    if os.path.exists(os.path.splitext(path)[0] + ".hdr") or \
-            os.path.exists(path + ".hdr"):
-        return "ENVI"
-    raise ValueError(
-        f"no driver claims {path!r} (probed magics: BMP/GIF/PNM/PNG/JPEG/"
-        "GTiff/DTED/netCDF/AAIGrid + HGT/TGA/ENVI name contracts — the "
-        "GDALOpenEx identify loop, gcore/gdaldataset.cpp)")
-
-
-def _image_tiles(arr: np.ndarray, tile_size: int, z: int):
-    import ray.data as rd
-
-    if arr.ndim == 3:
-        arr = arr.mean(axis=2).astype(arr.dtype)
-    h, w = arr.shape
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = arr[ty * tile_size:(ty + 1) * tile_size,
-                      tx * tile_size:(tx + 1) * tile_size]
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": 1,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:3857", "nodata": 0.0,
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return _driver(path)[0]
 
 
 def open_raster_tiles(path: str, tile_size: int = 64, z: int = 4,
@@ -90,62 +141,4 @@ def open_raster_tiles(path: str, tile_size: int = 64, z: int = 4,
     from .vsi import vsi_resolve
 
     path = vsi_resolve(path)
-    drv = identify(path)
-    if drv == "BMP":
-        from .bmp import read_bmp_tiles
-
-        return read_bmp_tiles(path, tile_size=tile_size, z=z, band=band)
-    if drv == "GIF":
-        from .gif import read_gif_tiles
-
-        return read_gif_tiles(path, tile_size=tile_size, z=z)
-    if drv == "PNM":
-        from .pnm import read_pnm_tiles
-
-        return read_pnm_tiles(path, tile_size=tile_size, z=z, band=band)
-    if drv == "PNG":
-        from .png import decode_png
-
-        with open(path, "rb") as f:
-            return _image_tiles(decode_png(f.read()), tile_size, z)
-    if drv == "JPEG":
-        from .jpeg import decode_baseline
-
-        with open(path, "rb") as f:
-            return _image_tiles(decode_baseline(f.read()), tile_size, z)
-    if drv == "GTiff":
-        from .gtiff import read_gtiff_tiles
-
-        return read_gtiff_tiles(path, z=z, band=band)
-    if drv == "DTED":
-        from .dted import read_dted_tiles
-
-        return read_dted_tiles(path, tile_size=tile_size, z=z)
-    if drv == "netCDF":
-        from .netcdf3 import read_header, read_netcdf3_tiles
-
-        if var is None:
-            _dims, variables, _g = read_header(path)
-            two_d = [n for n, (_dn, shape, *_r) in variables.items()
-                     if len(shape) == 2]
-            if not two_d:
-                raise ValueError(f"{path!r} has no 2-D variable")
-            var = two_d[0]
-        return read_netcdf3_tiles(path, var, tile_size=tile_size, z=z)
-    if drv == "AAIGrid":
-        from .aaigrid import read_asc_tiles
-
-        return read_asc_tiles(path, tile_size=tile_size, z=z)
-    if drv == "SRTMHGT":
-        from .hgt import read_hgt_tiles
-
-        return read_hgt_tiles(path, tile_size=tile_size, z=z)
-    if drv == "TGA":
-        from .tga import read_tga_tiles
-
-        return read_tga_tiles(path, tile_size=tile_size, z=z, band=band)
-    if drv == "ENVI":
-        from .envi import read_envi_tiles
-
-        return read_envi_tiles(path, tile_size=tile_size, z=z, band=band)
-    raise AssertionError(drv)
+    return _driver(path)[2](path, tile_size, z, band, var)

@@ -14,7 +14,6 @@ fixed offset, so a window touches only its own pages via memmap).
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 
 def write_pnm(path: str, arr: np.ndarray, maxval: int | None = None) -> None:
@@ -111,24 +110,10 @@ def read_pnm_tiles(path: str, tile_size: int = 64, z: int = 4,
                    band: int = 1):
     """PNM -> the engine's standard tile-row Dataset (P6 ``band`` selects
     R=1/G=2/B=3)."""
-    import ray.data as rd
+    from .openraster import window_tiles
 
     hdr = _parse_header(path)
-    h, w = hdr["height"], hdr["width"]
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = read_pnm_window(path, ty * tile_size,
-                                  min((ty + 1) * tile_size, h),
-                                  tx * tile_size,
-                                  min((tx + 1) * tile_size, w), hdr)
-            if sub.ndim == 3:
-                sub = sub[:, :, band - 1]
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": band,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:3857", "nodata": 0.0,
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return window_tiles(
+        hdr["height"], hdr["width"],
+        lambda y0, y1, x0, x1: read_pnm_window(path, y0, y1, x0, x1, hdr),
+        tile_size=tile_size, z=z, band=band, crs="EPSG:3857", nodata=0.0)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 
 
 def write_tga(path: str, arr: np.ndarray, rle: bool = False,
@@ -130,22 +129,10 @@ def read_tga(path: str):
 
 def read_tga_tiles(path: str, tile_size: int = 64, z: int = 4,
                    band: int = 1):
-    import ray.data as rd
+    from .openraster import window_tiles
 
     arr, _hdr = read_tga(path)
-    if arr.ndim == 3:
-        arr = arr[:, :, band - 1]
-    h, w = arr.shape
-    rows = []
-    for ty in range((h + tile_size - 1) // tile_size):
-        for tx in range((w + tile_size - 1) // tile_size):
-            sub = arr[ty * tile_size:(ty + 1) * tile_size,
-                      tx * tile_size:(tx + 1) * tile_size]
-            rows.append({
-                "z": z, "x": tx, "y": ty, "band": band,
-                "width": sub.shape[1], "height": sub.shape[0],
-                "crs": "EPSG:3857", "nodata": 0.0,
-                "dtype": str(sub.dtype),
-                "data": np.ascontiguousarray(sub).tobytes(),
-            })
-    return rd.from_arrow(pa.Table.from_pylist(rows))
+    return window_tiles(arr.shape[0], arr.shape[1],
+                        lambda y0, y1, x0, x1: arr[y0:y1, x0:x1],
+                        tile_size=tile_size, z=z, band=band, crs="EPSG:3857",
+                        nodata=0.0)

@@ -9,8 +9,9 @@ actor pool defaults its pool size from here instead.
 
 The default is half the cluster CPUs (leaving headroom for the reading
 and shuffling stages that share the cluster under Ray Data's streaming
-executor), clamped to [2, 64] per stage.  Callers can always pass an
-explicit ``concurrency=``.
+executor), clamped to [2, 64] per stage and never above the cluster's CPU
+count, so a 1-CPU host gets a pool it can place.  Callers can always pass
+an explicit ``concurrency=``.
 """
 from __future__ import annotations
 
@@ -33,4 +34,4 @@ def default_concurrency(fraction: float = 0.5, lo: int = 2,
         return lo
     if cpus <= 0:
         return lo
-    return max(lo, min(hi, int(cpus * fraction)))
+    return min(cpus, max(lo, min(hi, int(cpus * fraction))))

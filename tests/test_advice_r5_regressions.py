@@ -10,17 +10,24 @@ from gdal_ray.functions import crs
 from gdal_ray.sources import grib2
 
 
-def _grib2_latlon(values: np.ndarray, lat1, lon1, lat2, lon2, dlat, dlon, scan) -> bytes:
-    """One GRIB2 message: grid template 3.0 (micro-degrees), IEEE float64
-    data (template 5.4), stored in the order the scan mode says."""
+_MISSING = 0xFFFFFFFF
+
+
+def _grib2_latlon(values: np.ndarray, lat1, lon1, lat2, lon2, dlat, dlon, scan,
+                  basic: int = 0, sub: int = 0) -> bytes:
+    """One GRIB2 message: grid template 3.0 (angles in basic/sub degrees,
+    micro-degrees when either is 0 or missing), IEEE float64 data (template
+    5.4), stored in the order the scan mode says."""
     ny, nx = values.shape
+    per_degree = 1e6 if {basic, sub} & {0, _MISSING} else sub / basic
     s1 = struct.pack(">IB", 21, 1) + bytes(16)
     s3 = bytearray(72)
     s3[0:5] = struct.pack(">IB", 72, 3)
     s3[12:14] = struct.pack(">H", 0)
     s3[30:38] = struct.pack(">II", nx, ny)
+    s3[38:46] = struct.pack(">II", basic, sub)
     for off, deg in ((46, lat1), (50, lon1), (55, lat2), (59, lon2), (63, dlon), (67, dlat)):
-        s3[off:off + 4] = struct.pack(">I", round(deg * 1e6))
+        s3[off:off + 4] = struct.pack(">I", round(deg * per_degree))
     s3[71] = scan
     s4 = struct.pack(">IB", 34, 4) + bytes(29)
     s5 = struct.pack(">IBIHB", 12, 5, nx * ny, 4, 2)
@@ -45,6 +52,19 @@ def test_grib2_scan_minus_i_georeferences_the_west_edge():
     d0 = grib2.decode_message(_grib2_latlon(west_to_east, 10.0, 27.0, 9.0, 30.0, 1.0, 1.0, 0x00))
     np.testing.assert_array_equal(d0["values"], west_to_east)
     assert d0["lon0"] == 27.0 and d0["dlon"] == 1.0 and d0["lon_last"] == 30.0
+
+
+@pytest.mark.parametrize("basic, sub", [(2, 2_000_000), (_MISSING, _MISSING),
+                                        (3, 1000)])
+def test_grib2_angle_unit_is_basic_over_subdivisions(basic, sub):
+    """Template 3.0 angles are in units of basic/sub degrees when both are
+    given; a missing (0xFFFFFFFF) pair falls back to micro-degrees."""
+    msg = _grib2_latlon(np.arange(8.0).reshape(2, 4), 10.5, 27.0, 9.0, 31.5,
+                        1.5, 1.5, 0x00, basic=basic, sub=sub)
+    d = grib2.decode_message(msg)
+    assert (d["lat0"], d["lon0"], d["dlon"], d["lon_last"]) == \
+        (10.5, 27.0, 1.5, 31.5)
+    assert d["dlat"] == -1.5
 
 
 _CH1903_GEOGCS = (

@@ -49,6 +49,32 @@ class TestWriterRoundtrip:
         got = hdf5.read_hyperslab(f, "v", (1, 5, 7), (2, 20, 23))
         assert (got == t[1:3, 5:25, 7:30]).all()
 
+    def test_contiguous_hyperslab_reads_only_its_rows(self, tmp_path):
+        """A one-row hyperslab of a 32 MiB contiguous variable copies one
+        row, not the file (the file is mapped, not read)."""
+        import tracemalloc
+
+        t = np.arange(2048 * 2048, dtype=np.float64).reshape(2048, 2048)
+        f = str(tmp_path / "big.h5")
+        hdf5.write_hdf5(f, {"v": (["y", "x"], t)})
+        del t
+        tracemalloc.start()
+        try:
+            got = hdf5.read_hyperslab(f, "v", (5, 0), (1, 2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        assert (got[0] == np.arange(5 * 2048, 6 * 2048)).all()
+        whole = hdf5.H5File(f).read("v")
+        assert whole.flags.writeable and whole[2047, 2047] == 2048 ** 2 - 1
+
+    def test_empty_file_is_refused(self, tmp_path):
+        f = tmp_path / "empty.h5"
+        f.write_bytes(b"")
+        with pytest.raises(ValueError, match="not an HDF5 file"):
+            hdf5.H5File(str(f))
+
     def test_dtypes(self, tmp_path):
         for dt in ["uint8", "int16", "uint32", "int64", "float32",
                    "float64"]:
