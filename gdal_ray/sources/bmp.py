@@ -219,7 +219,14 @@ def read_bmp_tiles(path: str, tile_size: int = 64, z: int = 4,
     from .openraster import window_tiles
 
     hdr = _parse_header(path)
-    return window_tiles(
-        hdr["height"], hdr["width"],
-        lambda y0, y1, x0, x1: read_bmp_window(path, y0, y1, x0, x1, hdr),
-        tile_size=tile_size, z=z, band=band, crs="EPSG:3857", nodata=0.0)
+    if hdr.get("comp") == 1:
+        # an RLE8 stream is sequential: decode it once, then slice windows
+        arr = read_bmp_window(path, 0, hdr["height"], 0, hdr["width"], hdr)
+
+        def read(y0, y1, x0, x1):
+            return arr[y0:y1, x0:x1]
+    else:
+        def read(y0, y1, x0, x1):
+            return read_bmp_window(path, y0, y1, x0, x1, hdr)
+    return window_tiles(hdr["height"], hdr["width"], read, tile_size=tile_size,
+                        z=z, band=band, crs="EPSG:3857", nodata=0.0)

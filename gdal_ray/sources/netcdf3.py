@@ -395,8 +395,8 @@ def read_netcdf3_tiles(path: str, var: str | None = None,
                        tile_size: int = 64, z: int = 4):
     """A 2-D variable (default: the first 2-D one) -> the engine's standard
     tile-row Dataset.  Tiles are cut with windowed memmap reads
-    (read_netcdf3_window) in the workers: only touched pages load; the
-    whole variable never materializes driver-side."""
+    (``_mmap_slab`` over the header parsed once here) in the workers: only
+    touched pages load; the whole variable never materializes driver-side."""
     from .openraster import window_tiles
 
     _dims, meta, _g = read_header(path)
@@ -407,10 +407,11 @@ def read_netcdf3_tiles(path: str, var: str | None = None,
         var = two_d[0]
     if var not in meta:
         raise KeyError(f"variable {var!r} not in {sorted(meta)}")
-    _vd, shape, _t, _begin, _va, _stride = meta[var]
+    _vd, shape, t, begin, _va, stride = meta[var]
     if len(shape) != 2:
         raise ValueError(f"{var!r} is {len(shape)}-D; tiles need 2-D")
     return window_tiles(
         *shape,
-        lambda y0, y1, x0, x1: read_netcdf3_window(path, var, y0, y1, x0, x1),
+        lambda y0, y1, x0, x1: _mmap_slab(path, shape, t, begin, stride,
+                                          (slice(y0, y1), slice(x0, x1))),
         tile_size=tile_size, z=z, band=1, crs="EPSG:3857", nodata=0.0)

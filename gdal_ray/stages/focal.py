@@ -36,6 +36,15 @@ def _dtype_of(s: str):
     return _DTYPES[s]
 
 
+def _tile_of(batch: pa.Table, i: int):
+    """(x, y, read-only (height, width) pixel array) of tile row ``i``."""
+    dt = _dtype_of(batch["dtype"][i].as_py())
+    h = batch["height"][i].as_py()
+    w = batch["width"][i].as_py()
+    arr = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(h, w)
+    return batch["x"][i].as_py(), batch["y"][i].as_py(), arr
+
+
 def _halo_exchange(tiles_ds):
     """tiles -> (dest_tile_key, part) rows: the tile body plus the 8 border
     strips each neighbor needs.  Returns the grouped dataset keyed by dest."""

@@ -1,17 +1,29 @@
-"""Polygonize (raster -> vector): distributed connected-component labeling.
+"""Polygonize (raster -> vector) and the cross-tile component seam protocol.
 
 Re-answers ``gdal_polygonize`` (reference: 2-line run-based CCL
 ``alg/gdalrasterpolygonenumerator.cpp:215-284`` NewPolygon/MergePolygon,
 4/8-connectivity ``alg/polygonize.cpp:87``, Two-Arm-Chains ring tracing
-``alg/polygonize_polygonizer.h:136-176``) Ray-Data-first:
+``alg/polygonize_polygonizer.h:136-176``) Ray-Data-first.  ``polygonize``,
+``polygonize_rings``, ``sieve_global`` and ``collar.nearblack`` (and through
+``polygonize``, ``collar.footprint``) share one seam protocol:
 
-  tiles -> map_batches: per-tile run-based CCL (exactly the reference's
-           2-row scan, numpy-vectorized per row-pair) -> per-tile components
-           + border-run descriptors
-       -> groupby(shared tile edge): cross-tile label equivalences
-       -> driver-side union-find over the equivalence EDGES (metadata-sized:
-          O(border runs), not O(pixels)) -> broadcast relabel
-       -> groupby(global component): merged stats (value, pixel count, bbox)
+  tiles -> map_batches (``_tile_components``): per-tile run-based CCL
+           (exactly the reference's 2-row scan, numpy-vectorized per
+           row-pair) -> one kind-tagged table of one declared schema per
+           batch: the stage's component rows plus seam rows
+           (``_seam_rows``: label runs on the tile's four edges and, under
+           8-connectivity, its four corner pixels)
+       -> groupby(edge_key).map_groups (``_seam_pairs``): (a, b, same) for
+          the fragments that touch across each shared tile edge or 4-tile
+          corner junction
+       -> ``_component_labels``: (node, label = min reachable key) over the
+          same-value pairs.  One merge policy: a driver union-find while
+          the pair count is at most ``DRIVER_MERGE_MAX_PAIRS`` (pairs are
+          O(tile-border runs), not O(pixels)), else the distributed
+          min-label propagation ``_components_distributed``
+       -> ``_attach_component``: one bucket-keyed join of the labels onto
+          the component rows, then each stage's own fold (merged stats,
+          ring assembly, the small-component sieve merge, edge contact).
 
 ``polygonize`` returns exact per-component stats; ``polygonize_rings``
 additionally assembles exact shell rings for every component (including
@@ -23,7 +35,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .focal import _dtype_of
+from .focal import _tile_of
+
+DRIVER_MERGE_MAX_PAIRS = 1_000_000
+"""Same-value seam pairs up to which ``_component_labels`` folds them in a
+driver union-find; above it the merge runs distributed."""
 
 
 def _extract_runs(arr: np.ndarray, nodata):
@@ -378,235 +394,230 @@ def _attach_component(comps, labels, payload=None, num_buckets: int = 64,
     return unioned.groupby("_part").map_groups(bucket_join, batch_format="pyarrow")
 
 
-def polygonize(tiles_ds, nodata: float = 0.0, connect8: bool = False, tile_size: int = 64,
-               labels_mode: str = "auto", distributed_threshold: int = 1_000_000):
+def _ckey(tx: int, ty: int, lbl: int) -> int:
+    return (tx << 40) | (ty << 20) | lbl
+
+
+def _ekey(tx: int, ty: int, orient: str) -> int:
+    code = {"V": 1, "H": 2, "C": 3}[orient]
+    # offset tile indices so edge keys of border tiles (tx or ty == -1) stay unique
+    return ((tx + 1) << 24) | ((ty + 1) << 4) | code
+
+
+def _runs_of_np(vec: np.ndarray):
+    """(c0s, c1s, labels) arrays of the maximal runs of equal non-negative
+    labels along a border vector, half-open [c0, c1)."""
+    vec = np.asarray(vec)
+    n = len(vec)
+    if n == 0:
+        z = np.empty(0, np.int64)
+        return z, z, z
+    valid = vec >= 0
+    change = np.ones(n, dtype=bool)
+    change[1:] = (vec[1:] != vec[:-1]) | (valid[1:] != valid[:-1])
+    boundaries = np.flatnonzero(change)
+    run_ends = np.append(boundaries[1:], n)
+    starts = boundaries[valid[boundaries]]
+    ends = run_ends[valid[boundaries]]
+    return (starts.astype(np.int64), ends.astype(np.int64),
+            vec[starts].astype(np.int64))
+
+
+_SEAM_FIELDS = [("edge_key", pa.int64()), ("key", pa.int64()),
+                ("role", pa.int64()), ("pos0", pa.int64()),
+                ("pos1", pa.int64()), ("value", pa.float64())]
+_SEAM_COLS = [name for name, _ in _SEAM_FIELDS]
+
+# Seam roles: 1 = a run on the tile's right or bottom edge (the tile owns the
+# shared edge), 0 = a run on its left or top edge; 2/3/4/5 = the tile lies
+# NW/NE/SW/SE of a 4-tile corner junction (connect8 only).  _PARTNER[role] is
+# the role it pairs with, -1 for none, so each pair is emitted once.
+_PARTNER = np.array([-1, 0, 5, 4, -1, -1])
+
+
+def _seam_rows(tx: int, ty: int, labels: np.ndarray, vals: np.ndarray,
+               connect8: bool) -> dict:
+    """Seam rows of one labelled tile as {column: array} over
+    ``_SEAM_FIELDS``: one row per run of a label along each tile edge, keyed
+    by the shared edge, and under connect8 one row per labelled corner
+    pixel, keyed by its 4-tile junction."""
+    base = _ckey(tx, ty, 0)
+    parts = []
+    for lbl_vec, val_vec, ek, role in (
+            (labels[:, -1], vals[:, -1], _ekey(tx, ty, "V"), 1),
+            (labels[-1, :], vals[-1, :], _ekey(tx, ty, "H"), 1),
+            (labels[:, 0], vals[:, 0], _ekey(tx - 1, ty, "V"), 0),
+            (labels[0, :], vals[0, :], _ekey(tx, ty - 1, "H"), 0)):
+        c0, c1, lbl = _runs_of_np(lbl_vec)
+        parts.append((np.full(c0.size, ek), base + lbl,
+                      np.full(c0.size, role), c0, c1, val_vec[c0]))
+    if connect8:
+        # (row, col) of the corner pixel, and the tile whose bottom-right
+        # corner is the junction; a negative index never has a partner
+        for role, (r, c), (cx, cy) in ((2, (-1, -1), (tx, ty)),
+                                       (3, (-1, 0), (tx - 1, ty)),
+                                       (4, (0, -1), (tx, ty - 1)),
+                                       (5, (0, 0), (tx - 1, ty - 1))):
+            if labels[r, c] >= 0 and cx >= 0 and cy >= 0:
+                parts.append(([_ekey(cx, cy, "C")], [base + labels[r, c]],
+                              [role], [0], [1], [vals[r, c]]))
+    return {name: np.concatenate([p[k] for p in parts]).astype(ty.to_pandas_dtype())
+            for k, (name, ty) in enumerate(_SEAM_FIELDS)}
+
+
+def _tagged(schema: pa.Schema, **groups) -> pa.Table:
+    """One ``schema`` table of {column: array} groups: a group's rows get
+    ``kind`` = its name and typed nulls in the columns it lacks, so every
+    batch has the same schema, also with no group or an empty one."""
+    parts = [schema.empty_table()]
+    for kind, cols in groups.items():
+        n = len(next(iter(cols.values())))
+        parts.append(pa.table(
+            [pa.array([kind] * n, pa.string()) if f.name == "kind"
+             else pa.array(cols[f.name], f.type) if f.name in cols
+             else pa.nulls(n, f.type) for f in schema], schema=schema))
+    return pa.concat_tables(parts)
+
+
+def _tile_components(tiles_ds, emit, fields, *, nodata, connect8: bool,
+                     prep=None):
+    """Per-tile CCL in ``map_batches``, materialized (the seam and component
+    branches both read it; it is per-tile metadata, far smaller than the
+    raster).  Each batch is one ``_tagged`` table: the tiles' seam rows
+    (kind "seam") plus the {kind: {column: array}} groups that
+    ``emit(tx, ty, arr, labels, n)`` returns for a tile with n >= 1
+    components, over ``fields``.  ``prep`` maps a tile's pixels to the array
+    that is labelled."""
+    schema = pa.schema([("kind", pa.string())] + _SEAM_FIELDS
+                       + [f for f in fields if f[0] not in _SEAM_COLS])
+
+    def per_tile(batch: pa.Table) -> pa.Table:
+        groups: dict = {}
+        for i in range(batch.num_rows):
+            tx, ty, arr = _tile_of(batch, i)
+            if prep is not None:
+                arr = prep(arr)
+            labels, n = label_tile(arr, nodata, connect8)
+            if n == 0:
+                continue
+            out = {"seam": _seam_rows(tx, ty, labels, arr, connect8),
+                   **emit(tx, ty, arr, labels, n)}
+            for kind, cols in out.items():
+                groups.setdefault(kind, []).append(cols)
+        return _tagged(schema, **{
+            kind: {c: np.concatenate([t[c] for t in tiles]) for c in tiles[0]}
+            for kind, tiles in groups.items()})
+
+    return tiles_ds.map_batches(per_tile, batch_format="pyarrow").materialize()
+
+
+def _rows(tagged, kind: str, cols: list):
+    """The ``cols`` of ``tagged``'s rows of one kind."""
+    return tagged.map_batches(
+        lambda t: t.filter(pa.compute.equal(t["kind"], kind)).select(cols),
+        batch_format="pyarrow")
+
+
+def _seam_pairs(seams, connect8: bool):
+    """The one ``groupby(edge_key).map_groups`` over seam rows: (a, b, same)
+    for each pair of fragments that touch across a shared tile edge (runs
+    overlapping, with slack 1 under connect8 for diagonal contact) or
+    through a 4-tile corner junction (NW-SE and NE-SW); ``same`` means
+    equal value."""
+    slack = 1 if connect8 else 0
+
+    def pair_up(g: pa.Table) -> pa.Table:
+        role, key, p0, p1, val = (g[c].to_numpy(zero_copy_only=False) for c in
+                                  ("role", "key", "pos0", "pos1", "value"))
+        i, j = np.nonzero((_PARTNER[role][:, None] == role[None, :])
+                          & (p0[:, None] < p1[None, :] + slack)
+                          & (p1[:, None] > p0[None, :] - slack))
+        return pa.table({"a": pa.array(key[i], pa.int64()),
+                         "b": pa.array(key[j], pa.int64()),
+                         "same": pa.array(val[i] == val[j], pa.bool_())})
+
+    return seams.groupby("edge_key").map_groups(pair_up, batch_format="pyarrow")
+
+
+def _component_labels(pairs):
+    """(node, label) over the ``same`` pairs of ``_seam_pairs``: label = the
+    minimum key reachable; a key in no same pair is absent and keeps its
+    own key in ``_attach_component``.  Up to ``DRIVER_MERGE_MAX_PAIRS``
+    pairs (O(tile-border runs), not O(pixels)) fold in a driver union-find;
+    above it ``_components_distributed`` keeps the pair list off the
+    driver.  Both give the same labels."""
+    import ray.data as rd
+
+    same = pairs.map_batches(lambda t: t.filter(t["same"]).select(["a", "b"]),
+                             batch_format="pyarrow").materialize()
+    if same.count() > DRIVER_MERGE_MAX_PAIRS:
+        return _components_distributed(same)
+    parent: dict[int, int] = {}
+
+    def find(x):
+        r = x
+        while parent.get(r, r) != r:
+            r = parent[r]
+        while parent.get(x, x) != x:
+            parent[x], x = r, parent[x]
+        return r
+
+    for row in same.take_all():
+        a, b = find(row["a"]), find(row["b"])
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    nodes = list(parent)
+    return rd.from_arrow(pa.table({
+        "node": pa.array(nodes, pa.int64()),
+        "label": pa.array([find(k) for k in nodes], pa.int64())}))
+
+
+def _label_stats(labels: np.ndarray, n: int):
+    """(counts, starts, ys, xs): the labelled pixels' coordinates sorted by
+    label, row-major inside a label, with each label's count and start."""
+    m = labels >= 0
+    ys, xs = np.nonzero(m)
+    order = np.argsort(labels[m], kind="stable")
+    counts = np.bincount(labels[m], minlength=n)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return counts, starts, ys[order], xs[order]
+
+
+def _bbox_rows(tx: int, ty: int, arr: np.ndarray, labels: np.ndarray, n: int) -> dict:
+    """Per label: key, first-pixel value, pixel count, tile-local bbox."""
+    counts, starts, ys, xs = _label_stats(labels, n)
+    return {"key": _ckey(tx, ty, 0) + np.arange(n, dtype=np.int64),
+            "value": arr[ys[starts], xs[starts]].astype(np.float64),
+            "n_pixels": counts.astype(np.int64),
+            "x0": np.minimum.reduceat(xs, starts),
+            "y0": np.minimum.reduceat(ys, starts),
+            "x1": np.maximum.reduceat(xs, starts),
+            "y1": np.maximum.reduceat(ys, starts)}
+
+
+def polygonize(tiles_ds, nodata: float = 0.0, connect8: bool = False, tile_size: int = 64):
     """Distributed polygonize over a tile table (schema per FIXTURES F3).
 
     Returns a Dataset of components: (value: float64, n_pixels: int64,
     minx/miny/maxx/maxy: int64 global pixel bounds, n_fragments: int64 —
     the member (tile, label) fragment count, an upper bound on distinct
     tiles touched).
-
-    ``labels_mode``: 'driver' folds the label-equivalence edges with a
-    driver union-find (fast when the edge list is metadata-sized);
-    'distributed' runs the bucket-keyed min-label propagation
-    (``_components_distributed``) so nothing edge-list-sized touches the
-    driver — the 100 TB path; 'auto' (default) picks by the edge count vs
-    ``distributed_threshold``.  Both produce identical components (min
-    reachable key).
     """
 
-    def per_tile(batch: pa.Table) -> pa.Table:
-        comp_rows = {
-            "key": [],  # (tx,ty,label) encoded
-            "value": [],
-            "n_pixels": [],
-            "minx": [],
-            "miny": [],
-            "maxx": [],
-            "maxy": [],
-        }
-        border_rows = {"edge_key": [], "pos0": [], "pos1": [], "value": [], "key": [], "side": []}
-        for i in range(batch.num_rows):
-            tx = batch["x"][i].as_py()
-            ty = batch["y"][i].as_py()
-            wd = batch["width"][i].as_py()
-            ht = batch["height"][i].as_py()
-            dt = _dtype_of(batch["dtype"][i].as_py())
-            arr = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(ht, wd)
-            labels, n = label_tile(arr, nodata, connect8)
-            if n == 0:
-                continue
-            m = labels >= 0
-            flat = labels[m]
-            vals = arr[m].astype(np.float64)
-            gy, gx = np.nonzero(m)
-            counts = np.bincount(flat, minlength=n)
-            # grouped per-label stats via one argsort + reduceat (linear)
-            order = np.argsort(flat, kind="stable")
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            lx = gx[order]
-            ly = gy[order]
-            minx_l = np.minimum.reduceat(lx, starts)
-            maxx_l = np.maximum.reduceat(lx, starts)
-            miny_l = np.minimum.reduceat(ly, starts)
-            maxy_l = np.maximum.reduceat(ly, starts)
-            first_val = vals[order][starts]
-            for lbl in range(n):
-                comp_rows["key"].append(_ckey(tx, ty, lbl))
-                comp_rows["value"].append(float(first_val[lbl]))
-                comp_rows["n_pixels"].append(int(counts[lbl]))
-                comp_rows["minx"].append(int(minx_l[lbl]) + tx * tile_size)
-                comp_rows["miny"].append(int(miny_l[lbl]) + ty * tile_size)
-                comp_rows["maxx"].append(int(maxx_l[lbl]) + tx * tile_size)
-                comp_rows["maxy"].append(int(maxy_l[lbl]) + ty * tile_size)
-            # border runs: right edge pairs with tile (tx+1,ty); bottom with (tx,ty+1)
-            for side, vec_lbl, vec_val in (
-                ("R", labels[:, -1], arr[:, -1]),
-                ("B", labels[-1, :], arr[-1, :]),
-                ("L", labels[:, 0], arr[:, 0]),
-                ("T", labels[0, :], arr[0, :]),
-            ):
-                runs = _runs_of(vec_lbl)
-                for c0, c1, lbl in runs:
-                    if side == "R":
-                        ek = _ekey(tx, ty, "V")  # vertical edge between (tx,ty)-(tx+1,ty)
-                    elif side == "L":
-                        ek = _ekey(tx - 1, ty, "V")
-                    elif side == "B":
-                        ek = _ekey(tx, ty, "H")
-                    else:
-                        ek = _ekey(tx, ty - 1, "H")
-                    border_rows["edge_key"].append(ek)
-                    border_rows["pos0"].append(c0)
-                    border_rows["pos1"].append(c1)
-                    border_rows["value"].append(float(vec_val[c0]))
-                    border_rows["key"].append(_ckey(tx, ty, int(lbl)))
-                    border_rows["side"].append(side)
-            if connect8:
-                # 4-tile corner diagonal adjacency (not covered by any shared
-                # edge): each tile registers its corner pixels under the
-                # corner key of the junction, with its quadrant role
-                for role, (py_, px_), (ctx, cty) in (
-                    ("NW", (-1, -1), (tx, ty)),        # this tile is NW of corner
-                    ("NE", (-1, 0), (tx - 1, ty)),
-                    ("SW", (0, -1), (tx, ty - 1)),
-                    ("SE", (0, 0), (tx - 1, ty - 1)),
-                ):
-                    lbl = labels[py_, px_]
-                    if lbl < 0:
-                        continue
-                    border_rows["edge_key"].append(_ekey(ctx, cty, "C"))
-                    border_rows["pos0"].append(0)
-                    border_rows["pos1"].append(1)
-                    border_rows["value"].append(float(arr[py_, px_]))
-                    border_rows["key"].append(_ckey(tx, ty, int(lbl)))
-                    border_rows["side"].append(role)
-        comp = pa.table(
-            {
-                "kind": pa.array(["comp"] * len(comp_rows["key"])),
-                "key": pa.array(comp_rows["key"], pa.int64()),
-                "value": pa.array(comp_rows["value"], pa.float64()),
-                "n_pixels": pa.array(comp_rows["n_pixels"], pa.int64()),
-                "minx": pa.array(comp_rows["minx"], pa.int64()),
-                "miny": pa.array(comp_rows["miny"], pa.int64()),
-                "maxx": pa.array(comp_rows["maxx"], pa.int64()),
-                "maxy": pa.array(comp_rows["maxy"], pa.int64()),
-                "edge_key": pa.array([0] * len(comp_rows["key"]), pa.int64()),
-                "pos0": pa.array([0] * len(comp_rows["key"]), pa.int64()),
-                "pos1": pa.array([0] * len(comp_rows["key"]), pa.int64()),
-                "side": pa.array([""] * len(comp_rows["key"])),
-            }
-        )
-        bord = pa.table(
-            {
-                "kind": pa.array(["border"] * len(border_rows["key"])),
-                "key": pa.array(border_rows["key"], pa.int64()),
-                "value": pa.array(border_rows["value"], pa.float64()),
-                "n_pixels": pa.array([0] * len(border_rows["key"]), pa.int64()),
-                "minx": pa.array([0] * len(border_rows["key"]), pa.int64()),
-                "miny": pa.array([0] * len(border_rows["key"]), pa.int64()),
-                "maxx": pa.array([0] * len(border_rows["key"]), pa.int64()),
-                "maxy": pa.array([0] * len(border_rows["key"]), pa.int64()),
-                "edge_key": pa.array(border_rows["edge_key"], pa.int64()),
-                "pos0": pa.array(border_rows["pos0"], pa.int64()),
-                "pos1": pa.array(border_rows["pos1"], pa.int64()),
-                "side": pa.array(border_rows["side"]),
-            }
-        )
-        return pa.concat_tables([comp, bord])
+    def emit(tx, ty, arr, labels, n):
+        c = _bbox_rows(tx, ty, arr, labels, n)
+        ox, oy = tx * tile_size, ty * tile_size
+        return {"comp": {"key": c["key"], "value": c["value"],
+                         "n_pixels": c["n_pixels"],
+                         "minx": c["x0"] + ox, "miny": c["y0"] + oy,
+                         "maxx": c["x1"] + ox, "maxy": c["y1"] + oy}}
 
-    # materialize once: the border and component branches below both consume
-    # this lineage, and without pinning Ray re-executes the per-tile CCL for
-    # each consumer (the output is per-tile metadata, far smaller than the
-    # raster input, so pinning is bounded)
-    tagged = tiles_ds.map_batches(per_tile, batch_format="pyarrow").materialize()
-
-    # equivalence pairs per shared edge (groupby shuffle keyed by edge)
-    def edge_pairs(group: pa.Table) -> pa.Table:
-        kinds = group["kind"].to_pylist()
-        if "border" not in kinds:
-            return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-        sides = group["side"].to_pylist()
-        p0 = group["pos0"].to_numpy(zero_copy_only=False)
-        p1 = group["pos1"].to_numpy(zero_copy_only=False)
-        vals = group["value"].to_numpy(zero_copy_only=False)
-        keys = group["key"].to_numpy(zero_copy_only=False)
-        out_a, out_b = [], []
-        if sides and sides[0] in ("NW", "NE", "SW", "SE"):
-            # corner group (connect8): diagonal quadrant pairs
-            for ra, rb in (("NW", "SE"), ("NE", "SW")):
-                for i in (j for j, s in enumerate(sides) if s == ra):
-                    for j in (jj for jj, s in enumerate(sides) if s == rb):
-                        if vals[i] == vals[j]:
-                            out_a.append(int(keys[i]))
-                            out_b.append(int(keys[j]))
-            return pa.table({"a": pa.array(out_a, pa.int64()), "b": pa.array(out_b, pa.int64())})
-        # one side is R/B (owner), the other L/T (neighbor); connect8 widens
-        # the run-overlap window by one (diagonal adjacency across the edge)
-        slack = 1 if connect8 else 0
-        a_idx = [i for i, s in enumerate(sides) if s in ("R", "B")]
-        b_idx = [i for i, s in enumerate(sides) if s in ("L", "T")]
-        for i in a_idx:
-            for j in b_idx:
-                if vals[i] == vals[j] and p0[i] < p1[j] + slack and p1[i] > p0[j] - slack:
-                    out_a.append(int(keys[i]))
-                    out_b.append(int(keys[j]))
-        return pa.table({"a": pa.array(out_a, pa.int64()), "b": pa.array(out_b, pa.int64())})
-
-    borders = tagged.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["kind"], "border")), batch_format="pyarrow"
-    )
-    comps = tagged.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["kind"], "comp")), batch_format="pyarrow"
-    )
-    pairs = borders.groupby("edge_key").map_groups(edge_pairs, batch_format="pyarrow")
-
-    if labels_mode not in ("auto", "driver", "distributed"):
-        raise ValueError(labels_mode)
-    mode = labels_mode
-    if mode == "auto":
-        pairs = pairs.materialize()
-        mode = "driver" if pairs.count() <= distributed_threshold else "distributed"
-
-    comps_payload = comps.map_batches(
-        lambda t: t.drop_columns(["kind", "edge_key", "pos0", "pos1", "side"]),
-        batch_format="pyarrow",
-    )
-    if mode == "distributed":
-        labels = _components_distributed(pairs)
-        relabeled = _attach_component(comps_payload, labels)
-    else:
-        # driver-side union-find over label-equivalence EDGES (metadata-sized)
-        import ray
-
-        pair_rows = pairs.take_all()
-        parent: dict[int, int] = {}
-
-        def find(x):
-            r = x
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(x, x) != x:
-                parent[x], x = r, parent[x]
-            return r
-
-        for row in pair_rows:
-            a, b = find(row["a"]), find(row["b"])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        remap = {k: find(k) for k in list(parent)}
-        remap_ref = ray.put(remap)
-
-        def relabel(batch: pa.Table) -> pa.Table:
-            rm = ray.get(remap_ref)
-            keys = batch["key"].to_pylist()
-            root = [rm.get(k, k) for k in keys]
-            return batch.drop_columns(["key"]).append_column(
-                "component", pa.array(root, pa.int64())
-            )
-
-        relabeled = comps_payload.map_batches(relabel, batch_format="pyarrow")
+    tagged = _tile_components(tiles_ds, emit, _POLY_PAYLOAD, nodata=nodata,
+                              connect8=connect8)
+    labels = _component_labels(
+        _seam_pairs(_rows(tagged, "seam", _SEAM_COLS), connect8))
+    relabeled = _attach_component(
+        _rows(tagged, "comp", ["key"] + [c for c, _ in _POLY_PAYLOAD]), labels)
 
     from ray.data.aggregate import Count, Max, Min, Sum
 
@@ -624,198 +635,57 @@ def polygonize(tiles_ds, nodata: float = 0.0, connect8: bool = False, tile_size:
     )
 
 
+_RINGS_PAYLOAD = [
+    ("tx", pa.int64()), ("ty", pa.int64()), ("value", pa.float64()),
+    ("n_pixels", pa.int64()), ("x0", pa.int64()), ("y0", pa.int64()),
+    ("x1", pa.int64()), ("y1", pa.int64()), ("mask", pa.binary()),
+    ("mw", pa.int64()), ("mh", pa.int64()),
+]
+
+
 def polygonize_rings(tiles_ds, nodata: float = 0.0, connect8: bool = False,
-                     tile_size: int = 64, labels_mode: str = "auto",
-                     distributed_threshold: int = 1_000_000):
+                     tile_size: int = 64):
     """Polygonize with exact ring geometry for EVERY component, including
     cross-tile ones (SURVEY §7 known-hard item).
 
-    Same label/merge machinery as ``polygonize``; additionally each
-    (tile, label) ships its component sub-mask (bitpacked), and after the
-    driver union-find a ``groupby(component)`` assembles the member masks
-    into the component's bbox window and traces the outer shell ring there
-    (trace = pixel-edge square tracing, identical to the single-tile path, so
-    tiled == monolithic).  Partitioning assumption: one component's bbox
-    window fits a worker (holds unless a single polygon spans a large
-    fraction of the mosaic — those would use a coarser ring resolution).
+    Same seam protocol and label merge as ``polygonize``; additionally each
+    (tile, label) ships its component sub-mask (bitpacked), and a
+    ``groupby(component)`` assembles the member masks into the component's
+    bbox window and traces the outer shell ring there (trace = pixel-edge
+    square tracing, identical to the single-tile path, so tiled ==
+    monolithic).  Partitioning assumption: one component's bbox window fits
+    a worker (holds unless a single polygon spans a large fraction of the
+    mosaic — those would use a coarser ring resolution).
 
     Returns (component, value, n_pixels, wkb) — shell rings in global pixel
     coordinates (holes reported via n_pixels vs ring area mismatch).
 
     ``connect8=True`` gives GDALPolygonize's 8CONNECTED=8 semantics:
     diagonal pixels join (in-tile via label_tile; across tiles via slack-1
-    run overlap + 4-tile corner-junction keys, the sieve_global convention);
+    run overlap + 4-tile corner-junction seam rows);
     the shell tracer passes through diagonal pinch corners so one
     self-touching ring covers the whole component, and holes use the
     4-connected complement (the correct dual of 8-connected foreground).
     """
-    import ray
-
     from ..functions import wkb as _wkb
 
-    def per_tile(batch: pa.Table) -> pa.Table:
-        rows = []
-        for i in range(batch.num_rows):
-            tx = batch["x"][i].as_py()
-            ty = batch["y"][i].as_py()
-            wd = batch["width"][i].as_py()
-            ht = batch["height"][i].as_py()
-            dt = _dtype_of(batch["dtype"][i].as_py())
-            arr = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(ht, wd)
-            labels, n = label_tile(arr, nodata, connect8)
-            for lbl in range(n):
-                m = labels == lbl
-                gy, gx = np.nonzero(m)
-                rows.append(
-                    {
-                        "key": _ckey(tx, ty, lbl),
-                        "tx": tx, "ty": ty,
-                        "value": float(arr[m][0]),
-                        "n_pixels": int(m.sum()),
-                        "x0": int(gx.min()), "y0": int(gy.min()),
-                        "x1": int(gx.max()), "y1": int(gy.max()),
-                        "mask": np.packbits(
-                            m[gy.min() : gy.max() + 1, gx.min() : gx.max() + 1]
-                        ).tobytes(),
-                        "mw": int(gx.max() - gx.min() + 1),
-                        "mh": int(gy.max() - gy.min() + 1),
-                    }
-                )
-            if connect8:
-                # 4-tile corner junctions (the sieve_global convention):
-                # register each corner pixel under the junction's corner key
-                # with a quadrant role stashed in y1 (2=NW 3=NE 4=SW 5=SE)
-                for role_i, ((py_, px_), (ctx, cty)) in enumerate((
-                    ((-1, -1), (tx, ty)),          # NW of corner
-                    ((-1, 0), (tx - 1, ty)),       # NE
-                    ((0, -1), (tx, ty - 1)),       # SW
-                    ((0, 0), (tx - 1, ty - 1)),    # SE
-                )):
-                    lbl = labels[py_, px_]
-                    if lbl < 0 or ctx < 0 or cty < 0:
-                        continue
-                    rows.append(
-                        {"key": _ckey(tx, ty, int(lbl)), "tx": -1, "ty": -1,
-                         "value": float(arr[py_, px_]), "n_pixels": -1,
-                         "x0": int(_ekey(ctx, cty, "C")), "y0": 0, "x1": 1,
-                         "y1": 2 + role_i, "mask": b"", "mw": 0, "mh": 0}
-                    )
-            # border runs (same as polygonize)
-            for side, vec in (("R", labels[:, -1]), ("B", labels[-1, :]),
-                              ("L", labels[:, 0]), ("T", labels[0, :])):
-                for c0, c1, lbl in _runs_of(vec):
-                    if side == "R":
-                        ek = _ekey(tx, ty, "V")
-                    elif side == "L":
-                        ek = _ekey(tx - 1, ty, "V")
-                    elif side == "B":
-                        ek = _ekey(tx, ty, "H")
-                    else:
-                        ek = _ekey(tx, ty - 1, "H")
-                    rows.append(
-                        {"key": _ckey(tx, ty, int(lbl)), "tx": -1, "ty": -1,
-                         "value": float(arr[(slice(None), -1) if side == "R" else (slice(None), 0) if side == "L" else (-1, slice(None)) if side == "B" else (0, slice(None))][c0]),
-                         "n_pixels": -1, "x0": int(ek), "y0": c0, "x1": c1, "y1": 0,
-                         "mask": b"", "mw": 0, "mh": 0}
-                    )
-        return pa.Table.from_pylist(rows) if rows else pa.Table.from_pylist(
-            [{"key": -1, "tx": -1, "ty": -1, "value": 0.0, "n_pixels": -2,
-              "x0": 0, "y0": 0, "x1": 0, "y1": 0, "mask": b"", "mw": 0, "mh": 0}]
-        )
+    def emit(tx, ty, arr, labels, n):
+        c = _bbox_rows(tx, ty, arr, labels, n)
+        masks = np.empty(n, object)
+        for lbl in range(n):
+            win = labels[c["y0"][lbl]:c["y1"][lbl] + 1, c["x0"][lbl]:c["x1"][lbl] + 1]
+            masks[lbl] = np.packbits(win == lbl).tobytes()
+        return {"comp": {**c, "tx": np.full(n, tx), "ty": np.full(n, ty),
+                         "mask": masks, "mw": c["x1"] - c["x0"] + 1,
+                         "mh": c["y1"] - c["y0"] + 1}}
 
-    tagged = tiles_ds.map_batches(per_tile, batch_format="pyarrow").materialize()
-
-    borders = tagged.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["n_pixels"], -1)), batch_format="pyarrow"
-    )
-    comps = tagged.map_batches(
-        lambda t: t.filter(pa.compute.greater_equal(t["n_pixels"], 0)), batch_format="pyarrow"
-    )
-
-    slack = 1 if connect8 else 0
-
-    def edge_pairs(group: pa.Table) -> pa.Table:
-        # x0 holds the edge key, y0/x1 the run interval; value must match
-        keys = group["key"].to_numpy(zero_copy_only=False)
-        vals = group["value"].to_numpy(zero_copy_only=False)
-        p0 = group["y0"].to_numpy(zero_copy_only=False)
-        p1 = group["x1"].to_numpy(zero_copy_only=False)
-        ek = group["x0"][0].as_py()
-        etx = (ek >> 24) - 1
-        ety = ((ek >> 4) & 0xFFFFF) - 1
-        vertical = (ek & 0xF) == 1
-        oa, ob = [], []
-        if (ek & 0xF) == 3:
-            # corner junction (connect8): diagonal quadrant pairs NW-SE and
-            # NE-SW (role in y1: 2=NW 3=NE 4=SW 5=SE); same value required
-            roles = group["y1"].to_numpy(zero_copy_only=False)
-            for ra, rb in ((2, 5), (3, 4)):
-                for i in np.flatnonzero(roles == ra):
-                    for j in np.flatnonzero(roles == rb):
-                        if vals[i] == vals[j]:
-                            oa.append(int(keys[i]))
-                            ob.append(int(keys[j]))
-            return pa.table({"a": pa.array(oa, pa.int64()),
-                             "b": pa.array(ob, pa.int64())})
-        if vertical:
-            # owner tile tx == etx (R side); neighbor tx == etx + 1 (L side)
-            own = [(keys[i] >> 40) == etx for i in range(len(keys))]
-        else:
-            # owner tile ty == ety (B side); neighbor ty == ety + 1 (T side)
-            own = [((keys[i] >> 20) & 0xFFFFF) == ety for i in range(len(keys))]
-        for i in range(len(keys)):
-            for j in range(len(keys)):
-                if (own[i] and not own[j] and vals[i] == vals[j]
-                        and p0[i] < p1[j] + slack and p1[i] > p0[j] - slack):
-                    oa.append(int(keys[i]))
-                    ob.append(int(keys[j]))
-        return pa.table({"a": pa.array(oa, pa.int64()), "b": pa.array(ob, pa.int64())})
-
-    pairs = borders.groupby("x0").map_groups(edge_pairs, batch_format="pyarrow")
-
-    if labels_mode not in ("auto", "driver", "distributed"):
-        raise ValueError(labels_mode)
-    mode = labels_mode
-    if mode == "auto":
-        pairs = pairs.materialize()
-        mode = "driver" if pairs.count() <= distributed_threshold else "distributed"
-
-    if mode == "distributed":
-        RINGS_PAYLOAD = [
-            ("tx", pa.int64()), ("ty", pa.int64()), ("value", pa.float64()),
-            ("n_pixels", pa.int64()), ("x0", pa.int64()), ("y0", pa.int64()),
-            ("x1", pa.int64()), ("y1", pa.int64()), ("mask", pa.binary()),
-            ("mw", pa.int64()), ("mh", pa.int64()),
-        ]
-        lab = _components_distributed(pairs)
-        relabeled_ds = _attach_component(comps, lab, payload=RINGS_PAYLOAD)
-    else:
-        pair_rows = pairs.take_all()
-        parent: dict[int, int] = {}
-
-        def find(z):
-            r = z
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(z, z) != z:
-                parent[z], z = r, parent[z]
-            return r
-
-        for row in pair_rows:
-            a, b = find(row["a"]), find(row["b"])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        remap = {k: find(k) for k in list(parent)}
-        remap_ref = ray.put(remap)
-
-        def relabel(batch: pa.Table) -> pa.Table:
-            rm = ray.get(remap_ref)
-            keys = batch["key"].to_pylist()
-            return batch.append_column(
-                "component", pa.array([rm.get(k, k) for k in keys], pa.int64())
-            )
-
-        relabeled_ds = comps.map_batches(relabel, batch_format="pyarrow")
+    tagged = _tile_components(tiles_ds, emit, _RINGS_PAYLOAD, nodata=nodata,
+                              connect8=connect8)
+    labels = _component_labels(
+        _seam_pairs(_rows(tagged, "seam", _SEAM_COLS), connect8))
+    relabeled_ds = _attach_component(
+        _rows(tagged, "comp", ["key"] + [c for c, _ in _RINGS_PAYLOAD]),
+        labels, payload=_RINGS_PAYLOAD)
 
     def assemble(group: pa.Table) -> pa.Table:
         ts = tile_size
@@ -884,200 +754,60 @@ def sieve_global(tiles_ds, threshold: int, nodata: float = 0.0,
     (edge tiles may be smaller); it anchors each tile's global pixel
     coordinates.
 
-    Distributed shape: per-tile CCL + metadata (sizes, same-value border runs
-    for the global merge, and component ADJACENCY edges — within-tile
-    vectorized pairs plus any-value cross-tile run overlaps); same-value
-    contraction runs as distributed min-label propagation
-    (``_components_distributed``) and per-root sizes/adjacency fold with
+    Distributed shape: per-tile CCL + metadata (sizes, seam rows, and
+    within-tile component ADJACENCY pairs); every seam pair is adjacency,
+    and the same-value ones contract through the shared label merge
+    (``_component_labels``).  Per-root sizes and adjacency fold with
     bucket-keyed groupbys, so the driver holds ONLY the small-component
     subgraph (components under the threshold, their incident edges, their
     direct neighbors' sizes) for the genuinely sequential merge loop; pass 2
     repaints tiles from a broadcast map of the CHANGED keys only."""
     import ray
 
-    def per_tile(batch: pa.Table) -> pa.Table:
-        # column accumulators: lists of numpy arrays, concatenated once at
-        # the end — no per-row Python appends (round-3 VERDICT wrong #3)
-        acc = {k: [] for k in ("key", "key2", "edge_key", "pos0", "pos1",
-                               "value", "n_pixels")}
-        kinds: list[tuple[str, int]] = []  # (kind, run length)
+    def emit(tx, ty, arr, labels, n):
+        base = _ckey(tx, ty, 0)
+        counts, starts, ys, xs = _label_stats(labels, n)
+        # tiling-invariant canonical key: first (row-major) GLOBAL pixel of
+        # each component
+        gmin = ((ty * tile_size + ys[starts]) * np.int64(1 << 40)
+                + (tx * tile_size + xs[starts]))
+        # within-tile adjacency between DIFFERENT components (diagonals
+        # too when connect8)
+        shifts = [(labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])]
+        if connect8:
+            shifts += [(labels[:-1, :-1], labels[1:, 1:]),
+                       (labels[:-1, 1:], labels[1:, :-1])]
+        adj = [np.empty(0, np.int64)]
+        for a, b in shifts:
+            mm = (a >= 0) & (b >= 0) & (a != b)
+            adj.append(np.unique(a[mm] * np.int64(n) + b[mm]))
+        adj = np.concatenate(adj)
+        return {"comp": {"key": base + np.arange(n, dtype=np.int64),
+                         "value": arr[ys[starts], xs[starts]].astype(np.float64),
+                         "n_pixels": counts.astype(np.int64), "gmin": gmin},
+                "adj": {"key": base + adj // n, "key2": base + adj % n}}
 
-        def emit(kind, key, key2=None, ek=None, p0=None, p1=None, val=None,
-                 npx=None):
-            key = np.asarray(key, np.int64)
-            m = key.size
-            if m == 0:
-                return
-            kinds.append((kind, m))
+    tagged = _tile_components(
+        tiles_ds, emit, [("value", pa.float64()), ("n_pixels", pa.int64()),
+                         ("gmin", pa.int64()), ("key2", pa.int64())],
+        nodata=nodata, connect8=connect8)
 
-            def col(v, dtype):
-                if v is None:
-                    return np.zeros(m, dtype)
-                v = np.asarray(v, dtype)
-                return np.full(m, v, dtype) if v.ndim == 0 else v
-
-            acc["key"].append(key)
-            acc["key2"].append(col(key2, np.int64))
-            acc["edge_key"].append(col(ek, np.int64))
-            acc["pos0"].append(col(p0, np.int64))
-            acc["pos1"].append(col(p1, np.int64))
-            acc["value"].append(col(val, np.float64))
-            acc["n_pixels"].append(col(npx, np.int64))
-
-        for i in range(batch.num_rows):
-            tx = batch["x"][i].as_py()
-            ty = batch["y"][i].as_py()
-            wd = batch["width"][i].as_py()
-            ht = batch["height"][i].as_py()
-            dt = _dtype_of(batch["dtype"][i].as_py())
-            arr = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(ht, wd)
-            labels, n = label_tile(arr, nodata, connect8)
-            if n == 0:
-                continue
-            base = _ckey(tx, ty, 0)
-            m = labels >= 0
-            counts = np.bincount(labels[m], minlength=n)
-            order = np.argsort(labels[m], kind="stable")
-            firsts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            first_val = arr[m].astype(np.float64)[order][firsts]
-            # tiling-invariant canonical key: first (row-major) GLOBAL pixel
-            # of each component — np.nonzero scans row-major and the stable
-            # argsort keeps that order inside each label group
-            py_, px_ = np.nonzero(m)
-            gk = ((np.int64(ty) * tile_size + py_) * np.int64(1 << 40)
-                  + (np.int64(tx) * tile_size + px_))
-            gmin = gk[order][firsts]
-            emit("comp", base + np.arange(n, dtype=np.int64), p0=gmin,
-                 val=first_val, npx=counts.astype(np.int64))
-            # within-tile adjacency between DIFFERENT components (diagonals
-            # too when connect8)
-            shifts = [(labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])]
-            if connect8:
-                shifts += [(labels[:-1, :-1], labels[1:, 1:]),
-                           (labels[:-1, 1:], labels[1:, :-1])]
-            for a, b in shifts:
-                mm = (a >= 0) & (b >= 0) & (a != b)
-                if mm.any():
-                    pairs = np.unique(a[mm] * np.int64(n) + b[mm])
-                    emit("adj", base + pairs // n, key2=base + pairs % n)
-            if connect8:
-                # 4-tile corner junctions: register each corner pixel under the
-                # junction's corner key with a quadrant role (key2 = 2 + role)
-                for role_i, ((py_c, px_c), (ctx, cty)) in enumerate((
-                    ((-1, -1), (tx, ty)),          # NW of corner
-                    ((-1, 0), (tx - 1, ty)),       # NE
-                    ((0, -1), (tx, ty - 1)),       # SW
-                    ((0, 0), (tx - 1, ty - 1)),    # SE
-                )):
-                    lbl = labels[py_c, px_c]
-                    if lbl < 0 or ctx < 0 or cty < 0:
-                        continue
-                    emit("border", np.array([base + int(lbl)]),
-                         key2=2 + role_i, ek=_ekey(ctx, cty, "C"),
-                         p0=0, p1=1, val=float(arr[py_c, px_c]))
-            # border runs (any value): same-value overlaps merge components,
-            # different-value overlaps are adjacency
-            for side, vec_lbl, vec_val in (("R", labels[:, -1], arr[:, -1]),
-                                           ("B", labels[-1, :], arr[-1, :]),
-                                           ("L", labels[:, 0], arr[:, 0]),
-                                           ("T", labels[0, :], arr[0, :])):
-                if side == "R":
-                    ek = _ekey(tx, ty, "V")
-                elif side == "L":
-                    ek = _ekey(tx - 1, ty, "V")
-                elif side == "B":
-                    ek = _ekey(tx, ty, "H")
-                else:
-                    ek = _ekey(tx, ty - 1, "H")
-                owner = 1 if side in ("R", "B") else 0
-                c0s, c1s, lbls = _runs_of_np(vec_lbl)
-                emit("border", base + lbls, key2=owner, ek=ek,
-                     p0=c0s, p1=c1s,
-                     val=vec_val[c0s].astype(np.float64))
-
-        def cat(name, dtype):
-            if not acc[name]:
-                return pa.array([], dtype)
-            return pa.array(np.concatenate(acc[name]))
-
-        kind_col = (np.repeat(np.array([k for k, _ in kinds], object),
-                              [m for _, m in kinds])
-                    if kinds else np.array([], object))
-        return pa.table(
-            {"kind": pa.array(kind_col, pa.string()),
-             "key": cat("key", pa.int64()),
-             "key2": cat("key2", pa.int64()),
-             "edge_key": cat("edge_key", pa.int64()),
-             "pos0": cat("pos0", pa.int64()),
-             "pos1": cat("pos1", pa.int64()),
-             "value": cat("value", pa.float64()),
-             "n_pixels": cat("n_pixels", pa.int64())}
-        )
-
-    tagged = tiles_ds.map_batches(per_tile, batch_format="pyarrow").materialize()
-
-    slack = 1 if connect8 else 0
-
-    def edge_pairs(group: pa.Table) -> pa.Table:
-        kinds = group["kind"].to_pylist()
-        idx = [i for i, k in enumerate(kinds) if k == "border"]
-        keys = group["key"].to_numpy(zero_copy_only=False)
-        own = group["key2"].to_numpy(zero_copy_only=False)
-        p0 = group["pos0"].to_numpy(zero_copy_only=False)
-        p1 = group["pos1"].to_numpy(zero_copy_only=False)
-        vals = group["value"].to_numpy(zero_copy_only=False)
-        oa, ob, same = [], [], []
-        if idx and int(group["edge_key"][idx[0]].as_py()) & 0xF == 3:
-            # corner junction (connect8): diagonal quadrant pairs NW-SE, NE-SW
-            # (key2 = 2 + role: 2=NW, 3=NE, 4=SW, 5=SE)
-            for ra, rb in ((2, 5), (3, 4)):
-                for i in (k for k in idx if own[k] == ra):
-                    for j in (k for k in idx if own[k] == rb):
-                        oa.append(int(keys[i]))
-                        ob.append(int(keys[j]))
-                        same.append(bool(vals[i] == vals[j]))
-            return pa.table({"a": pa.array(oa, pa.int64()), "b": pa.array(ob, pa.int64()),
-                             "same": pa.array(same, pa.bool_())})
-        a_idx = [i for i in idx if own[i] == 1]
-        b_idx = [i for i in idx if own[i] == 0]
-        for i in a_idx:
-            for j in b_idx:
-                if p0[i] < p1[j] + slack and p1[i] > p0[j] - slack:
-                    oa.append(int(keys[i]))
-                    ob.append(int(keys[j]))
-                    same.append(bool(vals[i] == vals[j]))
-        return pa.table({"a": pa.array(oa, pa.int64()), "b": pa.array(ob, pa.int64()),
-                         "same": pa.array(same, pa.bool_())})
-
-    # --- distributed contraction (round-3 VERDICT wrong #2) ---------------
-    # Previously: cross/adj/comp take_all() + driver union-find =
-    # O(global components + edges) driver memory.  Now the SAME-value
-    # equivalence contraction runs as distributed min-label propagation,
+    # --- distributed contraction -----------------------------------------
+    # The same-value seam pairs contract through the shared label merge,
     # per-root sizes/values fold in one groupby, adjacency is root-mapped
     # with bucket joins, and the driver holds only the SMALL-component
     # subgraph: components under the threshold, their incident edges, and
     # the sizes of their direct large neighbors.  The merge loop itself is
     # genuinely sequential (GDAL's merge order matters:
-    # alg/gdalsievefilter.cpp) but now runs on O(small) metadata.
+    # alg/gdalsievefilter.cpp) but runs on O(small) metadata.
     from ray.data.aggregate import Min as _AggMin, Sum as _AggSum
 
-    borders = tagged.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["kind"], "border")), batch_format="pyarrow")
-    cross = borders.groupby("edge_key").map_groups(
-        edge_pairs, batch_format="pyarrow").materialize()
-    same_pairs = cross.map_batches(
-        lambda t: t.filter(t["same"]).select(["a", "b"]), batch_format="pyarrow")
-    labels = _components_distributed(same_pairs)
-
-    def comp_prep(t: pa.Table) -> pa.Table:
-        return pa.table({"key": t["key"], "orig_key": t["key"],
-                         "value": t["value"], "n_pixels": t["n_pixels"],
-                         "gmin": t["pos0"]})
+    cross = _seam_pairs(_rows(tagged, "seam", _SEAM_COLS), connect8).materialize()
+    labels = _component_labels(cross)
 
     comp_keyed = _attach_component(
-        tagged.map_batches(
-            lambda t: comp_prep(t.filter(pa.compute.equal(t["kind"], "comp"))),
-            batch_format="pyarrow"),
+        _rows(tagged, "comp", ["key", "value", "n_pixels", "gmin"]).map_batches(
+            lambda t: t.append_column("orig_key", t["key"]), batch_format="pyarrow"),
         labels,
         payload=[("orig_key", pa.int64()), ("value", pa.float64()),
                  ("n_pixels", pa.int64()), ("gmin", pa.int64())],
@@ -1091,13 +821,11 @@ def sieve_global(tiles_ds, threshold: int, nodata: float = 0.0,
 
     # contracted adjacency: within-tile adj rows + different-value crossings,
     # both endpoints mapped to their roots
-    adj_ds = tagged.map_batches(
-        lambda t: (lambda f: pa.table({"key": f["key"], "b": f["key2"]}))(
-            t.filter(pa.compute.equal(t["kind"], "adj"))),
-        batch_format="pyarrow").union(cross.map_batches(
-            lambda t: (lambda f: pa.table({"key": f["a"], "b": f["b"]}))(
-                t.filter(pa.compute.invert(t["same"]))),
-            batch_format="pyarrow"))
+    adj_ds = _rows(tagged, "adj", ["key", "key2"]).map_batches(
+        lambda t: t.rename_columns(["key", "b"]), batch_format="pyarrow").union(
+        cross.map_batches(
+            lambda t: t.filter(pa.compute.invert(t["same"])).select(["a", "b"])
+            .rename_columns(["key", "b"]), batch_format="pyarrow"))
     half = _attach_component(adj_ds, labels, payload=[("b", pa.int64())],
                              out_col="ra")
     both = _attach_component(
@@ -1207,12 +935,8 @@ def sieve_global(tiles_ds, threshold: int, nodata: float = 0.0,
         fv = ray.get(ref)
         rows = []
         for i in range(batch.num_rows):
-            tx = batch["x"][i].as_py()
-            ty = batch["y"][i].as_py()
-            wd = batch["width"][i].as_py()
-            ht = batch["height"][i].as_py()
-            dt = _dtype_of(batch["dtype"][i].as_py())
-            arr = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(ht, wd).copy()
+            tx, ty, arr = _tile_of(batch, i)
+            arr = arr.copy()
             labels, n = label_tile(arr, nodata, connect8)
             for lbl in range(n):
                 nv = fv.get(_ckey(tx, ty, lbl))
@@ -1223,50 +947,3 @@ def sieve_global(tiles_ds, threshold: int, nodata: float = 0.0,
         return pa.Table.from_pylist(rows)
 
     return tiles_ds.map_batches(repaint, batch_format="pyarrow")
-
-def _ckey(tx: int, ty: int, lbl: int) -> int:
-    return (tx << 40) | (ty << 20) | lbl
-
-
-def _ekey(tx: int, ty: int, orient: str) -> int:
-    code = {"V": 1, "H": 2, "C": 3}[orient]
-    # offset tile indices so edge keys of border tiles (tx or ty == -1) stay unique
-    return ((tx + 1) << 24) | ((ty + 1) << 4) | code
-
-
-def _runs_of_np(vec: np.ndarray):
-    """Vectorized ``_runs_of``: (c0s, c1s, labels) arrays of maximal runs of
-    equal non-negative labels along a border vector (round-3 VERDICT wrong
-    #3 — replaces the per-run Python while-loop in sieve_global)."""
-    vec = np.asarray(vec)
-    n = len(vec)
-    if n == 0:
-        z = np.empty(0, np.int64)
-        return z, z, z
-    valid = vec >= 0
-    change = np.ones(n, dtype=bool)
-    change[1:] = (vec[1:] != vec[:-1]) | (valid[1:] != valid[:-1])
-    boundaries = np.flatnonzero(change)
-    run_ends = np.append(boundaries[1:], n)
-    starts = boundaries[valid[boundaries]]
-    ends = run_ends[valid[boundaries]]
-    return (starts.astype(np.int64), ends.astype(np.int64),
-            vec[starts].astype(np.int64))
-
-
-def _runs_of(vec: np.ndarray):
-    """Runs of equal non-negative labels along a border vector."""
-    out = []
-    c = 0
-    n = len(vec)
-    while c < n:
-        if vec[c] < 0:
-            c += 1
-            continue
-        v = vec[c]
-        c2 = c + 1
-        while c2 < n and vec[c2] == v:
-            c2 += 1
-        out.append((c, c2, v))
-        c = c2
-    return out

@@ -40,9 +40,10 @@ ALLOWED = {
     # fixture-file reassembly (192x192 asc); bulk consumers use
     # read_sozip_chunks streaming, not a driver collect
     ("gdal_ray/pipelines/queries.py", "sozip_roundtrip_q"),
-    # cross-tile union-find edges: O(tile borders)
-    ("gdal_ray/stages/polygonize.py", "polygonize"),
-    ("gdal_ray/stages/polygonize.py", "polygonize_rings"),
+    # cross-tile union-find edges: O(tile borders), and only up to
+    # DRIVER_MERGE_MAX_PAIRS of them (above it the merge runs distributed)
+    ("gdal_ray/stages/polygonize.py", "_component_labels"),
+    # small-component subgraph of the sieve merge loop
     ("gdal_ray/stages/polygonize.py", "sieve_global"),
     # per-tile checksum folds
     ("gdal_ray/stages/rasterize.py", "mosaic_checksum"),

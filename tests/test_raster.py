@@ -535,9 +535,10 @@ def test_polygonize_rings_8conn_tiled_equals_monolithic(ray_session):
 
 
 @pytest.mark.parametrize("kind", ["blobs", "checker"])
-def test_polygonize_distributed_labels_match_driver(kind):
-    """labels_mode='distributed' (bucket-keyed min-label propagation) must
-    produce the exact same component set as the driver union-find."""
+def test_polygonize_distributed_labels_match_driver(kind, monkeypatch):
+    """The distributed label merge (bucket-keyed min-label propagation,
+    forced by DRIVER_MERGE_MAX_PAIRS = -1) must produce the exact same
+    component set as the driver union-find."""
     size = 32
     tiles = synthetic.make_raster_tiles(kind, 3, 3, size=size)
 
@@ -549,15 +550,16 @@ def test_polygonize_distributed_labels_match_driver(kind):
         )
 
     drv = poly_stage.polygonize(
-        rd.from_arrow(tiles), nodata=0.0, tile_size=size, labels_mode="driver"
+        rd.from_arrow(tiles), nodata=0.0, tile_size=size
     ).to_pandas()
+    monkeypatch.setattr(poly_stage, "DRIVER_MERGE_MAX_PAIRS", -1)
     dist = poly_stage.polygonize(
-        rd.from_arrow(tiles), nodata=0.0, tile_size=size, labels_mode="distributed"
+        rd.from_arrow(tiles), nodata=0.0, tile_size=size
     ).to_pandas()
     assert norm(drv) == norm(dist)
 
 
-def test_polygonize_distributed_snake_component():
+def test_polygonize_distributed_snake_component(monkeypatch):
     """A serpentine one-pixel-wide path across a 4x1 tile strip: component
     diameter spans every tile, exercising multi-iteration propagation."""
     size = 16
@@ -572,9 +574,9 @@ def test_polygonize_distributed_snake_component():
              "data": arr[:, tx * size:(tx + 1) * size].tobytes()}
         )
     tiles = pa.Table.from_pylist(rows)
+    monkeypatch.setattr(poly_stage, "DRIVER_MERGE_MAX_PAIRS", -1)
     out = poly_stage.polygonize(
-        rd.from_arrow(tiles), nodata=0.0, tile_size=size,
-        labels_mode="distributed"
+        rd.from_arrow(tiles), nodata=0.0, tile_size=size
     ).to_pandas()
     assert len(out) == 1
     assert int(out["n_pixels"][0]) == int((arr == 7).sum())
@@ -657,7 +659,7 @@ def test_gtiff_deflate_roundtrip(ray_session, tmp_path):
     assert (ov == arr[::2, ::2]).all()
 
 
-def test_polygonize_rings_distributed_labels_match_driver(ray_session):
+def test_polygonize_rings_distributed_labels_match_driver(ray_session, monkeypatch):
     tiles = synthetic.make_raster_tiles("blobs", 3, 3, size=32)
 
     def norm(df):
@@ -667,11 +669,11 @@ def test_polygonize_rings_distributed_labels_match_driver(ray_session):
         )
 
     drv = poly_stage.polygonize_rings(
-        rd.from_arrow(tiles), nodata=0.0, tile_size=32, labels_mode="driver"
+        rd.from_arrow(tiles), nodata=0.0, tile_size=32
     ).to_pandas()
+    monkeypatch.setattr(poly_stage, "DRIVER_MERGE_MAX_PAIRS", -1)
     dist = poly_stage.polygonize_rings(
-        rd.from_arrow(tiles), nodata=0.0, tile_size=32,
-        labels_mode="distributed"
+        rd.from_arrow(tiles), nodata=0.0, tile_size=32
     ).to_pandas()
     assert norm(drv) == norm(dist)
 

@@ -102,10 +102,28 @@ def test_sieve_global_many_components_parity(ray_session):
     assert not np.array_equal(m4, arr)
 
 
+def _runs_of(vec: np.ndarray):
+    """Scalar reference: runs of equal non-negative labels along a vector."""
+    out = []
+    c = 0
+    n = len(vec)
+    while c < n:
+        if vec[c] < 0:
+            c += 1
+            continue
+        v = vec[c]
+        c2 = c + 1
+        while c2 < n and vec[c2] == v:
+            c2 += 1
+        out.append((c, c2, v))
+        c = c2
+    return out
+
+
 def test_runs_of_np_matches_scalar():
     rng = np.random.default_rng(3)
     for _ in range(50):
         vec = rng.integers(-1, 4, size=rng.integers(0, 40))
         got = list(zip(*(a.tolist() for a in poly._runs_of_np(vec)))) \
             if len(vec) else []
-        assert got == poly._runs_of(vec)
+        assert got == _runs_of(vec)
