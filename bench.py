@@ -97,43 +97,17 @@ def _ray_data_logging_yaml() -> str:
 def run_bench() -> dict:
     import ray
 
+    from gdal_ray.state.session import init_ray
+
     os.environ.setdefault("RAY_DATA_LOGGING_CONFIG", _ray_data_logging_yaml())
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-        # >= 50% of free memory, as the resource-manager warning recommends
-        # (defaults to ~43% here); big object store = fewer spills at 32 CPUs
-        object_store_memory=48 * 1024 ** 3,
-    )
+    # >= 50% of free memory, as the resource-manager warning recommends
+    # (defaults to ~43% here); big object store = fewer spills at 32 CPUs
+    init_ray(num_cpus=NUM_CPUS, object_store_memory=48 * 1024 ** 3)
     import numpy as np
     import pyarrow.parquet as pq_mod
     import ray.data as rd
 
-    ctx = rd.DataContext.get_current()
-    ctx.enable_progress_bars = False
-    ctx.enable_progress_bar_name_truncation = False
-
-    # Two known-cosmetic Ray Data driver-log messages are filtered so the
-    # bench log stays readable (round-3 VERDICT task): (1) Ray's sort-based
-    # groupby emits zero-row bundles with EMPTY schemas whenever a sort
-    # partition has no groups (blocks > distinct keys), which trips the
-    # RefBundle schema-mismatch warning; (2) actor-pool stages with dict
-    # constructor kwargs defeat the schema-dedup hash.  Both are harmless
-    # (verified: the empty bundles carry 0 rows) and originate inside Ray,
-    # not in gdal_ray stage code — every gdal_ray empty batch is schema'd.
-    import logging
-
-    class _KnownRayNoise(logging.Filter):
-        def filter(self, record):  # pragma: no cover - log plumbing
-            m = record.getMessage()
-            return not ("RefBundle with a different schema" in m
-                        or "Failed to hash the schemas" in m)
-
-    for name in ("ray.data", "ray.data._internal.execution.streaming_executor_state"):
-        logging.getLogger(name).addFilter(_KnownRayNoise())
+    rd.DataContext.get_current().enable_progress_bar_name_truncation = False
 
     from gdal_ray.sources import synthetic
     from gdal_ray.stages import join as join_stage

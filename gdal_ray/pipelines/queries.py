@@ -1217,8 +1217,9 @@ def _cust_zones(sf_dir: str) -> pa.Table:
 
 
 def polygon_join_q(sf_dir: str):
-    """Polygon x polygon intersects join (layer algebra pair identification)
-    with exact pair dedup across shared cells."""
+    """Polygon x polygon intersects join (layer algebra pair identification):
+    a pair whose bboxes share several cells is emitted once, by the cell
+    holding the min corner of its intersection bbox (owner-cell rule)."""
     from ..stages import layeralg
 
     zones = _zones(sf_dir)
@@ -4506,7 +4507,10 @@ def quality_classifier_q(sf_dir: str):
 
 
 def knn_tree_q(sf_dir: str):
-    """kNN via best-first STRtree traversal (scale path) — same rows as join_knn."""
+    """kNN via ``knn_join(tree=True)``, the scale path: ``BroadcastKNN``'s
+    per-cell candidate grid over the target extent bounds each point's
+    search to the targets that can be among its k nearest — same rows as
+    join_knn."""
     z = _zones(sf_dir)
     cx = (z["minx"].to_numpy() + z["maxx"].to_numpy()) / 2.0
     cy = (z["miny"].to_numpy() + z["maxy"].to_numpy()) / 2.0

@@ -32,11 +32,6 @@ from ..functions import wkb as wkb_f
 SHP_NULL, SHP_POINT, SHP_POLYLINE, SHP_POLYGON, SHP_MULTIPOINT = 0, 1, 3, 5, 8
 
 
-def _ring_signed_area(r: np.ndarray) -> float:
-    x, y = r[:, 0], r[:, 1]
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-
-
 def _close(r: np.ndarray) -> np.ndarray:
     if len(r) == 0 or (r[0] == r[-1]).all():
         return r
@@ -57,7 +52,7 @@ def _shp_record_from_wkb(wkb: bytes) -> tuple[int, bytes]:
         for poly in g.shells_and_holes():
             for j, r in enumerate(poly):
                 r = _close(np.asarray(r, dtype=np.float64))
-                a = _ring_signed_area(r)
+                a = wkb_f.ring_area(r)
                 # shapefile: outer ring CW (negative shoelace), holes CCW
                 want_cw = j == 0
                 if (a < 0) != want_cw and a != 0:
@@ -116,7 +111,7 @@ def _wkb_from_shp_record(content: bytes) -> bytes | None:
             return _encode_multilinestring(parts)
         polys: list[list[np.ndarray]] = []
         for r in parts:
-            cw = _ring_signed_area(r) < 0
+            cw = wkb_f.ring_area(r) < 0
             if cw or not polys:  # CW opens a polygon; orphan CCW starts one too
                 polys.append([r])
             else:

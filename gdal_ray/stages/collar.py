@@ -116,9 +116,11 @@ def nearblack(tiles_ds, threshold: float = 10.0, nodata: float = 255.0,
             arr = arr.copy()
             mask = _near_black_mask(arr, threshold)
             labels, n = label_tile(mask, 0)
-            for lbl in range(n):
-                if _ckey(x, y, lbl) in collars:
-                    arr[labels == lbl] = nodata
+            # one lookup-table gather over labels; pixels outside the mask
+            # (-1) index the extra last slot, which is never a collar
+            collar = np.zeros(n + 1, bool)
+            collar[:n] = [_ckey(x, y, lbl) in collars for lbl in range(n)]
+            arr[collar[labels]] = nodata
             rows.append(
                 {**{c: batch[c][i].as_py() for c in batch.column_names if c != "data"},
                  "data": arr.tobytes()}

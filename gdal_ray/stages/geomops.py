@@ -1584,9 +1584,7 @@ def _buffer_pieces(pts: np.ndarray, d: float, segments: int,
 
 
 def _overlay_area_sign(ring: np.ndarray) -> float:
-    from .overlay import ring_signed_area
-
-    return ring_signed_area(np.vstack([ring, ring[:1]]))
+    return _wkb.ring_area(np.vstack([ring, ring[:1]]))
 
 
 def _union_fold(pieces: list["_wkb.Geom"]) -> "_wkb.Geom | None":

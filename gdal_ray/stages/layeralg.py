@@ -4,16 +4,22 @@ Re-answers OGR layer algebra (reference: Intersection ``ogrlayer.cpp:5385``,
 Union :5803, SymDifference :6340, Identity :6770, Clip/Erase; envelope reject
 :5466-5485, prepared-geometry pretest :5510-5543) Ray-Data-first:
 
-- **Pair identification** (which L x R pairs satisfy the predicate): both
-  sides flat_map to grid-cell covers, co-partitioned by salted
-  ``groupby(cell)``; per group an envelope reject then the exact
-  ``polygons_intersect`` test.  A pair sharing k cells is seen k times ->
-  **exact pair dedup** by ``groupby((l_id, r_id)).first`` (SURVEY §2.7 —
-  the reference sees each pair once because its outer loop owns the pair).
-- **Overlay construction**: ``clip_polygon`` implements Sutherland-Hodgman
-  clipping against a CONVEX clipper — exact for the Clip/Intersection overlay
-  with convex zones (the dominant GDAL clip use-case: bbox/tile clippers);
-  general concave-concave overlay is documented out of scope for round 1.
+- **One pair join** (``_pair_join``): both layers flat_map to the grid cells
+  their bboxes cover, are unioned and co-partitioned by ``groupby(cell)``;
+  per group an envelope reject, then the plan's per-pair function (exact
+  intersects, predicate, overlay or coverage overlap) on the survivors.
+  ``polygon_join``, ``overlay_join``, ``predicate_join``, the pair stage of
+  Union / SymDifference / Identity / Update, ``check_coverage`` and
+  ``clean_coverage`` all run this one plan; a self-join tags its one layer
+  once and pairs it with itself (id_a < id_b).
+- **Owner-cell rule** (the reference-point method, Dittrich & Seeger, ICDE
+  2000): a pair whose bboxes share k cells reaches k groups, but only the
+  group of the cell holding the min corner of the intersection bbox emits
+  it.  That corner lies in both bboxes, so both covers hold its cell: every
+  pair is emitted exactly once and no dedup shuffle follows.
+- **Overlay construction**: per-pair boolean ops run the concave-capable
+  engine in ``stages/overlay.py``; ``clip_layer`` keeps Sutherland-Hodgman
+  clipping against a convex clipper (the bbox/tile clip use case).
 """
 
 from __future__ import annotations
@@ -103,6 +109,62 @@ def _tag_side(batch: pa.Table, side: int, res: int, id_col: str) -> pa.Table:
     )
 
 
+def _owner_cell_pairs(group: pa.Table, res: int, self_join: bool):
+    """Yield (id_a, id_b, geom_a, geom_b) for every bbox-candidate pair of one
+    cell group whose OWNER cell is this group's cell.  Owner = the cell
+    holding the intersection-bbox min corner — a cell both sides' covers
+    are guaranteed to include — so a pair sharing k cells is emitted by
+    exactly ONE group.  Side 0 pairs with side 1; in a self-join the one
+    layer (side 0) plays both sides.  Geometries decode lazily, once per
+    feature (a cover lists each cell once, so a group position is one
+    feature)."""
+    cell = int(group["cell"][0].as_py())
+    side = group["side"].to_numpy(zero_copy_only=False)
+    box = np.column_stack(
+        [group[c].to_numpy(zero_copy_only=False) for c in ("minx", "miny", "maxx", "maxy")]
+    )
+    ids = group["gid"].to_numpy(zero_copy_only=False)
+    wkbs = group["wkb"].to_pylist()
+    lpos = np.flatnonzero(side == 0)
+    rpos = lpos if self_join else np.flatnonzero(side == 1)
+    # envelope reject (ogrlayer.cpp:5466-5485)
+    cand = pip.bbox_intersects(box[lpos], box[rpos])
+    if self_join:
+        cand &= ids[lpos][:, None] < ids[rpos][None, :]
+    li, ri = np.nonzero(cand)
+    a, b = lpos[li], rpos[ri]
+    owner = geo.point_cells(np.maximum(box[a, 0], box[b, 0]),
+                            np.maximum(box[a, 1], box[b, 1]), res)
+    geoms: dict = {}
+    for k in np.flatnonzero(owner == cell):
+        for p in (a[k], b[k]):
+            if p not in geoms:
+                geoms[p] = wkb.decode(wkbs[p])
+        yield int(ids[a[k]]), int(ids[b[k]]), geoms[a[k]], geoms[b[k]]
+
+
+def _pair_join(left_ds, right_ds, res: int, left_id: str, right_id: str | None,
+               schema: pa.Schema, per_pair):
+    """The cell-partitioned pair join of every plan in this module.  Both
+    layers are tagged with their cell covers, unioned and grouped by cell;
+    each group runs ``per_pair(id_a, id_b, geom_a, geom_b)`` over its
+    owner-cell pairs and builds its table from the rows (dicts) that call
+    yields, typed by ``schema`` even when there are none.  ``right_ds`` None
+    is a self-join of ``left_ds`` over pairs with id_a < id_b."""
+    self_join = right_ds is None
+    tagged = left_ds.map_batches(lambda b: _tag_side(b, 0, res, left_id), batch_format="pyarrow")
+    if not self_join:
+        tagged = tagged.union(
+            right_ds.map_batches(lambda b: _tag_side(b, 1, res, right_id), batch_format="pyarrow")
+        )
+
+    def join_group(group: pa.Table) -> pa.Table:
+        rows = [row for pair in _owner_cell_pairs(group, res, self_join) for row in per_pair(*pair)]
+        return pa.Table.from_pylist(rows, schema=schema)
+
+    return tagged.groupby("cell").map_groups(join_group, batch_format="pyarrow")
+
+
 def polygon_join(
     left_ds,
     right_ds,
@@ -110,89 +172,14 @@ def polygon_join(
     left_id: str = "l_id",
     right_id: str = "r_id",
 ):
-    """Polygon x polygon intersects join -> deduped (l_id, r_id) pairs."""
-    lt = left_ds.map_batches(lambda b: _tag_side(b, 0, res, left_id), batch_format="pyarrow")
-    rt = right_ds.map_batches(lambda b: _tag_side(b, 1, res, right_id), batch_format="pyarrow")
+    """Polygon x polygon intersects join -> (l_id, r_id) pairs, each once."""
 
-    def join_group(group: pa.Table) -> pa.Table:
-        side = group["side"].to_numpy(zero_copy_only=False)
-        lmask = side == 0
-        if not lmask.any() or lmask.all():
-            return pa.table({"l_id": pa.array([], pa.int64()), "r_id": pa.array([], pa.int64())})
-        lbox = np.column_stack(
-            [group[c].to_numpy(zero_copy_only=False)[lmask] for c in ("minx", "miny", "maxx", "maxy")]
-        )
-        rbox = np.column_stack(
-            [group[c].to_numpy(zero_copy_only=False)[~lmask] for c in ("minx", "miny", "maxx", "maxy")]
-        )
-        lids = group["gid"].to_numpy(zero_copy_only=False)[lmask]
-        rids = group["gid"].to_numpy(zero_copy_only=False)[~lmask]
-        lwkb = [w for w, m in zip(group["wkb"].to_pylist(), lmask) if m]
-        rwkb = [w for w, m in zip(group["wkb"].to_pylist(), lmask) if not m]
-        # envelope reject (ogrlayer.cpp:5466-5485)
-        cand = np.nonzero(pip.bbox_intersects(lbox, rbox))
-        out_l, out_r = [], []
-        # lazy decode, once per geometry (setdefault would decode per PAIR)
-        geom_cache_l: dict[int, wkb.Geom] = {}
-        geom_cache_r: dict[int, wkb.Geom] = {}
-        for li, ri in zip(*cand):
-            if li not in geom_cache_l:
-                geom_cache_l[li] = wkb.decode(lwkb[li])
-            if ri not in geom_cache_r:
-                geom_cache_r[ri] = wkb.decode(rwkb[ri])
-            gl = geom_cache_l[li]
-            gr = geom_cache_r[ri]
-            if pip.polygons_intersect(gl, gr):
-                out_l.append(int(lids[li]))
-                out_r.append(int(rids[ri]))
-        return pa.table({"l_id": pa.array(out_l, pa.int64()), "r_id": pa.array(out_r, pa.int64())})
+    def per_pair(lid, rid, gl, gr):
+        if pip.polygons_intersect(gl, gr):
+            yield {"l_id": lid, "r_id": rid}
 
-    both = lt.union(rt)
-    pairs = both.groupby("cell").map_groups(join_group, batch_format="pyarrow")
-    # exact pair dedup: a pair seen once per shared cell
-    from ray.data.aggregate import Count
-
-    return pairs.groupby(["l_id", "r_id"]).aggregate(Count(alias_name="n_cells")).drop_columns(
-        ["n_cells"]
-    )
-
-
-def _owner_cell_pairs(group: pa.Table, res: int):
-    """Yield (l_id, r_id, geom_l, geom_r) for every bbox-candidate pair of one
-    cell group whose OWNER cell is this group's cell.  Owner = the cell
-    containing the intersection-bbox min corner — a cell both sides' covers
-    are guaranteed to include — so a pair sharing k cells is emitted by
-    exactly ONE group (no dedup shuffle needed).  Shared by overlay_join and
-    predicate_join; geometries decode lazily, once per feature."""
-    side = group["side"].to_numpy(zero_copy_only=False)
-    lmask = side == 0
-    if not lmask.any() or lmask.all():
-        return
-    cell = int(group["cell"][0].as_py())
-    lbox = np.column_stack(
-        [group[c].to_numpy(zero_copy_only=False)[lmask] for c in ("minx", "miny", "maxx", "maxy")]
-    )
-    rbox = np.column_stack(
-        [group[c].to_numpy(zero_copy_only=False)[~lmask] for c in ("minx", "miny", "maxx", "maxy")]
-    )
-    lids = group["gid"].to_numpy(zero_copy_only=False)[lmask]
-    rids = group["gid"].to_numpy(zero_copy_only=False)[~lmask]
-    lwkb = [w for w, m in zip(group["wkb"].to_pylist(), lmask) if m]
-    rwkb = [w for w, m in zip(group["wkb"].to_pylist(), lmask) if not m]
-    cand = np.nonzero(pip.bbox_intersects(lbox, rbox))
-    ocx = np.maximum(lbox[cand[0], 0], rbox[cand[1], 0])
-    ocy = np.maximum(lbox[cand[0], 1], rbox[cand[1], 1])
-    owner = geo.point_cells(ocx, ocy, res) if ocx.size else np.empty(0, np.int64)
-    cache_l: dict = {}
-    cache_r: dict = {}
-    for k, (li, ri) in enumerate(zip(*cand)):
-        if int(owner[k]) != cell:
-            continue
-        if li not in cache_l:
-            cache_l[li] = wkb.decode(lwkb[li])
-        if ri not in cache_r:
-            cache_r[ri] = wkb.decode(rwkb[ri])
-        yield int(lids[li]), int(rids[ri]), cache_l[li], cache_r[ri]
+    schema = pa.schema([("l_id", pa.int64()), ("r_id", pa.int64())])
+    return _pair_join(left_ds, right_ds, res, left_id, right_id, schema, per_pair)
 
 
 def overlay_join(
@@ -205,51 +192,25 @@ def overlay_join(
     """Layer-algebra overlay with GEOMETRY construction (Intersection /
     Union / SymDifference output per intersecting pair — ogrlayer.cpp:5385,
     :5803, :6340 semantics; Identity/Update/Erase compose from these plus
-    ``erase_layer``).  Same cell-partitioned shuffle as ``polygon_join``;
+    ``erase_layer``).  Same cell-partitioned pair join as ``polygon_join``;
     per-pair boolean ops run inside the group (stages/overlay.py, concave-
     capable).  Emits (l_id, r_id, inter_wkb, inter_area, union_area,
     symdiff_area); boundary-touch pairs (zero-area intersection) are skipped."""
     from . import overlay
 
-    lt = left_ds.map_batches(lambda b: _tag_side(b, 0, res, left_id), batch_format="pyarrow")
-    rt = right_ds.map_batches(lambda b: _tag_side(b, 1, res, right_id), batch_format="pyarrow")
-    empty = pa.table(
-        {"l_id": pa.array([], pa.int64()), "r_id": pa.array([], pa.int64()),
-         "inter_wkb": pa.array([], pa.binary()),
-         "inter_area": pa.array([], pa.float64()),
-         "union_area": pa.array([], pa.float64()),
-         "symdiff_area": pa.array([], pa.float64())}
-    )
+    def per_pair(lid, rid, gl, gr):
+        gi = overlay.boolean_op(gl, gr, "intersection")
+        ia = overlay.geom_area(gi)
+        if gi is None or ia <= 0:
+            return
+        yield {"l_id": lid, "r_id": rid, "inter_wkb": overlay.encode(gi), "inter_area": ia,
+               "union_area": overlay.geom_area(overlay.boolean_op(gl, gr, "union")),
+               "symdiff_area": overlay.geom_area(overlay.boolean_op(gl, gr, "symdifference"))}
 
-    def join_group(group: pa.Table) -> pa.Table:
-        rows = {k: [] for k in ("l_id", "r_id", "inter_wkb", "inter_area",
-                                "union_area", "symdiff_area")}
-        for lid, rid, gl, gr in _owner_cell_pairs(group, res):
-            gi = overlay.boolean_op(gl, gr, "intersection")
-            ia = overlay.geom_area(gi)
-            if gi is None or ia <= 0:
-                continue
-            gu = overlay.boolean_op(gl, gr, "union")
-            gs = overlay.boolean_op(gl, gr, "symdifference")
-            rows["l_id"].append(lid)
-            rows["r_id"].append(rid)
-            rows["inter_wkb"].append(overlay.encode(gi))
-            rows["inter_area"].append(ia)
-            rows["union_area"].append(overlay.geom_area(gu))
-            rows["symdiff_area"].append(overlay.geom_area(gs))
-        if not rows["l_id"]:
-            return empty
-        return pa.table(
-            {"l_id": pa.array(rows["l_id"], pa.int64()),
-             "r_id": pa.array(rows["r_id"], pa.int64()),
-             "inter_wkb": pa.array(rows["inter_wkb"], pa.binary()),
-             "inter_area": pa.array(rows["inter_area"], pa.float64()),
-             "union_area": pa.array(rows["union_area"], pa.float64()),
-             "symdiff_area": pa.array(rows["symdiff_area"], pa.float64())}
-        )
-
-    both = lt.union(rt)
-    return both.groupby("cell").map_groups(join_group, batch_format="pyarrow")
+    schema = pa.schema([("l_id", pa.int64()), ("r_id", pa.int64()), ("inter_wkb", pa.binary()),
+                        ("inter_area", pa.float64()), ("union_area", pa.float64()),
+                        ("symdiff_area", pa.float64())])
+    return _pair_join(left_ds, right_ds, res, left_id, right_id, schema, per_pair)
 
 
 def predicate_join(
@@ -262,32 +223,16 @@ def predicate_join(
     """Full spatial-predicate join (ogr/ogrgeometry.cpp:6009-6362 predicate
     set): emits (l_id, r_id, predicate) for every non-disjoint pair, with
     predicate in equals | contains | within | overlaps | touches
-    (pip.polygon_predicate).  Cell-partitioned with owner-cell dedup."""
-    lt = left_ds.map_batches(lambda b: _tag_side(b, 0, res, left_id), batch_format="pyarrow")
-    rt = right_ds.map_batches(lambda b: _tag_side(b, 1, res, right_id), batch_format="pyarrow")
-    empty = pa.table(
-        {"l_id": pa.array([], pa.int64()), "r_id": pa.array([], pa.int64()),
-         "predicate": pa.array([], pa.string())}
-    )
+    (pip.polygon_predicate).  Same cell-partitioned pair join as
+    ``polygon_join``."""
 
-    def join_group(group: pa.Table) -> pa.Table:
-        out_l, out_r, out_p = [], [], []
-        for lid, rid, gl, gr in _owner_cell_pairs(group, res):
-            pred = pip.polygon_predicate(gl, gr)
-            if pred is None:
-                continue
-            out_l.append(lid)
-            out_r.append(rid)
-            out_p.append(pred)
-        if not out_l:
-            return empty
-        return pa.table(
-            {"l_id": pa.array(out_l, pa.int64()), "r_id": pa.array(out_r, pa.int64()),
-             "predicate": pa.array(out_p, pa.string())}
-        )
+    def per_pair(lid, rid, gl, gr):
+        pred = pip.polygon_predicate(gl, gr)
+        if pred is not None:
+            yield {"l_id": lid, "r_id": rid, "predicate": pred}
 
-    both = lt.union(rt)
-    return both.groupby("cell").map_groups(join_group, batch_format="pyarrow")
+    schema = pa.schema([("l_id", pa.int64()), ("r_id", pa.int64()), ("predicate", pa.string())])
+    return _pair_join(left_ds, right_ds, res, left_id, right_id, schema, per_pair)
 
 
 def erase_layer(ds, eraser_wkb: bytes, id_col: str = "fid"):
@@ -435,53 +380,28 @@ def dissolve_collect(ds, key_col: str, id_col: str = "fid"):
 
 def _overlay_parts(left_ds, right_ds, res: int = 5, left_id: str = "l_id",
                    right_id: str = "r_id", want=("both", "left", "right")):
-    """Shared core: cell-partitioned pair discovery (owner-cell dedup),
+    """Shared core: cell-partitioned pair discovery (owner-cell rule),
     per-pair intersections, then per-feature residual erase folds via two
     id-keyed shuffles.  Emits (part, l_id, r_id, area, wkb) with part in
     both | left | right (r_id/l_id = -1 on one-sided parts); zero-area
     results are dropped (GDAL skips empty geometries)."""
-    import ray.data as rd
-
     from . import overlay
 
-    lt = left_ds.map_batches(lambda b: _tag_side(b, 0, res, left_id),
-                             batch_format="pyarrow")
-    rt = right_ds.map_batches(lambda b: _tag_side(b, 1, res, right_id),
-                              batch_format="pyarrow")
+    def per_pair(lid, rid, gl, gr):
+        gi = overlay.boolean_op(gl, gr, "intersection")
+        if gi is None or overlay.geom_area(gi) <= 0:
+            return
+        if "both" in want:
+            yield {"kind": "both", "key": lid, "okey": rid, "self_wkb": overlay.encode(gi)}
+        if "left" in want:
+            yield {"kind": "L", "key": lid, "okey": -1, "other_wkb": overlay.encode(gr)}
+        if "right" in want:
+            yield {"kind": "R", "key": rid, "okey": -1, "other_wkb": overlay.encode(gl)}
 
-    SCHEMA = {"kind": pa.string(), "key": pa.int64(), "okey": pa.int64(),
-              "self_wkb": pa.binary(), "other_wkb": pa.binary()}
-
-    def empty():
-        return pa.table({k: pa.array([], t) for k, t in SCHEMA.items()})
-
-    def pair_rows(group: pa.Table) -> pa.Table:
-        rows = {k: [] for k in SCHEMA}
-
-        def add(kind, key, okey, sw, ow):
-            rows["kind"].append(kind)
-            rows["key"].append(key)
-            rows["okey"].append(okey)
-            rows["self_wkb"].append(sw)
-            rows["other_wkb"].append(ow)
-
-        for lid, rid, gl, gr in _owner_cell_pairs(group, res):
-            gi = overlay.boolean_op(gl, gr, "intersection")
-            if gi is None or overlay.geom_area(gi) <= 0:
-                continue
-            if "both" in want:
-                add("both", lid, rid, overlay.encode(gi), None)
-            if "left" in want:
-                add("L", lid, -1, None, overlay.encode(gr))
-            if "right" in want:
-                add("R", rid, -1, None, overlay.encode(gl))
-        if not rows["kind"]:
-            return empty()
-        return pa.table({k: pa.array(rows[k], t) for k, t in SCHEMA.items()})
-
-    pairs = lt.union(rt).groupby("cell").map_groups(
-        pair_rows, batch_format="pyarrow")
-    if len([1 for _ in want]) > 1:
+    schema = pa.schema([("kind", pa.string()), ("key", pa.int64()), ("okey", pa.int64()),
+                        ("self_wkb", pa.binary()), ("other_wkb", pa.binary())])
+    pairs = _pair_join(left_ds, right_ds, res, left_id, right_id, schema, per_pair)
+    if len(want) > 1:
         # three consumers (both + two residual folds) would re-execute the
         # cell join per consumer — pin the pair metadata once
         pairs = pairs.materialize()
@@ -513,32 +433,22 @@ def _overlay_parts(left_ds, right_ds, res: int = 5, left_id: str = "l_id",
                 lambda t: t.filter(pa.compute.equal(t["kind"], side_kind)),
                 batch_format="pyarrow"))
 
+        parts = pa.schema([("part", pa.string()), ("l_id", pa.int64()), ("r_id", pa.int64()),
+                           ("area", pa.float64()), ("wkb", pa.binary())])
+
         def fold(g: pa.Table) -> pa.Table:
             selfs = [w for w in g["self_wkb"].to_pylist() if w is not None]
             others = [w for w in g["other_wkb"].to_pylist() if w is not None]
-            if not selfs:  # pair rows without a seed cannot happen; guard
-                return pa.table({"part": pa.array([], pa.string()),
-                                 "l_id": pa.array([], pa.int64()),
-                                 "r_id": pa.array([], pa.int64()),
-                                 "area": pa.array([], pa.float64()),
-                                 "wkb": pa.array([], pa.binary())})
+            # pair rows without a seed cannot happen; guard
             res_g = overlay.erase_fold(
-                wkb.decode(selfs[0]), [wkb.decode(w) for w in others])
+                wkb.decode(selfs[0]), [wkb.decode(w) for w in others]) if selfs else None
             a = overlay.geom_area(res_g)
             if res_g is None or a <= 0:
-                return pa.table({"part": pa.array([], pa.string()),
-                                 "l_id": pa.array([], pa.int64()),
-                                 "r_id": pa.array([], pa.int64()),
-                                 "area": pa.array([], pa.float64()),
-                                 "wkb": pa.array([], pa.binary())})
+                return parts.empty_table()
             key = int(g["key"][0].as_py())
             lid, rid = (key, -1) if part_name == "left" else (-1, key)
-            return pa.table({"part": pa.array([part_name]),
-                             "l_id": pa.array([lid], pa.int64()),
-                             "r_id": pa.array([rid], pa.int64()),
-                             "area": pa.array([a], pa.float64()),
-                             "wkb": pa.array([overlay.encode(res_g)],
-                                             pa.binary())})
+            return pa.Table.from_pylist([{"part": part_name, "l_id": lid, "r_id": rid, "area": a,
+                                          "wkb": overlay.encode(res_g)}], schema=parts)
 
         return seeded.groupby("key").map_groups(fold, batch_format="pyarrow")
 
@@ -579,8 +489,6 @@ def layer_update(left_ds, right_ds, res: int = 5, left_id: str = "l_id",
                  right_id: str = "r_id"):
     """ogrlayer.cpp Update: method (right) features pasted whole over the
     input — right features as-is + left residuals."""
-    import ray.data as rd
-
     from . import overlay
 
     def rights(t: pa.Table) -> pa.Table:
@@ -598,38 +506,6 @@ def layer_update(left_ds, right_ds, res: int = 5, left_id: str = "l_id",
         right_ds.map_batches(rights, batch_format="pyarrow"))
 
 
-def _owner_cell_self_pairs(group: pa.Table, res: int):
-    """Yield (id_a, id_b, geom_a, geom_b) with id_a < id_b for every
-    bbox-candidate pair WITHIN one layer's cell group, owner-cell-deduped
-    exactly like ``_owner_cell_pairs`` (a feature's cover lists each cell
-    once, so positions within a group are distinct features)."""
-    cell = int(group["cell"][0].as_py())
-    box = np.column_stack(
-        [group[c].to_numpy(zero_copy_only=False)
-         for c in ("minx", "miny", "maxx", "maxy")])
-    ids = group["gid"].to_numpy(zero_copy_only=False).astype(np.int64)
-    wkbs = group["wkb"].to_pylist()
-    cand = np.nonzero(pip.bbox_intersects(box, box))
-    ai, bi = cand
-    keep = ids[ai] < ids[bi]
-    ai, bi = ai[keep], bi[keep]
-    if len(ai) == 0:
-        return
-    ocx = np.maximum(box[ai, 0], box[bi, 0])
-    ocy = np.maximum(box[ai, 1], box[bi, 1])
-    owner = geo.point_cells(ocx, ocy, res)
-    cache: dict = {}
-    for k in range(len(ai)):
-        if int(owner[k]) != cell:
-            continue
-        a, b = int(ai[k]), int(bi[k])
-        if a not in cache:
-            cache[a] = wkb.decode(wkbs[a])
-        if b not in cache:
-            cache[b] = wkb.decode(wkbs[b])
-        yield int(ids[a]), int(ids[b]), cache[a], cache[b]
-
-
 def check_coverage(ds, id_col: str = "fid", res: int = 5,
                    area_scale: int = 10000):
     """Polygonal-coverage validation (``gdal vector check-coverage``,
@@ -640,8 +516,9 @@ def check_coverage(ds, id_col: str = "fid", res: int = 5,
     feature: (id, n_overlaps, overlap_area) with the area an exact scaled
     int64 (order-independent fold); clean features report zeros.
 
-    Plan: the same cell-partitioned self-join as ``polygon_join``
-    (owner-cell dedup, each pair's boolean op computed once), pair
+    Plan: the same cell-partitioned pair join as ``polygon_join``, as a
+    self-join (each pair once by the owner-cell rule, its boolean op
+    computed once), pair
     violations exploded to both participants, ONE keyed aggregate.
     Boundary-touch pairs (zero-area intersection — valid coverage
     topology) are not violations.  GEOS's gap-width class (narrow slivers
@@ -649,31 +526,13 @@ def check_coverage(ds, id_col: str = "fid", res: int = 5,
     from .relational import partial_aggregate
     from . import overlay
 
-    tagged = ds.map_batches(lambda b: _tag_side(b, 0, res, id_col),
-                            batch_format="pyarrow")
-
-    empty = pa.table({"id": pa.array([], pa.int64()),
-                      "n_overlaps": pa.array([], pa.int64()),
-                      "overlap_area": pa.array([], pa.int64())})
-
-    def pair_rows(group: pa.Table) -> pa.Table:
-        ids, ns, areas = [], [], []
-        for ida, idb, ga, gb in _owner_cell_self_pairs(group, res):
-            gi = overlay.boolean_op(ga, gb, "intersection")
-            ia = overlay.geom_area(gi)
-            if gi is None or ia <= 0:
-                continue
-            sc = int(round(ia * area_scale))
-            if sc == 0:
-                continue
-            ids += [ida, idb]
-            ns += [1, 1]
-            areas += [sc, sc]
-        if not ids:
-            return empty
-        return pa.table({"id": pa.array(ids, pa.int64()),
-                         "n_overlaps": pa.array(ns, pa.int64()),
-                         "overlap_area": pa.array(areas, pa.int64())})
+    def per_pair(ida, idb, ga, gb):
+        gi = overlay.boolean_op(ga, gb, "intersection")
+        ia = overlay.geom_area(gi)
+        sc = int(round(ia * area_scale)) if gi is not None and ia > 0 else 0
+        if sc:
+            yield {"id": ida, "n_overlaps": 1, "overlap_area": sc}
+            yield {"id": idb, "n_overlaps": 1, "overlap_area": sc}
 
     def zero_rows(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -681,8 +540,9 @@ def check_coverage(ds, id_col: str = "fid", res: int = 5,
                          "n_overlaps": pa.array(np.zeros(n, np.int64)),
                          "overlap_area": pa.array(np.zeros(n, np.int64))})
 
-    pairs = tagged.groupby("cell").map_groups(pair_rows,
-                                              batch_format="pyarrow")
+    schema = pa.schema([("id", pa.int64()), ("n_overlaps", pa.int64()),
+                        ("overlap_area", pa.int64())])
+    pairs = _pair_join(ds, None, res, id_col, None, schema, per_pair)
     base = ds.map_batches(zero_rows, batch_format="pyarrow")
     agg = partial_aggregate(base.union(pairs), ["id"],
                             sums=["n_overlaps", "overlap_area"])
@@ -709,7 +569,7 @@ def clean_coverage(ds, id_col: str = "fid", res: int = 5,
     not covered.  Emits (id, wkb, clean_area); features fully erased by
     their neighbors emit NULL wkb and area 0.
 
-    Plan: one cell-partitioned self-join (owner-cell dedup) to find
+    Plan: one cell-partitioned self-join (owner-cell rule) to find
     overlaps and pick losers, one id-keyed groupby folding each loser's
     difference chain — two shuffles total, no driver geometry."""
     from . import overlay
@@ -718,37 +578,17 @@ def clean_coverage(ds, id_col: str = "fid", res: int = 5,
         raise ValueError(f"merge_strategy {merge_strategy!r} not in "
                          "('max-area', 'min-area', 'min-id')")
 
-    tagged = ds.map_batches(lambda b: _tag_side(b, 0, res, id_col),
-                            batch_format="pyarrow")
-    empty = pa.table({"id": pa.array([], pa.int64()),
-                      "role": pa.array([], pa.int8()),
-                      "wkb": pa.array([], pa.binary())})
-
-    def losses(group: pa.Table) -> pa.Table:
-        ids, roles, wkbs = [], [], []
-        for ida, idb, ga, gb in _owner_cell_self_pairs(group, res):
-            gi = overlay.boolean_op(ga, gb, "intersection")
-            if gi is None or overlay.geom_area(gi) <= 0:
-                continue
-            if merge_strategy == "min-id":
-                loser = idb
-            else:
-                aa, ab = overlay.geom_area(ga), overlay.geom_area(gb)
-                bigger_keeps = merge_strategy == "max-area"
-                if aa == ab:
-                    loser = idb
-                elif (aa > ab) == bigger_keeps:
-                    loser = idb
-                else:
-                    loser = ida
-            ids.append(loser)
-            roles.append(1)
-            wkbs.append(overlay.encode(gi))
-        if not ids:
-            return empty
-        return pa.table({"id": pa.array(ids, pa.int64()),
-                         "role": pa.array(roles, pa.int8()),
-                         "wkb": pa.array(wkbs, pa.binary())})
+    def per_pair(ida, idb, ga, gb):
+        gi = overlay.boolean_op(ga, gb, "intersection")
+        if gi is None or overlay.geom_area(gi) <= 0:
+            return
+        if merge_strategy == "min-id":
+            loser = idb
+        else:
+            aa, ab = overlay.geom_area(ga), overlay.geom_area(gb)
+            bigger_keeps = merge_strategy == "max-area"
+            loser = idb if aa == ab or (aa > ab) == bigger_keeps else ida
+        yield {"id": loser, "role": 1, "wkb": overlay.encode(gi)}
 
     def base_rows(b: pa.Table) -> pa.Table:
         n = b.num_rows
@@ -756,13 +596,9 @@ def clean_coverage(ds, id_col: str = "fid", res: int = 5,
                          "role": pa.array(np.zeros(n, np.int8)),
                          "wkb": b["wkb"]})
 
-    erasers = tagged.groupby("cell").map_groups(losses,
-                                                batch_format="pyarrow")
+    schema = pa.schema([("id", pa.int64()), ("role", pa.int8()), ("wkb", pa.binary())])
+    erasers = _pair_join(ds, None, res, id_col, None, schema, per_pair)
     both = ds.map_batches(base_rows, batch_format="pyarrow").union(erasers)
-
-    out_schema = pa.table({"id": pa.array([], pa.int64()),
-                           "wkb": pa.array([], pa.binary()),
-                           "clean_area": pa.array([], pa.float64())})
 
     def fold(group: pa.Table) -> pa.Table:
         roles = group["role"].to_numpy(zero_copy_only=False)

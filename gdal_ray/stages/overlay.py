@@ -88,12 +88,6 @@ def _mag(*pts) -> float:
     return m
 
 
-def ring_signed_area(ring: np.ndarray) -> float:
-    x, y = ring[:-1, 0], ring[:-1, 1]
-    x2, y2 = ring[1:, 0], ring[1:, 1]
-    return 0.5 * float(np.sum(x * y2 - x2 * y))
-
-
 def _point_in_rings(pt, rings) -> bool:
     """Even-odd crossing number over all rings (holes included)."""
     x, y = pt
@@ -284,7 +278,7 @@ def _stitch(segs) -> list:
             arr = np.array(ring)
             arr[-1] = arr[0]
             m = float(np.abs(arr).max())
-            if abs(ring_signed_area(arr)) > max(1e-12, m * m * 1e-15):
+            if abs(wkb.ring_area(arr)) > max(1e-12, m * m * 1e-15):
                 rings.append(arr)
     return rings
 
@@ -303,7 +297,7 @@ def _nesting_normalize(rings):
         for j, r2 in enumerate(rings):
             if j != i and _point_in_rings(probe, [r2]):
                 depth += 1
-        a = ring_signed_area(r)
+        a = wkb.ring_area(r)
         want_ccw = depth % 2 == 0
         if (a > 0) != want_ccw:
             r = r[::-1].copy()
@@ -316,8 +310,8 @@ def _assemble(rings) -> "wkb.Geom | None":
     hole assigned to its containing shell)."""
     if not rings:
         return None
-    shells = [r for r in rings if ring_signed_area(r) > 0]
-    holes = [r for r in rings if ring_signed_area(r) < 0]
+    shells = [r for r in rings if wkb.ring_area(r) > 0]
+    holes = [r for r in rings if wkb.ring_area(r) < 0]
     if not shells:
         return None
     polys = [[s] for s in shells]
@@ -381,8 +375,8 @@ def geom_area(g: "wkb.Geom | None") -> float:
     if g is None:
         return 0.0
     return sum(
-        abs(ring_signed_area(np.asarray(poly[0])))
-        - sum(abs(ring_signed_area(np.asarray(h))) for h in poly[1:])
+        abs(wkb.ring_area(np.asarray(poly[0])))
+        - sum(abs(wkb.ring_area(np.asarray(h))) for h in poly[1:])
         for poly in g.shells_and_holes()
     )
 

@@ -936,12 +936,14 @@ def sieve_global(tiles_ds, threshold: int, nodata: float = 0.0,
         rows = []
         for i in range(batch.num_rows):
             tx, ty, arr = _tile_of(batch, i)
-            arr = arr.copy()
             labels, n = label_tile(arr, nodata, connect8)
-            for lbl in range(n):
-                nv = fv.get(_ckey(tx, ty, lbl))
-                if nv is not None:
-                    arr[labels == lbl] = np.asarray(nv).astype(arr.dtype)
+            # one lookup-table gather over labels; nodata (-1) indexes the
+            # extra last slot, which is never repainted
+            vals = [fv.get(_ckey(tx, ty, lbl)) for lbl in range(n)]
+            hit = np.array([v is not None for v in vals] + [False])
+            lut = np.zeros(n + 1, arr.dtype)
+            lut[hit] = np.asarray([v for v in vals if v is not None]).astype(arr.dtype)
+            arr = np.where(hit[labels], lut[labels], arr)
             rows.append({**{c: batch[c][i].as_py() for c in batch.column_names if c != "data"},
                          "data": arr.tobytes()})
         return pa.Table.from_pylist(rows)

@@ -52,11 +52,9 @@ def main():
     only = set(sys.argv[2:])
     import ray
 
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
-    import ray.data as rd
+    from gdal_ray.state.session import init_ray
 
-    rd.DataContext.get_current().enable_progress_bars = False
+    init_ray(num_cpus=8)
 
     import __ray_entry__ as e
 

@@ -59,24 +59,12 @@ def main() -> int:
                     help="GDAL-style terminal progress line on stderr")
     args = ap.parse_args()
 
-    import ray
-
-    if not ray.is_initialized() and args.num_cpus:
-        ray.init(address="local", num_cpus=args.num_cpus,
-                 include_dashboard=False, logging_level="ERROR")
     import pyarrow as pa
     import ray.data as rd
 
-    rd.DataContext.get_current().enable_progress_bars = False
-    import logging
+    from gdal_ray.state.session import init_ray
 
-    # Ray-internal cosmetic on tiny results: empty sort partitions emit
-    # schema-less zero-row RefBundles and the streaming executor warns per
-    # bundle (same stance as bench.py's documented log routing) — keep the
-    # job's stdout/stderr contract clean like the reference utilities
-    logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state"
-    ).setLevel(logging.ERROR)
+    init_ray(num_cpus=args.num_cpus or None)
 
     t0 = time.time()
     if args.query:

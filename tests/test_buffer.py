@@ -148,7 +148,7 @@ def test_geodesic_polygon_buffer_minkowski_in_projection():
 
     def area_m(r):
         x, y = G._aeqd_fwd(r[:, 0], r[:, 1], lon0, lat0, R)
-        return abs(O.ring_signed_area(np.column_stack([x, y])))
+        return abs(W.ring_area(np.column_stack([x, y])))
 
     xs, ys = G._aeqd_fwd(sq[:, 0], sq[:, 1], lon0, lat0, R)
     per = np.hypot(np.diff(xs), np.diff(ys)).sum()

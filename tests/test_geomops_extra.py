@@ -66,10 +66,8 @@ def test_concave_hull_tighter_than_convex():
                 rng_pts.append((x, y))
     pts = np.array(rng_pts, float)
     ch = geomops.concave_hull(pts, k=6)
-    from gdal_ray.stages import overlay
-
-    concave_area = abs(overlay.ring_signed_area(ch))
-    convex_area = abs(overlay.ring_signed_area(geomops.convex_hull(pts)))
+    concave_area = abs(wkb.ring_area(ch))
+    convex_area = abs(wkb.ring_area(geomops.convex_hull(pts)))
     assert concave_area < convex_area * 0.85
 
 

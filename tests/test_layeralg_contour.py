@@ -59,13 +59,14 @@ def test_polygon_join_matches_brute():
              for x, y in ro]
     lds = rd.from_arrow(_poly_tbl("l_id", left))
     rds = rd.from_arrow(_poly_tbl("r_id", right))
-    got = {(r["l_id"], r["r_id"]) for r in layeralg.polygon_join(lds, rds, res=4).take_all()}
-    expect = set()
+    got = sorted((r["l_id"], r["r_id"]) for r in layeralg.polygon_join(lds, rds, res=4).take_all())
+    # a sorted list, not a set: a pair emitted twice must fail
+    expect = []
     for i, lw in enumerate(left):
         gl = wkb.decode(lw)
         for j, rw in enumerate(right):
             if pip.polygons_intersect(gl, wkb.decode(rw)):
-                expect.add((i, j))
+                expect.append((i, j))
     assert got == expect
     assert len(expect) > 5
 
