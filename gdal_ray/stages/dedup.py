@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 
 from ..functions.arrowbuf import string_buffer_views
 from . import textops
+from .relational import bucket_groups, partial_aggregate
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
@@ -597,31 +598,20 @@ def chunk_spans(ds, chunk_words: int = 3, text_col: str = "text",
 
 
 def chunk_dedup_stats(ds, chunk_words: int = 3, text_col: str = "text",
-                      id_col: str = "doc_id", num_partitions: int = 64,
-                      key_mode: str = "md5"):
+                      id_col: str = "doc_id", key_mode: str = "md5"):
     """Per-doc duplicated-span statistics: (doc_id, n_chunks, n_dup_chunks)
     where a span is "dup" when its text occurs more than once corpus-wide
     (including within the same doc).
 
-    Scale shape: spans are hash-partitioned on h64 (ONE shuffle of the span
-    table); each partition flags duplicate occurrences with a single
-    vectorized sort + run-length pass; the per-doc rollup is a pre-aggregated
-    keyed combine (shuffle of O(docs) partials).
+    Scale shape: spans are hash-bucketed on h64 (ONE ``bucket_groups``
+    shuffle of the span table); each bucket flags duplicate occurrences
+    with a single vectorized sort + run-length pass; the per-doc rollup is
+    a pre-aggregated keyed combine (shuffle of O(docs) partials).
     """
-    from .relational import partial_aggregate
-
     spans = chunk_spans(ds, chunk_words, text_col, id_col, key_mode=key_mode)
 
-    def tag(t: pa.Table) -> pa.Table:
-        h = t["h64"].to_numpy(zero_copy_only=False)
-        part = np.abs(h % np.int64(num_partitions))
-        return t.append_column("_part", pa.array(part))
-
-    def per_part(g: pa.Table) -> pa.Table:
+    def per_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
-        if n == 0:
-            return pa.table({id_col: pa.array([], g[id_col].type),
-                             "is_dup": pa.array([], pa.int64())})
         h = np.asarray(g["chunk_md5"].to_pylist(), dtype=object)
         order = np.argsort(h, kind="stable")
         hs = h[order]
@@ -634,8 +624,7 @@ def chunk_dedup_stats(ds, chunk_words: int = 3, text_col: str = "text",
         dup[order] = dup_sorted.astype(np.int64)
         return pa.table({id_col: g[id_col], "is_dup": pa.array(dup)})
 
-    flagged = spans.map_batches(tag, batch_format="pyarrow") \
-                   .groupby("_part").map_groups(per_part, batch_format="pyarrow")
+    flagged = bucket_groups(spans, "h64", per_bucket)
     agg = partial_aggregate(flagged, [id_col], sums=["is_dup"], count_alias="n_chunks")
 
     def rename(t: pa.Table) -> pa.Table:
@@ -722,27 +711,17 @@ def bloom_decontaminate(cand_ds, ref_ds, text_col: str = "text",
     )
 
 
-def _emit_dups(g: pa.Table, order: np.ndarray, new: np.ndarray,
-               id_col: str, num_partitions: int) -> pa.Table:
-    """Rows of grams whose sorted run has size > 1, tagged by doc partition."""
-    run_id = np.cumsum(new) - 1
-    run_sizes = np.bincount(run_id)
-    dup = run_sizes[run_id] > 1
-    keep = order[dup]
-    if keep.size == 0:
-        return pa.table({id_col: pa.array([], pa.int64()),
-                         "pos": pa.array([], pa.int64()),
-                         "_dpart": pa.array([], pa.int64())})
-    doc = g[id_col].to_numpy(zero_copy_only=False)[keep].astype(np.int64)
-    pos = g["pos"].to_numpy(zero_copy_only=False)[keep].astype(np.int64)
-    dpart = np.abs((doc * np.int64(2654435761)) % np.int64(num_partitions))
-    return pa.table({id_col: pa.array(doc), "pos": pa.array(pos),
-                     "_dpart": pa.array(dpart)})
+def _gram_words(grams) -> tuple:
+    """(hi, lo) big-endian uint64 words of a binary(16) gram column."""
+    grams = grams.combine_chunks() if isinstance(grams, pa.ChunkedArray) else grams
+    mat = np.frombuffer(grams.buffers()[1], dtype=np.uint8)
+    mat = mat[grams.offset * 16 : (grams.offset + len(grams)) * 16].reshape(-1, 16)
+    return (mat[:, :8].copy().view(">u8").ravel().astype(np.uint64),
+            mat[:, 8:].copy().view(">u8").ravel().astype(np.uint64))
 
 
 def duplicated_spans(ds, k: int = 16, id_col: str = "doc_id",
-                     text_col: str = "text", num_partitions: int = 64,
-                     key_mode: str = "exact"):
+                     text_col: str = "text", key_mode: str = "exact"):
     """Exact duplicated-substring spans: every byte position whose k-gram
     occurs more than once in the corpus, merged into maximal per-doc spans
     (the substring-level dedup of Lee et al. 2022, "Deduplicating Training
@@ -752,9 +731,9 @@ def duplicated_spans(ds, k: int = 16, id_col: str = "doc_id",
     Shape: (1) zero-copy sliding-window gram extraction per batch (no
     per-row Python; the gram bytes ARE the shuffle key, swap for a 64-bit
     rolling hash at 100 TB where the 16-byte key dominates the exchange);
-    (2) ONE hash shuffle on the gram -> per-partition vectorized big-endian
-    lexsort + run-length scan keeps positions of grams with global count>1;
-    (3) ONE hash shuffle on the doc -> vectorized interval merge of
+    (2) ONE ``bucket_groups`` shuffle on the gram -> per-bucket vectorized
+    big-endian lexsort + run-length scan keeps positions of grams with global
+    count>1; (3) ONE shuffle on the doc -> vectorized interval merge of
     [pos, pos+k) into maximal spans.  Output: (doc_id, span_start, span_len).
 
     ``key_mode='hash'`` is the 100 TB plan: ship only the 64-bit mixed hash
@@ -770,6 +749,10 @@ def duplicated_spans(ds, k: int = 16, id_col: str = "doc_id",
         raise ValueError(key_mode)
     hashed = key_mode == "hash"
 
+    def gram_mix(grams) -> np.ndarray:
+        hi, lo = _gram_words(grams)
+        return (hi * np.uint64(0x9E3779B97F4A7C15)) ^ lo
+
     def extract(batch: pa.Table) -> pa.Table:
         offsets, data, lengths = string_buffer_views(batch[text_col])
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -782,7 +765,6 @@ def duplicated_spans(ds, k: int = 16, id_col: str = "doc_id",
             "gram": empty_gram,
             id_col: pa.array([], pa.int64()),
             "pos": pa.array([], pa.int64()),
-            "_part": pa.array([], pa.int64()),
         })
         if total < k:
             return empty
@@ -796,51 +778,33 @@ def duplicated_spans(ds, k: int = 16, id_col: str = "doc_id",
             return empty
         win = np.ascontiguousarray(win[ok])
         doc, pos = doc[ok], pos[ok]
-        hi = win[:, :8].copy().view(">u8").ravel().astype(np.uint64)
-        lo = win[:, 8:].copy().view(">u8").ravel().astype(np.uint64)
-        mix = (hi * np.uint64(0x9E3779B97F4A7C15)) ^ lo
-        part = ((mix * np.uint64(2654435761)) % np.uint64(num_partitions)).astype(np.int64)
+        gram = pa.Array.from_buffers(
+            pa.binary(16), len(doc), [None, pa.py_buffer(win.tobytes())])
         if hashed:
-            gram = pa.array(mix.view(np.int64))
-        else:
-            gram = pa.Array.from_buffers(
-                pa.binary(16), len(doc), [None, pa.py_buffer(win.tobytes())])
+            gram = pa.array(gram_mix(gram).view(np.int64))
         return pa.table({
             "gram": gram,
             id_col: pa.array(ids[doc]),
             "pos": pa.array(pos),
-            "_part": pa.array(part),
         })
 
     def dup_positions(g: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], pa.int64()),
-                          "pos": pa.array([], pa.int64()),
-                          "_dpart": pa.array([], pa.int64())})
-        if g.num_rows == 0:
-            return empty
+        """Rows of grams whose sorted run has size > 1."""
         if hashed:
             hi = g["gram"].to_numpy(zero_copy_only=False)
             order = np.argsort(hi, kind="stable")
             hs = hi[order]
             new = np.r_[True, hs[1:] != hs[:-1]]
-            return _emit_dups(g, order, new, id_col, num_partitions)
         else:
-            grams = g["gram"].combine_chunks()
-            mat = np.frombuffer(grams.buffers()[1], dtype=np.uint8)
-            mat = mat[grams.offset * 16 : (grams.offset + len(grams)) * 16].reshape(-1, 16)
-            hi = mat[:, :8].copy().view(">u8").ravel()
-            lo = mat[:, 8:].copy().view(">u8").ravel()
+            hi, lo = _gram_words(g["gram"])
             order = np.lexsort((lo, hi))
             hs, ls = hi[order], lo[order]
             new = np.r_[True, (hs[1:] != hs[:-1]) | (ls[1:] != ls[:-1])]
-        return _emit_dups(g, order, new, id_col, num_partitions)
+        run_id = np.cumsum(new) - 1
+        keep = order[np.bincount(run_id)[run_id] > 1]
+        return g.select([id_col, "pos"]).take(pa.array(keep))
 
     def merge_spans(g: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], pa.int64()),
-                          "span_start": pa.array([], pa.int64()),
-                          "span_len": pa.array([], pa.int64())})
-        if g.num_rows == 0:
-            return empty
         doc = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = g["pos"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((pos, doc))
@@ -856,13 +820,13 @@ def duplicated_spans(ds, k: int = 16, id_col: str = "doc_id",
         })
 
     grams = ds.map_batches(extract, batch_format="pyarrow")
-    dups = grams.groupby("_part").map_groups(dup_positions, batch_format="pyarrow")
-    return dups.groupby("_dpart").map_groups(
-        lambda t: merge_spans(t.drop_columns(["_dpart"])), batch_format="pyarrow")
+    dups = bucket_groups(grams, "gram" if hashed else lambda t: gram_mix(t["gram"]),
+                         dup_positions)
+    return bucket_groups(dups, id_col, merge_spans)
 
 
 def cluster_split(ds, min_jaccard_x1000: int = 500, id_col: str = "doc_id",
-                  val_mod: int = 5, num_buckets: int = 64, **kwargs):
+                  val_mod: int = 5, **kwargs):
     """Leakage-free train/val split: every member of a near-dup cluster
     lands in the SAME split (the held-out-set hygiene step after dedup —
     a doc and its near-duplicate must never straddle train/val).
@@ -872,53 +836,33 @@ def cluster_split(ds, min_jaccard_x1000: int = 500, id_col: str = "doc_id",
     cluster_id % val_mod == 0 else 'train' — deterministic and
     SQL-mirrorable.  Output: (doc_id, cluster_id, split) for EVERY doc.
 
-    Scale shape: one bucket-keyed vectorized left join of the cluster
-    labels onto the id column (searchsorted inside hash buckets — the
-    ``_attach_component`` pattern); nothing corpus-sized on the driver.
+    Scale shape: one ``bucket_groups`` co-group of the id column with the
+    cluster labels, a vectorized left join by searchsorted inside each
+    bucket (the ``_attach_component`` pattern); nothing corpus-sized on the
+    driver.
     """
     clusters = dup_clusters(ds, min_jaccard_x1000, **kwargs)
 
-    def bucket_of(k: np.ndarray) -> np.ndarray:
-        return np.abs((k * np.int64(2654435761)) % np.int64(num_buckets))
-
-    def tag_docs(t: pa.Table) -> pa.Table:
-        k = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"_part": pa.array(bucket_of(k)), "_k": t[id_col],
-                         "_cid": pa.nulls(t.num_rows, pa.int64()),
-                         "_isdoc": pa.array(np.ones(t.num_rows, np.int8))})
-
-    def tag_clusters(t: pa.Table) -> pa.Table:
-        k = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"_part": pa.array(bucket_of(k)), "_k": t["doc_id"],
-                         "_cid": pa.compute.cast(t["cluster_id"], pa.int64()),
-                         "_isdoc": pa.array(np.zeros(t.num_rows, np.int8))})
-
-    def bucket_join(g: pa.Table) -> pa.Table:
-        isdoc = g["_isdoc"].to_numpy(zero_copy_only=False) == 1
-        k = g["_k"].to_numpy(zero_copy_only=False).astype(np.int64)
-        drow = np.flatnonzero(isdoc)
-        dk = k[drow]
+    def bucket_join(docs: pa.Table, labels: pa.Table) -> pa.Table:
+        dk = docs[id_col].to_numpy(zero_copy_only=False)
+        ck = labels[id_col].to_numpy(zero_copy_only=False)
         cid = dk.copy()  # default: singleton cluster = own id
-        crow = np.flatnonzero(~isdoc)
-        if crow.size:
-            labs = pa.compute.fill_null(g["_cid"], 0).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            ck, cv = k[crow], labs[crow]
+        if ck.size:
+            cv = pa.compute.fill_null(labels["cluster_id"], 0).to_numpy(
+                zero_copy_only=False)
             order = np.argsort(ck, kind="stable")
             ck_s, cv_s = ck[order], cv[order]
             pos = np.minimum(np.searchsorted(ck_s, dk), len(ck_s) - 1)
-            hit = ck_s[pos] == dk
-            cid = np.where(hit, cv_s[pos], dk)
+            cid = np.where(ck_s[pos] == dk, cv_s[pos], dk)
         split = np.where(cid % val_mod == 0, "val", "train")
         return pa.table({id_col: pa.array(dk), "cluster_id": pa.array(cid),
                          "split": pa.array(split.tolist(), pa.string())})
 
-    unioned = (
-        ds.select_columns([id_col]).map_batches(tag_docs, batch_format="pyarrow")
-        .union(clusters.map_batches(tag_clusters, batch_format="pyarrow"))
-    )
-    return unioned.groupby("_part").map_groups(bucket_join, batch_format="pyarrow")
-
+    return bucket_groups(
+        [(ds.select_columns([id_col]), pa.schema([(id_col, pa.int64())])),
+         (clusters.rename_columns({"doc_id": id_col}),
+          pa.schema([(id_col, pa.int64()), ("cluster_id", pa.int64())]))],
+        id_col, bucket_join)
 
 
 def line_dedup(ds, text_col: str = "text", id_col: str = "doc_id",

@@ -15,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .relational import partial_aggregate
+from .relational import bucket_groups, partial_aggregate
 from ..state.resources import default_concurrency as _default_concurrency
 
 
@@ -87,30 +87,17 @@ def sliding_window(ds, window_s: int, step_s: int, ts_col: str = "ts", key_col: 
 
 
 def session_windows(ds, gap_s: int, ts_col: str = "ts", key_col: str = "user_id",
-                    id_col: str = "event_id", num_partitions: int = 64):
+                    id_col: str = "event_id"):
     """Session windowing per key: a new session starts when the gap to the
     previous event exceeds gap_s.  Returns (user_id, n_sessions,
     max_session_events).  Ordering contract: (ts, event_id) per key.
 
-    Scale shape: ONE shuffle on a hash partition of the key (not one Python
-    callback per user) — each partition handles all its users in a single
+    Scale shape: ONE ``bucket_groups`` shuffle on the key (not one Python
+    callback per user) — each bucket handles all its users in a single
     vectorized pass (lexsort + run-boundary cumsum + bincount/reduceat)."""
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (u * np.int64(2654435761)) % np.int64(num_partitions)
-        return batch.append_column("_part", pa.array(np.abs(part)))
-
-    empty = pa.table(
-        {key_col: pa.array([], pa.int64()),
-         "n_sessions": pa.array([], pa.int64()),
-         "max_session_events": pa.array([], pa.int64())}
-    )
-
-    def per_part(g: pa.Table) -> pa.Table:
+    def per_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
-        if n == 0:
-            return empty
         u = g[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         sec = _epoch_us(g[ts_col]) // 1_000_000
         eid = g[id_col].to_numpy(zero_copy_only=False)
@@ -134,8 +121,7 @@ def session_windows(ds, gap_s: int, ts_col: str = "ts", key_col: str = "user_id"
             }
         )
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("_part").map_groups(per_part, batch_format="pyarrow")
+    return bucket_groups(ds, key_col, per_bucket)
 
 
 def _asof_backward_idx(lk: np.ndarray, lts: np.ndarray, rk: np.ndarray,
@@ -253,108 +239,60 @@ def asof_join_partitioned(
     emit: tuple = ("o_orderkey",),
     id_col: str = "event_id",
 ):
-    """Both-sides-large as-of join: union-tag co-partition on the key, then a
-    per-group ``merge_asof`` — same backward-search + tie rules as the
-    broadcast path, but the right side is shuffled instead of broadcast
-    (the 100 TB plan when the right table exceeds the object store).
+    """Both-sides-large as-of join: the two sides co-group on the key in one
+    ``bucket_groups`` shuffle, then each bucket runs the broadcast path's
+    vectorized backward search over all of its keys at once — same
+    backward-search + tie rules, but the right side is shuffled instead of
+    broadcast (the 100 TB plan when the right table exceeds the object
+    store).  Output: (id_col, *emit); left rows with no match get null emits.
 
-    RESTRICTION: ``emit`` columns must be int64-castable (the tagged union
-    schema carries them as int64) and emit nulls become 0; use the
-    broadcast ``asof_join`` when arbitrary emit dtypes must be preserved."""
-
-    import pyarrow.compute as _pc
-
-    # both timestamp columns are normalized to timestamp[us] so the tagged
-    # schemas agree even when left/right store different temporal types
-    # (e.g. timestamp events vs date32 order dates — dates become midnight,
-    # which preserves the backward-search semantics)
+    RESTRICTION: ``emit`` columns must be int64-castable (the shuffle
+    carries them as int64) and emit nulls become 0; use the broadcast
+    ``asof_join`` when arbitrary emit dtypes must be preserved."""
+    # both timestamp columns are cast to timestamp[us] so the sides compare
+    # even when they store different temporal types (e.g. timestamp events
+    # vs date32 order dates — dates become midnight, which preserves the
+    # backward-search semantics); the right key rides the left key's column
     TS = pa.timestamp("us")
+    left = pa.schema([(left_key, pa.int64()), (id_col, pa.int64()), (left_ts, TS)])
+    right = pa.schema([(left_key, pa.int64()), (right_ts, TS)]
+                      + [(c, pa.int64()) for c in emit])
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"_k": t[left_key], "_side": pa.array(np.zeros(t.num_rows, np.int8)),
-             id_col: t[id_col], "_lts": _pc.cast(t[left_ts], TS),
-             "_rts": pa.nulls(t.num_rows, TS),
-             **{f"_e_{c}": pa.nulls(t.num_rows, pa.int64()) for c in emit}}
-        )
+    def ints(t: pa.Table, c: str) -> np.ndarray:
+        return pc.cast(pc.fill_null(t[c], 0), pa.int64()).to_numpy(
+            zero_copy_only=False)
 
-    def tag_right(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"_k": t[right_key], "_side": pa.array(np.ones(t.num_rows, np.int8)),
-             id_col: pa.nulls(t.num_rows, pa.int64()),
-             "_lts": pa.nulls(t.num_rows, TS),
-             "_rts": _pc.cast(t[right_ts], TS),
-             **{f"_e_{c}": _pc.cast(t[c], pa.int64()) for c in emit}}
-        )
-
-    unioned = events_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow")
-    )
-
-    num_buckets = 64
-
-    def tag_part(t: pa.Table) -> pa.Table:
-        k = pc.cast(t["_k"], pa.int64()).to_numpy(zero_copy_only=False)
-        part = np.abs((k * np.int64(2654435761)) % np.int64(num_buckets))
-        return t.append_column("_part", pa.array(part))
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        """All of a hash bucket's keys at once: the _asof_backward_idx
-        segment scan handles mixed keys, so the shuffle granularity is
-        BUCKETS (64 vectorized groups), not per-key pandas frames."""
-        isl = g["_side"].to_numpy(zero_copy_only=False) == 0
-        k = pc.cast(g["_k"], pa.int64()).to_numpy(zero_copy_only=False)
-        lrow = np.flatnonzero(isl)
-        rrow = np.flatnonzero(~isl)
-        if lrow.size == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             **{c: pa.array([], pa.int64()) for c in emit}})
-        lts = pc.cast(pc.fill_null(g["_lts"], 0), pa.int64()).to_numpy(
-            zero_copy_only=False)[lrow]
-        rts = pc.cast(pc.fill_null(g["_rts"], 0), pa.int64()).to_numpy(
-            zero_copy_only=False)[rrow]
-        remit = [pc.fill_null(g[f"_e_{c}"], 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)[rrow] for c in emit]
-        idx = _asof_backward_idx(k[lrow], lts, k[rrow], rts, remit)
+    def per_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        remit = [ints(rt, c) for c in emit]
+        idx = _asof_backward_idx(ints(lt, left_key), ints(lt, left_ts),
+                                 ints(rt, left_key), ints(rt, right_ts), remit)
         ok = idx >= 0
-        cols = {id_col: g[id_col].take(pa.array(lrow))}
+        cols = {id_col: lt[id_col]}
         for c, e in zip(emit, remit):
-            vals = np.where(ok, e[np.maximum(idx, 0)], 0)
+            vals = np.zeros(len(idx), np.int64)
+            vals[ok] = e[idx[ok]]
             cols[c] = pa.array(vals, pa.int64(), mask=~ok)
         return pa.table(cols)
 
-    return (
-        unioned.map_batches(tag_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    right_ds = right_ds.select_columns([right_key, right_ts, *emit]) \
+                       .rename_columns({right_key: left_key})
+    return bucket_groups([(events_ds, left), (right_ds, right)], left_key,
+                         per_bucket)
 
 
 def lag_lead_gaps(ds, ts_col: str = "ts", key_col: str = "user_id",
-                  id_col: str = "event_id", num_partitions: int = 64):
+                  id_col: str = "event_id"):
     """LAG/LEAD window over (key ORDER BY ts, id): per event, whole seconds
     to the previous and next event of the same key (-1 at the edges, exact
     integer arithmetic).  Output: (event_id, user_id, gap_prev_s, gap_next_s).
 
-    Scale shape: the session-windows plan — ONE hash-partition shuffle on the
-    key, then each partition computes every key's gaps in a single vectorized
-    lexsort + diff pass (one Python call per partition, not per key)."""
+    Scale shape: the session-windows plan — ONE ``bucket_groups`` shuffle on
+    the key, then each bucket computes every key's gaps in a single
+    vectorized lexsort + diff pass (one Python call per bucket, not per
+    key)."""
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (u * np.int64(2654435761)) % np.int64(num_partitions)
-        return batch.append_column("_part", pa.array(np.abs(part)))
-
-    empty = pa.table(
-        {id_col: pa.array([], pa.int64()), key_col: pa.array([], pa.int64()),
-         "gap_prev_s": pa.array([], pa.int64()),
-         "gap_next_s": pa.array([], pa.int64())}
-    )
-
-    def per_part(g: pa.Table) -> pa.Table:
+    def per_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
-        if n == 0:
-            return empty
         u = g[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         sec = _epoch_us(g[ts_col]) // 1_000_000
         eid = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -371,35 +309,21 @@ def lag_lead_gaps(ds, ts_col: str = "ts", key_col: str = "user_id",
              "gap_prev_s": pa.array(gap_prev), "gap_next_s": pa.array(gap_next)}
         )
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-             .groupby("_part").map_groups(per_part, batch_format="pyarrow")
+    return bucket_groups(ds, key_col, per_bucket)
 
 
 def running_totals(ds, value_col: str = "value", ts_col: str = "ts",
-                   key_col: str = "user_id", id_col: str = "event_id",
-                   num_partitions: int = 64):
+                   key_col: str = "user_id", id_col: str = "event_id"):
     """Cumulative SUM window per key ordered by (ts, id) — exact cents
     fixed-point so distributed results hash-match any serial evaluation.
     Output: (event_id, user_id, running_x100).
 
-    Scale shape: one hash-partition shuffle; each partition computes every
+    Scale shape: one ``bucket_groups`` shuffle; each bucket computes every
     key's prefix sums in one vectorized lexsort + cumsum-with-key-reset pass.
     """
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (u * np.int64(2654435761)) % np.int64(num_partitions)
-        return batch.append_column("_part", pa.array(np.abs(part)))
-
-    empty = pa.table(
-        {id_col: pa.array([], pa.int64()), key_col: pa.array([], pa.int64()),
-         "running_x100": pa.array([], pa.int64())}
-    )
-
-    def per_part(g: pa.Table) -> pa.Table:
+    def per_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
-        if n == 0:
-            return empty
         u = g[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         sec = _epoch_us(g[ts_col])
         eid = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -418,14 +342,12 @@ def running_totals(ds, value_col: str = "value", ts_col: str = "ts",
              "running_x100": pa.array(run - base)}
         )
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-             .groupby("_part").map_groups(per_part, batch_format="pyarrow")
+    return bucket_groups(ds, key_col, per_bucket)
 
 
 def window_frames(ds, value_col: str = "value", ts_col: str = "ts",
                   key_col: str = "user_id", id_col: str = "event_id",
-                  n_tiles: int = 4, preceding: int = 2,
-                  num_partitions: int = 64):
+                  n_tiles: int = 4, preceding: int = 2):
     """Framed window functions per key ordered by (ts, id): NTILE(n),
     FIRST_VALUE / LAST_VALUE over the whole partition, and a ROWS BETWEEN
     ``preceding`` PRECEDING AND CURRENT ROW moving sum+count (the exact
@@ -436,30 +358,14 @@ def window_frames(ds, value_col: str = "value", ts_col: str = "ts",
     NTILE follows the SQL definition: the first n_rows %% n groups get
     ceil(n_rows/n) rows, the rest floor(n_rows/n).
 
-    Scale shape: ONE hash-partition shuffle on the key; each partition
+    Scale shape: ONE ``bucket_groups`` shuffle on the key; each bucket
     resolves every key in a single vectorized lexsort + repeat/cumsum pass.
     Output: (event_id, user_id, ntile, first_x100, last_x100, mov_sum_x100,
     mov_cnt) — all exact cents fixed-point.
     """
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (u * np.int64(2654435761)) % np.int64(num_partitions)
-        return batch.append_column("_part", pa.array(np.abs(part)))
-
-    empty = pa.table(
-        {id_col: pa.array([], pa.int64()), key_col: pa.array([], pa.int64()),
-         "ntile": pa.array([], pa.int64()),
-         "first_x100": pa.array([], pa.int64()),
-         "last_x100": pa.array([], pa.int64()),
-         "mov_sum_x100": pa.array([], pa.int64()),
-         "mov_cnt": pa.array([], pa.int64())}
-    )
-
-    def per_part(g: pa.Table) -> pa.Table:
+    def per_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
-        if n == 0:
-            return empty
         u = g[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         sec = _epoch_us(g[ts_col])
         eid = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -501,8 +407,7 @@ def window_frames(ds, value_col: str = "value", ts_col: str = "ts",
              "mov_sum_x100": pa.array(mov), "mov_cnt": pa.array(mov_cnt)}
         )
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-             .groupby("_part").map_groups(per_part, batch_format="pyarrow")
+    return bucket_groups(ds, key_col, per_bucket)
 
 
 def late_event_windows(ds, window_s: int = 3600, lateness_s: int = 1800,

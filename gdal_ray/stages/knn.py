@@ -213,9 +213,11 @@ class BroadcastDWithin:
 
     Broadcast-build actor stage: targets ship once via ray.put; per batch a
     chunked (points x targets) distance matrix — same in-place kernels as
-    BroadcastKNN — filters pairs vectorized.  For corpus-sized target sets
-    use the cell-partitioned spatial join with a radius-expanded cover
-    instead (stages/join.partitioned_spatial_join).
+    BroadcastKNN — filters pairs vectorized.  Every actor holds all targets
+    and a (chunk x targets) scratch matrix, so the target set must fit one
+    actor's memory; no partitioned radius join exists
+    (``join.partitioned_spatial_join`` takes no radius and does not expand
+    a cover by one).
     """
 
     def __init__(self, targets_ref, radius: float, id_col: str = "doc_id",

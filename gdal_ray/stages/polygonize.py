@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 
 from .focal import _tile_of
+from .relational import BUCKETS, bucket_groups
 
 DRIVER_MERGE_MAX_PAIRS = 1_000_000
 """Same-value seam pairs up to which ``_component_labels`` folds them in a
@@ -195,14 +196,14 @@ def trace_boundary(mask: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
-def _components_distributed(pairs, num_buckets: int = 64, max_iters: int = 64):
+def _components_distributed(pairs, max_iters: int = 64):
     """Distributed connected components over an (a, b) int64 equivalence-pair
     Dataset: returns (node, label) with label = the minimum key reachable.
 
     Vectorized min-label propagation (the ``dedup.dup_clusters`` plan with
     the per-key map_groups replaced by BUCKET-keyed vectorized joins): per
-    iteration ONE hash-bucket groupby joins each node's current label onto
-    its outgoing edges with np.searchsorted inside the bucket — no per-key
+    iteration ONE ``bucket_groups`` co-group joins each node's current label
+    onto its outgoing edges with np.searchsorted inside the bucket — no per-key
     Python — and ONE groupby(node).min folds the candidates.  Labels are
     non-increasing, so sum(label) strictly decreases until fixpoint; the
     driver reads one scalar per iteration and never holds the edge list
@@ -211,21 +212,20 @@ def _components_distributed(pairs, num_buckets: int = 64, max_iters: int = 64):
     tile-adjacency graph (long snaking components cost more rounds) —
     pointer doubling below cuts that to O(log diameter).
 
-    ``num_buckets`` is a CAP: the actual bucket count adapts to the edge
-    count (~1 bucket per 200k symmetric edges) so small graphs don't pay
-    64 all-to-all partitions of fixed Ray overhead per round; raise the
-    cap for graphs with more than ~13M equivalence edges.
+    The bucket count adapts to the edge count (~1 bucket per 200k
+    symmetric edges, at most ``relational.BUCKETS``) so small graphs don't
+    pay 64 groups and blocks of fixed Ray overhead per round.
     """
     from ray.data.aggregate import Min
 
     def sym(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"src": pa.array(np.concatenate([a, b])),
+        return pa.table({"node": pa.array(np.concatenate([a, b])),
                          "dst": pa.array(np.concatenate([b, a]))})
 
     edges = pairs.map_batches(sym, batch_format="pyarrow").materialize()
-    num_buckets = max(1, min(int(num_buckets), 1 + edges.count() // 200_000))
+    buckets = max(1, min(BUCKETS, 1 + edges.count() // 200_000))
 
     def snap(ds):
         """Truncate lineage: iterative reuse of a materialized Dataset keeps
@@ -238,51 +238,25 @@ def _components_distributed(pairs, num_buckets: int = 64, max_iters: int = 64):
 
     # init: label(node) = min(node, min direct neighbor) — one free hop
     def init_lab(t: pa.Table) -> pa.Table:
-        n = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+        n = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = t["_mn"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"node": pa.array(n), "label": pa.array(np.minimum(n, m))})
 
     labels = (
-        edges.groupby("src").aggregate(Min("dst", alias_name="_mn"))
+        edges.groupby("node").aggregate(Min("dst", alias_name="_mn"))
         .map_batches(init_lab, batch_format="pyarrow").materialize()
     )
 
-    def bucket_of(k: np.ndarray) -> np.ndarray:
-        return np.abs((k * np.int64(2654435761)) % np.int64(num_buckets))
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        k = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"_part": pa.array(bucket_of(k)), "_k": t["src"],
-                         "dst": t["dst"],
-                         "label": pa.nulls(t.num_rows, pa.int64())})
-
-    def tag_labels(t: pa.Table) -> pa.Table:
-        k = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"_part": pa.array(bucket_of(k)), "_k": t["node"],
-                         "dst": pa.nulls(t.num_rows, pa.int64()),
-                         "label": pa.compute.cast(t["label"], pa.int64())})
-
-    empty_cand = pa.table({"node": pa.array([], pa.int64()),
-                           "cand": pa.array([], pa.int64())})
-
-    def bucket_prop(g: pa.Table) -> pa.Table:
-        valid = pa.compute.is_valid(g["label"]).to_numpy(zero_copy_only=False)
-        if not valid.any():
-            return empty_cand
-        k = g["_k"].to_numpy(zero_copy_only=False).astype(np.int64)
-        labs = pa.compute.fill_null(g["label"], 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        dst = pa.compute.fill_null(g["dst"], 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        nodes = k[valid]
-        lab_v = labs[valid]
+    def bucket_prop(e: pa.Table, lab: pa.Table) -> pa.Table:
+        nodes = lab["node"].to_numpy(zero_copy_only=False)
         order = np.argsort(nodes, kind="stable")
-        nodes_s, lab_s = nodes[order], lab_v[order]
-        esrc = k[~valid]
-        edst = dst[~valid]
-        pos = np.searchsorted(nodes_s, esrc)  # every edge src has a label
+        nodes_s = nodes[order]
+        lab_s = lab["label"].to_numpy(zero_copy_only=False)[order]
+        # every edge src has a label row, in the same bucket
+        pos = np.searchsorted(nodes_s, e["node"].to_numpy(zero_copy_only=False))
         return pa.table({
-            "node": pa.array(np.concatenate([edst, nodes_s])),
+            "node": pa.array(np.concatenate(
+                [e["dst"].to_numpy(zero_copy_only=False), nodes_s])),
             "cand": pa.array(np.concatenate([lab_s[pos], lab_s])),
         })
 
@@ -290,14 +264,14 @@ def _components_distributed(pairs, num_buckets: int = 64, max_iters: int = 64):
         return pa.table({"key": pa.compute.cast(t["label"], pa.int64()),
                          "node": pa.compute.cast(t["node"], pa.int64())})
 
+    edge_schema = pa.schema([("node", pa.int64()), ("dst", pa.int64())])
+    label_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
     prev_sum = None
     converged = False
     for _ in range(max_iters):
-        unioned = edges.map_batches(tag_edges, batch_format="pyarrow").union(
-            labels.map_batches(tag_labels, batch_format="pyarrow"))
         labels = snap(
-            unioned.groupby("_part")
-            .map_groups(bucket_prop, batch_format="pyarrow")
+            bucket_groups([(edges, edge_schema), (labels, label_schema)],
+                          "node", bucket_prop, buckets)
             .groupby("node")
             .aggregate(Min("cand", alias_name="label"))
             .materialize()
@@ -316,8 +290,8 @@ def _components_distributed(pairs, num_buckets: int = 64, max_iters: int = 64):
         for _dbl in range(2):
             labels = snap(_attach_component(
                 labels.map_batches(as_comp, batch_format="pyarrow"), labels,
-                payload=[("node", pa.int64())], out_col="label",
-                num_buckets=num_buckets).repartition(num_buckets).materialize())
+                payload=[("node", pa.int64())], out_col="label"
+            ).repartition(buckets).materialize())
         s = labels.sum("label")
         if s == prev_sum:
             converged = True
@@ -337,61 +311,35 @@ _POLY_PAYLOAD = [("value", pa.float64()), ("n_pixels", pa.int64()),
                  ("maxx", pa.int64()), ("maxy", pa.int64())]
 
 
-def _attach_component(comps, labels, payload=None, num_buckets: int = 64,
+def _attach_component(comps, labels, payload=None,
                       out_col: str = "component"):
-    """Join (node -> label) onto per-(tile,label) component rows with the
-    same bucket-keyed vectorized pattern (keys absent from ``labels`` keep
-    their own key — fragments untouched by any cross-tile pair).
-    ``payload`` = [(name, pa type)] of the columns to carry besides ``key``;
-    output replaces ``key`` with ``out_col``."""
+    """Join (node -> label) onto per-(tile,label) component rows with one
+    ``bucket_groups`` co-group and a vectorized searchsorted per bucket
+    (keys absent from ``labels`` keep their own key — fragments untouched
+    by any cross-tile pair).  ``payload`` = [(name, pa type)] of the columns
+    to carry besides ``key``; output replaces ``key`` with ``out_col``."""
     PAYLOAD = payload if payload is not None else _POLY_PAYLOAD
 
-    def bucket_of(k: np.ndarray) -> np.ndarray:
-        return np.abs((k * np.int64(2654435761)) % np.int64(num_buckets))
-
-    def tag_comps(t: pa.Table) -> pa.Table:
-        k = t["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {"_part": pa.array(bucket_of(k)), "_k": t["key"],
-                "_lab": pa.nulls(t.num_rows, pa.int64())}
-        for c, ty in PAYLOAD:
-            cols[c] = pa.compute.cast(t[c], ty)
-        return pa.table(cols)
-
-    def tag_labels(t: pa.Table) -> pa.Table:
-        k = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {"_part": pa.array(bucket_of(k)), "_k": t["node"],
-                "_lab": pa.compute.cast(t["label"], pa.int64())}
-        for c, ty in PAYLOAD:
-            cols[c] = pa.nulls(t.num_rows, ty)
-        return pa.table(cols)
-
-    def bucket_join(g: pa.Table) -> pa.Table:
-        isl = pa.compute.is_valid(g["_lab"]).to_numpy(zero_copy_only=False)
-        k = g["_k"].to_numpy(zero_copy_only=False).astype(np.int64)
-        crow = np.flatnonzero(~isl)
-        comp_k = k[crow]
-        if isl.any():
-            labs = pa.compute.fill_null(g["_lab"], 0).to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            nodes = k[isl]
-            lab_v = labs[isl]
+    def bucket_join(comp: pa.Table, lab: pa.Table) -> pa.Table:
+        comp_k = comp["key"].to_numpy(zero_copy_only=False)
+        root = comp_k
+        if lab.num_rows:
+            nodes = lab["key"].to_numpy(zero_copy_only=False)
             order = np.argsort(nodes, kind="stable")
-            nodes_s, lab_s = nodes[order], lab_v[order]
-            pos = np.searchsorted(nodes_s, comp_k)
-            pos_c = np.minimum(pos, len(nodes_s) - 1)
-            hit = nodes_s[pos_c] == comp_k
-            root = np.where(hit, lab_s[pos_c], comp_k)
-        else:
-            root = comp_k
-        take = pa.array(crow)
+            nodes_s = nodes[order]
+            lab_s = lab["label"].to_numpy(zero_copy_only=False)[order]
+            pos = np.minimum(np.searchsorted(nodes_s, comp_k), len(nodes_s) - 1)
+            root = np.where(nodes_s[pos] == comp_k, lab_s[pos], comp_k)
         cols = {out_col: pa.array(root)}
         for c, _ty in PAYLOAD:
-            cols[c] = g[c].take(take)
+            cols[c] = comp[c]
         return pa.table(cols)
 
-    unioned = comps.map_batches(tag_comps, batch_format="pyarrow").union(
-        labels.map_batches(tag_labels, batch_format="pyarrow"))
-    return unioned.groupby("_part").map_groups(bucket_join, batch_format="pyarrow")
+    return bucket_groups(
+        [(comps, pa.schema([("key", pa.int64())] + list(PAYLOAD))),
+         (labels.rename_columns({"node": "key"}),
+          pa.schema([("key", pa.int64()), ("label", pa.int64())]))],
+        "key", bucket_join)
 
 
 def _ckey(tx: int, ty: int, lbl: int) -> int:

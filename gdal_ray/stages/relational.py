@@ -9,7 +9,9 @@ Scale pattern: every keyed aggregate here is **pre-aggregated** — partials are
 computed per batch with ``pyarrow.TableGroupBy`` inside ``map_batches`` (the
 combiner), and only the tiny per-key partials go through the all-to-all
 ``groupby``.  At 100 TB this turns the shuffle from O(rows) into
-O(keys x blocks).
+O(keys x blocks).  Operators that must see all rows of a key at once (window
+ranks, semi/anti and set joins, dedup runs, label merges) share one keyed
+shuffle, ``bucket_groups``.
 
 Numeric policy: aggregate outputs that feed the correctness oracle use exact
 scaled-integer semantics (money in cents, ratios as scaled ints) so results
@@ -197,6 +199,73 @@ def hash_join_broadcast_left(ds, small: pa.Table, key: str, small_key: str,
                           concurrency=concurrency or default_concurrency())
 
 
+BUCKETS = 64
+
+
+def bucket_of(keys, buckets: int = BUCKETS) -> np.ndarray:
+    """Hash bucket in [0, buckets) of an array of int64-castable keys.
+
+    Fibonacci hashing (Knuth, TAOCP §6.4): the high 32 bits of the 64-bit
+    product k * 2^64/phi, so every key bit reaches the bucket.  The low bits
+    of a product depend on the key's low bits only — multiples of 64 would
+    all share one bucket."""
+    k = np.asarray(keys).astype(np.int64).view(np.uint64)
+    h = (k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)
+    return (h % np.uint64(buckets)).astype(np.int64)
+
+
+def bucket_groups(sides, key, per_bucket, buckets: int = BUCKETS):
+    """The keyed shuffle behind every hash-partitioned operator: tag rows
+    with ``bucket_of(key)``, ``groupby`` the bucket, and call ``per_bucket``
+    once per non-empty bucket, which resolves all of its keys in one
+    vectorized pass.  Equal keys meet in one bucket; which other keys share
+    it, and the order of rows and buckets, are unspecified.
+
+    ``sides`` is one Dataset, and ``per_bucket(table)`` gets the bucket's
+    rows in the Dataset's own columns; or a list of ``(Dataset, pa.Schema)``
+    co-group sides, and ``per_bucket(*tables)`` gets one table per side: that
+    side's rows in the bucket, projected and cast to its schema (a side with
+    no rows there arrives as a zero-row table of its schema).  Sides share a
+    column by name, the key column among them; the columns a side lacks
+    ride the shuffle as typed nulls.  ``key`` is the key column's name or a
+    function of a batch returning the keys."""
+    def part(t: pa.Table) -> pa.Array:
+        keys = key(t) if callable(key) else t[key].to_numpy(zero_copy_only=False)
+        return pa.array(bucket_of(keys, buckets))
+
+    if not isinstance(sides, list):
+        def tag(t: pa.Table) -> pa.Table:
+            return t.append_column("_part", part(t))
+
+        return sides.map_batches(tag, batch_format="pyarrow").groupby(
+            "_part").map_groups(lambda g: per_bucket(g.drop_columns(["_part"])),
+                                batch_format="pyarrow")
+
+    schemas = [schema for _, schema in sides]
+    union = pa.unify_schemas(schemas, promote_options="permissive")
+
+    def tagger(i: int):
+        def tag(t: pa.Table) -> pa.Table:
+            t = t.select(schemas[i].names).cast(schemas[i])
+            cols = [t[f.name].cast(f.type) if f.name in t.column_names
+                    else pa.nulls(t.num_rows, f.type) for f in union]
+            return pa.Table.from_arrays(
+                cols + [part(t), pa.array(np.full(t.num_rows, i, np.int8))],
+                names=union.names + ["_part", "_side"])
+        return tag
+
+    def split(g: pa.Table) -> pa.Table:
+        side = g["_side"].to_numpy(zero_copy_only=False)
+        return per_bucket(*[
+            g.filter(pa.array(side == i)).select(s.names).cast(s)
+            for i, s in enumerate(schemas)])
+
+    tagged = [ds.map_batches(tagger(i), batch_format="pyarrow")
+              for i, (ds, _) in enumerate(sides)]
+    return tagged[0].union(*tagged[1:]).groupby("_part").map_groups(
+        split, batch_format="pyarrow")
+
+
 def _topn_mask(key: np.ndarray, order_val: np.ndarray, tie: np.ndarray, n: int):
     """Sort rows (key asc, order_val desc, tie asc) and return (sort_order,
     within-key rank 0-based).  All inputs numeric numpy arrays."""
@@ -210,8 +279,7 @@ def _topn_mask(key: np.ndarray, order_val: np.ndarray, tie: np.ndarray, n: int):
     return order, within
 
 
-def group_top_n(ds, key_col: str, order_col: str, n: int, tie_col: str,
-                num_partitions: int = 64):
+def group_top_n(ds, key_col: str, order_col: str, n: int, tie_col: str):
     """ROW_NUMBER() OVER (PARTITION BY key ORDER BY order_col DESC, tie_col)
     <= n, i.e. distributed per-group top-N with rank (the OGR SQL dialect has
     no window functions; the SQLite dialect the reference exposes does —
@@ -219,39 +287,30 @@ def group_top_n(ds, key_col: str, order_col: str, n: int, tie_col: str,
 
     Scale shape: a per-batch COMBINER keeps at most n rows per key locally, so
     the shuffle moves O(n x keys x blocks) candidate rows, not O(rows); the
-    final pass is ONE hash-partition shuffle on the key with each partition
+    final pass is ONE ``bucket_groups`` shuffle on the key with each bucket
     ranking all of its keys in a single vectorized lexsort (no per-key Python
     callback).  Requires numeric key/order/tie columns.
     """
 
+    def columns(t: pa.Table):
+        return (t[key_col].to_numpy(zero_copy_only=False).astype(np.int64),
+                t[order_col].to_numpy(zero_copy_only=False).astype(np.float64),
+                t[tie_col].to_numpy(zero_copy_only=False).astype(np.int64))
+
     def local_prune(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("_part", pa.array([], pa.int64()))
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[order_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        t = batch[tie_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        order, within = _topn_mask(k, v, t, n)
+        order, within = _topn_mask(*columns(batch), n)
         keep = order[within < n]
         keep.sort()  # preserve input order for stability
-        out = batch.take(pa.array(keep))
-        kk = k[keep]
-        part = np.abs((kk * np.int64(2654435761)) % np.int64(num_partitions))
-        return out.append_column("_part", pa.array(part))
+        return batch.take(pa.array(keep))
 
-    def per_part(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_part"])
-        if g.num_rows == 0:
-            return g.append_column("rn", pa.array([], pa.int64()))
-        k = g[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = g[order_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        t = g[tie_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        order, within = _topn_mask(k, v, t, n)
+    def per_bucket(g: pa.Table) -> pa.Table:
+        order, within = _topn_mask(*columns(g), n)
         keep = within < n
         out = g.take(pa.array(order[keep]))
         return out.append_column("rn", pa.array(within[keep] + 1))
 
     pruned = ds.map_batches(local_prune, batch_format="pyarrow")
-    return pruned.groupby("_part").map_groups(per_part, batch_format="pyarrow")
+    return bucket_groups(pruned, key_col, per_bucket)
 
 
 def global_prefix_sum(ds, order_col: str, value_col: str, bucket_size: int,
@@ -319,114 +378,71 @@ def global_prefix_sum(ds, order_col: str, value_col: str, bucket_size: int,
 
 
 def semi_anti_join_partitioned(probe, build, key: str, build_key: str | None = None,
-                               anti: bool = False, num_partitions: int = 64):
+                               anti: bool = False):
     """Distributed semi / anti equi-join (OGR SQL ``WHERE [NOT] EXISTS`` /
     ``IN (subquery)`` shape, reference ``ogr/ogrsf_frmts/generic`` SQL
     dialect via SWQ expressions): emit probe rows whose key does (semi) or
     does not (anti) appear in the build side.
 
-    Scale shape: NO broadcast — both sides hash-partition on the key (the
-    build side can be corpus-sized), ONE shuffle, and each partition resolves
-    membership with a single vectorized ``np.isin`` over all its keys —
-    one Python call per partition, not per key (the session-windows plan).
+    Scale shape: NO broadcast — both sides co-group on the key in ONE
+    ``bucket_groups`` shuffle (the build side can be corpus-sized), and each
+    bucket resolves membership with a single vectorized ``np.isin`` over all
+    its keys — one Python call per bucket, not per key.
     """
-    build_key = build_key or key
+    build_keys = build.select_columns([build_key or key]).rename_columns([key])
 
-    def tag_probe(t: pa.Table) -> pa.Table:
-        k = t[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (k * np.int64(2654435761)) % np.int64(num_partitions)
-        return t.append_column("_part", pa.array(np.abs(part))) \
-                .append_column("_side", pa.array(np.zeros(t.num_rows, np.int8)))
+    def resolve(p: pa.Table, b: pa.Table) -> pa.Table:
+        member = np.isin(p[key].to_numpy(zero_copy_only=False).astype(np.int64),
+                         b[key].to_numpy(zero_copy_only=False))
+        return p.filter(pa.array(~member if anti else member))
 
-    probe_schema = None
-
-    def tag_build(t: pa.Table) -> pa.Table:
-        k = pa.compute.cast(t[build_key], pa.int64())
-        kn = k.to_numpy(zero_copy_only=False)
-        part = (kn * np.int64(2654435761)) % np.int64(num_partitions)
-        cols = {key: k}
-        for name in probe_schema:
-            if name != key:
-                cols[name] = pa.nulls(t.num_rows, probe_schema[name])
-        out = pa.table(cols).select(list(probe_schema.keys()))
-        return out.append_column("_part", pa.array(np.abs(part))) \
-                  .append_column("_side", pa.array(np.ones(t.num_rows, np.int8)))
-
-    probe_schema = {f.name: f.type for f in probe.schema().base_schema}
-
-    def resolve(g: pa.Table) -> pa.Table:
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        k = g[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        bkeys = np.unique(k[side == 1])
-        prow = np.flatnonzero(side == 0)
-        member = np.isin(k[prow], bkeys)
-        keep = prow[~member if anti else member]
-        return g.take(pa.array(keep)).drop_columns(["_part", "_side"])
-
-    return probe.map_batches(tag_probe, batch_format="pyarrow").union(
-        build.map_batches(tag_build, batch_format="pyarrow")
-    ).groupby("_part").map_groups(resolve, batch_format="pyarrow")
+    return bucket_groups(
+        [(probe, probe.schema().base_schema),
+         (build_keys, pa.schema([(key, pa.int64())]))], key, resolve)
 
 
-def set_op(a_ds, b_ds, col: str, op: str, num_partitions: int = 64):
+def set_op(a_ds, b_ds, col: str, op: str):
     """SQL INTERSECT / EXCEPT (DISTINCT set semantics) over one projected
     column (reference surface: OGR SQL set queries via the SQLite dialect,
     ``ogr/ogrsf_frmts/sqlite``).
 
     Scale shape: each side reduces to its per-batch UNIQUE values first (the
     combiner — shuffle volume is O(distinct x blocks), not O(rows)), then ONE
-    hash-partition shuffle; each partition resolves presence with two
+    ``bucket_groups`` shuffle; each bucket resolves presence with two
     vectorized ``np.isin`` calls.  ``op``: 'intersect' | 'except'.
     """
     if op not in ("intersect", "except"):
         raise ValueError(f"op must be intersect|except, got {op!r}")
 
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            k = np.unique(t[col].to_numpy(zero_copy_only=False).astype(np.int64))
-            part = np.abs((k * np.int64(2654435761)) % np.int64(num_partitions))
-            return pa.table({
-                col: pa.array(k),
-                "_part": pa.array(part),
-                "_side": pa.array(np.full(k.size, side, np.int8)),
-            })
-        return fn
+    def distinct(t: pa.Table) -> pa.Table:
+        k = np.unique(t[col].to_numpy(zero_copy_only=False).astype(np.int64))
+        return pa.table({col: pa.array(k)})
 
-    def resolve(g: pa.Table) -> pa.Table:
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        k = g[col].to_numpy(zero_copy_only=False)
-        a = np.unique(k[side == 0])
-        b = np.unique(k[side == 1])
-        keep = a[np.isin(a, b)] if op == "intersect" else a[~np.isin(a, b)]
-        return pa.table({col: pa.array(keep)})
+    def resolve(a: pa.Table, b: pa.Table) -> pa.Table:
+        a = np.unique(a[col].to_numpy(zero_copy_only=False))
+        hit = np.isin(a, b[col].to_numpy(zero_copy_only=False))
+        return pa.table({col: pa.array(a[hit if op == "intersect" else ~hit])})
 
-    return a_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        b_ds.map_batches(tag(1), batch_format="pyarrow")
-    ).groupby("_part").map_groups(resolve, batch_format="pyarrow")
+    schema = pa.schema([(col, pa.int64())])
+    return bucket_groups(
+        [(a_ds.map_batches(distinct, batch_format="pyarrow"), schema),
+         (b_ds.map_batches(distinct, batch_format="pyarrow"), schema)],
+        col, resolve)
 
 
 def group_rank(ds, key_col: str, order_col: str, tie_col: str,
-               descending: bool = True, num_partitions: int = 64):
+               descending: bool = True):
     """RANK() and DENSE_RANK() OVER (PARTITION BY key ORDER BY order_col
     [DESC]) — full-group window ranks (SQLite-dialect window surface).
 
-    ONE hash-partition shuffle on the key, then each partition ranks ALL its
+    ONE ``bucket_groups`` shuffle on the key, then each bucket ranks ALL its
     keys in a single vectorized lexsort + run-length scan (the group_top_n /
     session-windows plan: no per-key Python callback).  ``tie_col`` breaks
     nothing — RANK ties share a rank — it only pins the OUTPUT ordering so
     results are deterministic.  Numeric columns required.
     """
 
-    def tag(t: pa.Table) -> pa.Table:
-        k = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = np.abs((k * np.int64(2654435761)) % np.int64(num_partitions))
-        return t.append_column("_part", pa.array(part))
-
-    def per_part(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_part"])
-        if g.num_rows == 0:
-            return g.append_column("rnk", pa.array([], pa.int64())) \
-                    .append_column("drnk", pa.array([], pa.int64()))
+    def per_bucket(g: pa.Table) -> pa.Table:
         k = g[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = g[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
         t = g[tie_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -451,8 +467,7 @@ def group_rank(ds, key_col: str, order_col: str, tie_col: str,
         return out.append_column("rnk", pa.array(rnk)) \
                   .append_column("drnk", pa.array(drnk))
 
-    return ds.map_batches(tag, batch_format="pyarrow").groupby(
-        "_part").map_groups(per_part, batch_format="pyarrow")
+    return bucket_groups(ds, key_col, per_bucket)
 
 
 def union_layers(layers: dict):

@@ -18,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ..state.resources import default_concurrency as _default_concurrency
+from .relational import bucket_groups
 
 _TOKEN_RE = re.compile(r"[^ ]+")
 _PUNCT_RE = re.compile(r"[.,!?;:]")
@@ -1043,7 +1044,7 @@ def char_entropy_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 def filter_cascade(ds, id_col: str = "doc_id", text_col: str = "text",
                    lang_col: str = "lang", min_tokens: int = 5,
-                   keep_lang: str = "en", num_partitions: int = 64):
+                   keep_lang: str = "en"):
     """FineWeb/C4-style filter cascade composed end-to-end: per doc a keep
     decision with the FIRST matching drop reason —
 
@@ -1051,9 +1052,9 @@ def filter_cascade(ds, id_col: str = "doc_id", text_col: str = "text",
         ->  'dup' (another doc with the same 64-bit content fingerprint and
         a smaller id exists)  ->  '' (keep).
 
-    Dedup flags come from ONE hash shuffle on the fingerprint with a single
-    vectorized run-length pass per partition (first-of-run wins); the
-    fingerprint (not the full digest) is the key on BOTH engine and oracle,
+    Dedup flags come from ONE ``bucket_groups`` shuffle on the fingerprint
+    with a single vectorized run-length pass per bucket (first-of-run
+    wins); the fingerprint (not the full digest) is the key on BOTH engine and oracle,
     so collision behavior is identical at any scale.  Output: (doc_id,
     reason, keep).
     """
@@ -1061,24 +1062,15 @@ def filter_cascade(ds, id_col: str = "doc_id", text_col: str = "text",
         t2 = fingerprint_batch(t, text_col)
         ntok = pc.cast(pc.count_substring_regex(
             pc.fill_null(t[text_col], ""), pattern="[^ ]+"), pa.int64())
-        fp = t2["fingerprint"].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = np.abs((fp * np.int64(2654435761)) % np.int64(num_partitions))
         return pa.table({
             id_col: pc.cast(t[id_col], pa.int64()),
-            "fp": pa.array(fp),
+            "fp": t2["fingerprint"],
             "ntok": ntok,
             "lang_ok": pc.equal(pc.fill_null(t[lang_col], ""), keep_lang),
-            "_part": pa.array(part),
         })
-
-    empty = pa.table({id_col: pa.array([], pa.int64()),
-                      "reason": pa.array([], pa.string()),
-                      "keep": pa.array([], pa.bool_())})
 
     def resolve(g: pa.Table) -> pa.Table:
         n = g.num_rows
-        if n == 0:
-            return empty
         fp = g["fp"].to_numpy(zero_copy_only=False)
         ids = g[id_col].to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, fp))
@@ -1100,8 +1092,8 @@ def filter_cascade(ds, id_col: str = "doc_id", text_col: str = "text",
             "keep": pa.array(reason == ""),
         })
 
-    return ds.map_batches(flags, batch_format="pyarrow") \
-             .groupby("_part").map_groups(resolve, batch_format="pyarrow")
+    return bucket_groups(ds.map_batches(flags, batch_format="pyarrow"), "fp",
+                         resolve)
 
 
 def weighted_sample_keys(batch: pa.Table, id_col: str = "doc_id",

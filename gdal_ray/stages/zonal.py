@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .join import broadcast_spatial_join
-from .relational import partial_aggregate
+from .relational import bucket_groups, partial_aggregate
 
 
 def zonal_stats(
@@ -189,17 +189,17 @@ def zonal_value_modes(
     id_col: str = "doc_id",
     predicate: str = "intersects",
     concurrency: int | tuple = 4,
-    num_partitions: int = 64,
 ):
     """Per-zone MAJORITY / MINORITY value (stat names ``alg/zonal.cpp:661-701``):
     the most / least frequent value in the zone; ties resolve to the SMALLEST
     value (mirrors SQL ``row_number() OVER (... ORDER BY cnt DESC|ASC, v ASC)``).
 
     Scale shape: join pairs -> two-phase (zone, value) count (the per-batch
-    combiner shrinks the shuffle to unique pairs per block) -> ONE hash
-    shuffle of the already-global counts -> a single vectorized lexsort per
-    partition resolves both extremes for every zone in it.  No per-key Python
-    callback; the shuffle moves O(zones x distinct values) rows, not O(rows).
+    combiner shrinks the shuffle to unique pairs per block) -> ONE
+    ``bucket_groups`` shuffle of the already-global counts -> a single
+    vectorized lexsort per bucket resolves both extremes for every zone in
+    it.  No per-key Python callback; the shuffle moves O(zones x distinct
+    values) rows, not O(rows).
     """
     pairs = broadcast_spatial_join(
         points_ds,
@@ -212,21 +212,7 @@ def zonal_value_modes(
     )
     counts = partial_aggregate(pairs, ["zone_idx", value_col], count_alias="cnt")
 
-    def tag(t: pa.Table) -> pa.Table:
-        k = t["zone_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = np.abs((k * np.int64(2654435761)) % np.int64(num_partitions))
-        return t.append_column("_part", pa.array(part))
-
-    def per_part(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["_part"])
-        if g.num_rows == 0:
-            return pa.table(
-                {
-                    "zone_idx": pa.array([], pa.int32()),
-                    "majority_val": pa.array([], pa.int64()),
-                    "minority_val": pa.array([], pa.int64()),
-                }
-            )
+    def per_bucket(g: pa.Table) -> pa.Table:
         k = g["zone_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
         v = g[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         c = g["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -243,11 +229,7 @@ def zonal_value_modes(
             }
         )
 
-    modes = (
-        counts.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_part, batch_format="pyarrow")
-    )
+    modes = bucket_groups(counts, "zone_idx", per_bucket)
     zone_ids = zones["zone_id"].combine_chunks()
 
     def resolve(t: pa.Table) -> pa.Table:

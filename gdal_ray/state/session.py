@@ -2,8 +2,10 @@
 
 ``bench.py``, ``scripts/run_job.py`` and ``scripts/check_correctness.py``
 start (or join) their session through ``init_ray``: a local node with no
-dashboard and Ray logging at ERROR, Ray Data progress bars off, and two
-known-cosmetic Ray Data driver warnings kept out of the log.
+dashboard and Ray logging at ERROR, Ray Data progress bars off, Ray Data
+logging at WARNING (no per-Dataset "Starting execution" / "Execution plan"
+INFO lines), and two known-cosmetic Ray Data driver warnings kept out of
+the log.
 """
 from __future__ import annotations
 
@@ -27,7 +29,9 @@ def init_ray(num_cpus: int | None = None, object_store_memory: int | None = None
     """Start a local Ray session with ``num_cpus`` CPUs unless one is
     already running, then set up Ray Data's progress bars and log filter.
     With ``num_cpus`` None no session is started here: Ray Data starts or
-    joins one (``RAY_ADDRESS``, as under ``ray job submit``) on first use."""
+    joins one (``RAY_ADDRESS``, as under ``ray job submit``) on first use.
+    ``logging_level`` in ``ray.init`` sets Ray core's level only; Ray Data
+    logs through its own ``ray.data`` logger, set to WARNING here."""
     import ray
     import ray.data as rd
 
@@ -35,5 +39,6 @@ def init_ray(num_cpus: int | None = None, object_store_memory: int | None = None
         ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
                  logging_level="ERROR", object_store_memory=object_store_memory)
     rd.DataContext.get_current().enable_progress_bars = False
+    logging.getLogger("ray.data").setLevel(logging.WARNING)
     for name in ("ray.data", "ray.data._internal.execution.streaming_executor_state"):
         logging.getLogger(name).addFilter(_known_ray_noise)

@@ -32,3 +32,26 @@ def test_known_ray_noise_drops_only_the_two_warnings():
     assert not session._known_ray_noise(_record(
         "Failed to hash the schemas (for deduplication)"))
     assert session._known_ray_noise(_record("Operator Sort failed"))
+
+
+def test_init_ray_silences_ray_data_info(ray_session):
+    """Ray Data's per-Dataset INFO lines ("Starting execution of Dataset",
+    "Execution plan of Dataset", ...) stay out of the log."""
+    log = logging.getLogger("ray.data")
+    log.setLevel(logging.INFO)
+    seen = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            if record.levelno < logging.WARNING:
+                seen.append(record.getMessage())
+
+    handler = Collect(level=logging.DEBUG)
+    log.addHandler(handler)
+    try:
+        session.init_ray(None)
+        rd.range(4).materialize()
+    finally:
+        log.removeHandler(handler)
+    assert log.level == logging.WARNING
+    assert seen == []
