@@ -27,10 +27,27 @@ import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# object store share of MemTotal: Ray Data's resource manager asks for at
+# least half the memory (fewer spills at high CPU counts)
+OBJECT_STORE_FRACTION = 0.5
 # default 6400 => 32M docs at sf0.1 — the SAME scale as BASELINE.md's
 # reference measurements, so the per-round BENCH ratio is apples-to-apples
 REPLICATE = int(os.environ.get("GRAFT_BENCH_REPLICATE", "6400"))
 KEY_STRIDE = 10_000_000
+
+
+def mem_total_bytes() -> int:
+    with open("/proc/meminfo") as f:
+        kb = next(line.split()[1] for line in f if line.startswith("MemTotal:"))
+    return int(kb) * 1024
+
+
+def ray_settings(num_cpus: int, mem_total: int) -> dict:
+    """Ray session and pool sizes from the host: the object store is
+    ``OBJECT_STORE_FRACTION`` of MemTotal, and the join's actor pool takes
+    half the CPUs (the rest read and tile-assign), with a floor of 1."""
+    return {"object_store_memory": int(mem_total * OBJECT_STORE_FRACTION),
+            "concurrency": max(1, num_cpus // 2)}
 
 
 def _replicated_docs_path() -> str:
@@ -100,9 +117,8 @@ def run_bench() -> dict:
     from gdal_ray.state.session import init_ray
 
     os.environ.setdefault("RAY_DATA_LOGGING_CONFIG", _ray_data_logging_yaml())
-    # >= 50% of free memory, as the resource-manager warning recommends
-    # (defaults to ~43% here); big object store = fewer spills at 32 CPUs
-    init_ray(num_cpus=NUM_CPUS, object_store_memory=48 * 1024 ** 3)
+    sizes = ray_settings(NUM_CPUS, mem_total_bytes())
+    init_ray(num_cpus=NUM_CPUS, object_store_memory=sizes["object_store_memory"])
     import numpy as np
     import pyarrow.parquet as pq_mod
     import ray.data as rd
@@ -125,7 +141,7 @@ def run_bench() -> dict:
     # worker-process allocator pools (workers are reused across executions, so
     # the timed run below measures steady-state compute, not first-touch page
     # faults / actor spin-up)
-    conc = int(os.environ.get("GRAFT_BENCH_CONC", str(max(2, NUM_CPUS // 2))))
+    conc = int(os.environ.get("GRAFT_BENCH_CONC", str(sizes["concurrency"])))
     warm_files = sorted(
         os.path.join(docs_path, f) for f in os.listdir(docs_path) if f.endswith(".parquet")
     )[: max(2, conc)]

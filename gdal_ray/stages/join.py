@@ -10,7 +10,13 @@ envelope reject + prepared-geometry pretest, reference ``ogrlayer.cpp:5385``,
    over-fetch and ~25 CSR entries per median zone, + flat polygon edge CSR)
    in ``__init__`` and streams point batches through it with zero shuffle.
    This is the 100 TB-friendly plan whenever the polygon side fits worker
-   memory (millions of zones).
+   memory (millions of zones).  With ``zonal_reduce_col`` the actor folds
+   each batch's matches into per-zone count/sum/min/max accumulators by
+   scatter ufuncs, as GDAL's zonal pass does (``alg/zonal.cpp:201-208``),
+   and ships four fixed-length vectors instead of the pairs.  Once its state
+   is built the actor keeps its freed heap pages
+   (:func:`gdal_ray.keep_heap_warm`), so a batch's temporaries reuse the
+   previous batch's warm pages instead of faulting in fresh ones.
 
 2. **Partitioned join** (both sides large): both sides are flat-mapped to
    grid-cell keys (zones duplicated over their bbox cover, points to their
@@ -34,6 +40,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from .. import keep_heap_warm
 from ..functions import geo, pip, wkb
 
 
@@ -68,7 +75,8 @@ class _ZoneIndex:
     CELL_DIVISOR = 4  # grid cells per median zone side
 
     def __init__(self, zones: pa.Table):
-        self.zone_id = zones["zone_id"].to_pylist()
+        # one string array: emission gathers it with ``take(zidx)``
+        self.zone_id = zones["zone_id"].combine_chunks().cast(pa.string())
         if "zone_key" in zones.column_names:
             self.zone_key = zones["zone_key"].to_numpy(zero_copy_only=False)
         else:
@@ -194,7 +202,9 @@ class BroadcastPointJoin:
 
     State (zone table fetch + WKB decode + grid and edge CSR build) happens
     ONCE per actor in ``__init__`` (the PROJ-TLS-context pattern,
-    ``ogr/ogr_proj_p.cpp:268``); ``__call__`` is pure vectorized probing.
+    ``ogr/ogr_proj_p.cpp:268``), which ends by switching the process to
+    keep its freed heap (:func:`gdal_ray.keep_heap_warm`); ``__call__`` is
+    pure vectorized probing.
     """
 
     def __init__(
@@ -225,6 +235,7 @@ class BroadcastPointJoin:
         self.lon_col = lon_col
         self.lat_col = lat_col
         self.emit_cols = emit_cols
+        keep_heap_warm()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         px = batch[self.lon_col].to_numpy(zero_copy_only=False)
@@ -245,41 +256,30 @@ class BroadcastPointJoin:
             # shuffles; resolve to zone_id at the consumer
             out["zone_idx"] = pa.array(zidx.astype(np.int32))
         else:
-            out["zone_id"] = pa.array([self.index.zone_id[i] for i in zidx], type=pa.string())
+            out["zone_id"] = self.index.zone_id.take(zidx)
         for c in self.emit_cols:
             out[c] = batch[c].take(pa.array(rows))
         return pa.table(out)
 
-    @staticmethod
-    def _check_packable(num_rows: int):
-        """The reduce packs a row index into the low 32 bits of its sort key."""
-        if num_rows >= 2**32:
-            raise ValueError(f"zonal reduce: batch of {num_rows} rows needs < 2**32")
-
     def _zonal_reduce(self, batch: pa.Table, rows: np.ndarray, zidx: np.ndarray) -> pa.Table:
-        """Per-zone count/sum/min/max of the batch's matches by one sort of
-        the packed key (zone << 32) | row: zone runs come from the sorted key
-        and the values are gathered by its row half.  The key holds row
-        indices, not values, so it is exact for any int64 value column."""
-        self._check_packable(batch.num_rows)
+        """Per-zone count/sum/min/max of the batch's matches, scattered in
+        one pass into flat per-zone accumulators (GDAL's zonal pass,
+        alg/zonal.cpp:201-208; Raptor's per-polygon accumulators): no sort
+        of the (zone, row) pairs.  Sums are integer-exact int64 and wrap on
+        overflow, as ``np.add.at`` does; float64 weights would lose
+        exactness above 2^53.  ``ufunc.at`` has a fast path from numpy
+        1.25.  Unhit zones keep count 0 and the int64 max/min sentinels."""
         n_zones = len(self.index.zone_id)
-        key = np.sort((zidx.astype(np.int64) << 32) | rows)
-        cnt = np.zeros(n_zones, dtype=np.int64)
+        cnt = np.bincount(zidx, minlength=n_zones).astype(np.int64, copy=False)
         sm = np.zeros(n_zones, dtype=np.int64)
         mn = np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64)
         mx = np.full(n_zones, np.iinfo(np.int64).min, dtype=np.int64)
-        if key.size:
+        if zidx.size:
             col = batch[self.zonal_reduce_col].to_numpy(zero_copy_only=False)
-            v = col[key & 0xFFFFFFFF].astype(np.int64)
-            zs = key >> 32
-            starts = np.flatnonzero(np.r_[True, zs[1:] != zs[:-1]])
-            hit = zs[starts]
-            cnt[hit] = np.diff(np.r_[starts, key.size])
-            # integer-exact int64 sums (wrapping like np.add.at); float64
-            # weights would lose exactness above 2^53
-            sm[hit] = np.add.reduceat(v, starts)
-            mn[hit] = np.minimum.reduceat(v, starts)
-            mx[hit] = np.maximum.reduceat(v, starts)
+            v = col[rows].astype(np.int64)
+            np.add.at(sm, zidx, v)
+            np.minimum.at(mn, zidx, v)
+            np.maximum.at(mx, zidx, v)
         return pa.table(
             {
                 "cnt": pa.array([cnt.tobytes()], pa.binary()),
@@ -442,7 +442,7 @@ def partitioned_spatial_join(
         return pa.table(
             {
                 "doc_id": pts["doc_id"].take(pa.array(rows)),
-                "zone_id": pa.array([index.zone_id[i] for i in zidx], type=pa.string()),
+                "zone_id": index.zone_id.take(zidx),
             }
         )
 

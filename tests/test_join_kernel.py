@@ -1,5 +1,5 @@
 """Pair-batched edge-CSR point-in-polygon kernel (``pip.points_in_edges``),
-the batched segment-crossing predicates and the single-sort zonal reduce,
+the batched segment-crossing predicates and the scatter zonal reduce,
 pinned to the per-zone / per-edge / scatter loops they replace; the grid's
 sizing rule checked on the rectangle zone layer.
 
@@ -349,7 +349,7 @@ def test_points_as_zero_length_segments():
     assert pip.geom_intersects(mp, pt(6.0, 2.0)) and not pip.geom_intersects(mp, pt(0.0, 9.0))
 
 
-# --- single-sort zonal reduce and grid sizing -------------------------------
+# --- zonal reduce (scatter and sort oracles) and grid sizing ---------------
 
 I64 = np.iinfo(np.int64)
 
@@ -363,6 +363,25 @@ def _scatter_reduce(col, rows, zidx, n_zones):
     np.add.at(sm, zidx, v)
     np.minimum.at(mn, zidx, v)
     np.maximum.at(mx, zidx, v)
+    return [cnt, sm, mn, mx]
+
+
+def _sort_reduce(col, rows, zidx, n_zones):
+    """The reduce by one sort of the packed key ``(zone << 32) | row`` and
+    ``reduceat`` over the zone runs: an oracle of ``_zonal_reduce`` that
+    shares no scatter step with it (rows here stay below 2**32)."""
+    key = np.sort((zidx.astype(np.int64) << 32) | rows)
+    cnt, sm = np.zeros(n_zones, np.int64), np.zeros(n_zones, np.int64)
+    mn, mx = np.full(n_zones, I64.max), np.full(n_zones, I64.min)
+    if key.size:
+        v = col[key & 0xFFFFFFFF].astype(np.int64)
+        zs = key >> 32
+        starts = np.flatnonzero(np.r_[True, zs[1:] != zs[:-1]])
+        hit = zs[starts]
+        cnt[hit] = np.diff(np.r_[starts, key.size])
+        sm[hit] = np.add.reduceat(v, starts)
+        mn[hit] = np.minimum.reduceat(v, starts)
+        mx[hit] = np.maximum.reduceat(v, starts)
     return [cnt, sm, mn, mx]
 
 
@@ -399,19 +418,34 @@ def test_zonal_reduce_matches_scatter_oracle(case):
     batch = pa.table({"v": col})
     part = _REDUCE_OP._zonal_reduce(batch, rows, zidx)
     got = [np.frombuffer(part[c][0].as_py(), np.int64) for c in ("cnt", "sm", "mn", "mx")]
-    want = _scatter_reduce(col, rows, zidx, _REDUCE_ZONES.num_rows)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    for oracle in (_scatter_reduce, _sort_reduce):
+        want = oracle(col, rows, zidx, _REDUCE_ZONES.num_rows)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), oracle.__name__
     # unhit zones keep count 0 and the min/max sentinels
     unhit = np.setdiff1d(np.arange(_REDUCE_ZONES.num_rows), zidx)
     assert (got[0][unhit] == 0).all() and (got[2][unhit] == I64.max).all()
     assert (got[3][unhit] == I64.min).all()
 
 
-def test_zonal_reduce_refuses_unpackable_batches():
-    BroadcastPointJoin._check_packable(2**32 - 1)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        BroadcastPointJoin._check_packable(2**32)
+@pytest.mark.parametrize("id_type", [pa.string(), pa.large_string()])
+def test_zone_id_emission_is_a_string_take(id_type):
+    """Emitted zone_ids equal the per-pair lookup, as ``string`` whatever the
+    input string type, with an empty batch still typed."""
+    rng = np.random.default_rng(5)
+    zones = _random_zones(rng, 30)
+    zones = zones.set_column(0, "zone_id", zones["zone_id"].cast(id_type))
+    op = BroadcastPointJoin(zones)
+    n = 2000
+    batch = pa.table({"doc_id": np.arange(n), "lon": rng.uniform(-5, 105, n),
+                      "lat": rng.uniform(-5, 105, n)})
+    out = op(batch)
+    _, zidx = op.index.probe_points(batch["lon"].to_numpy(), batch["lat"].to_numpy(),
+                                    "intersects")
+    ids = zones["zone_id"].to_pylist()
+    assert zidx.size and out["zone_id"].type == pa.string()
+    assert out["zone_id"].to_pylist() == [ids[i] for i in zidx]
+    assert op(batch.slice(0, 0))["zone_id"].type == pa.string()
 
 
 def test_grid_sizing_on_rect_zone_layer():
