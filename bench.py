@@ -26,7 +26,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# logical CPUs of the session: the CPUs this process may run on, unless set
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 # object store share of MemTotal: Ray Data's resource manager asks for at
 # least half the memory (fewer spills at high CPU counts)
 OBJECT_STORE_FRACTION = 0.5

@@ -38,27 +38,20 @@ class EdgeCSR(NamedTuple):
     z_roff: np.ndarray  # (zones + 1,) ring offsets of each zone
 
 
-def edge_csr(zones: list) -> EdgeCSR:
-    """Build the edge CSR; ``zones`` holds one list of polygons per zone,
-    each polygon a list of closed (N, 2) rings, shell first (the shape of
-    ``Geom.shells_and_holes()``)."""
-    rings, hole, z_nr = [], [], []
-    for polys in zones:
-        n = len(rings)
-        for poly in polys:
-            rings += poly
-            hole += [j > 0 for j in range(len(poly))]
-        z_nr.append(len(rings) - n)
-    nv = np.fromiter(map(len, rings), np.int64, len(rings))
-    ring_eoff = np.concatenate(([0], np.cumsum(np.maximum(nv - 1, 0))))
-    z_roff = np.concatenate(([0], np.cumsum(z_nr, dtype=np.int64)))
-    v = np.concatenate(rings).astype(np.float64) if rings else np.empty((0, 2))
+def edge_csr(r: "_wkb.Rings") -> EdgeCSR:
+    """Build the edge CSR of flat rings, one zone per row of ``r``
+    (:func:`wkb.read_rings`, or :func:`wkb.rings_of` for decoded
+    geometries)."""
+    nv = np.diff(r.ring_voff)
     # an edge starts at every vertex but the last of its ring
-    i0 = np.delete(np.arange(len(v)), (np.cumsum(nv) - 1)[nv > 0])
-    (x0, y0), (x1, y1) = v[i0].T, v[i0 + 1].T
+    starts = np.ones(r.x.size, dtype=bool)
+    starts[r.ring_voff[1:][nv > 0] - 1] = False
+    i0 = np.flatnonzero(starts)
+    x0, y0, x1, y1 = r.x[i0], r.y[i0], r.x[i0 + 1], r.y[i0 + 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slope = (x1 - x0) / np.where((y1 - y0) == 0, 1.0, (y1 - y0))
-    return EdgeCSR(x0, y0, y1, slope, ring_eoff, np.array(hole, dtype=bool), z_roff)
+    return EdgeCSR(x0, y0, y1, slope, _wkb.offsets(np.maximum(nv - 1, 0)), r.ring_hole,
+                   r.row_roff)
 
 
 def csr_expand(off: np.ndarray, idx: np.ndarray):
@@ -114,7 +107,7 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray]) -
 def points_in_geom(px: np.ndarray, py: np.ndarray, g: "_wkb.Geom") -> np.ndarray:
     """Membership vs Polygon or MultiPolygon (union of members, even-odd)."""
     zone = np.zeros(np.size(px), dtype=np.int64)
-    return points_in_edges(px, py, zone, edge_csr([g.shells_and_holes()]))
+    return points_in_edges(px, py, zone, edge_csr(_wkb.rings_of([g])))
 
 
 def bbox_intersects(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,17 +7,25 @@ geometry column ``ARROW:extension:name = ogc.wkb``, reference:
 way: a ``binary`` Arrow column of little-endian WKB.
 
 Supported types: Point (1), LineString (2), Polygon (3), MultiPoint (4),
-MultiLineString (5), MultiPolygon (6).  2-D only (GDAL Z/M variants are out of
-scope for the sandbox corpus).
+MultiLineString (5), MultiPolygon (6), the ISO curve and surface kinds below.
+2-D only: Z/M variants raise unless the caller asks to drop the extra
+ordinates (``decode(..., allow_zm=True)``).
 
 Bulk point encode/decode is fully vectorized (the hot path: the document
-corpus is point-dominant); polygon parse is per-geometry Python over numpy
-views (the polygon side of joins is small and parsed once per actor).
+corpus is point-dominant).  :func:`decode` parses one geometry into a
+:class:`Geom` in Python.  The polygon side of a join does not: it reads the
+rings of a whole WKB column at once with :func:`read_rings`, which walks the
+headers one nesting level at a time across every row and gathers all
+vertices through one byte-strided ``f8`` view of the Arrow value buffer
+(Raptor's flat-array boundary processing, applied to the WKB itself).  Rows
+it does not cover (non-areal kinds, Z/M, unknown codes, malformed rows) go
+through :func:`decode`, so their results and errors are unchanged.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +46,12 @@ TIN = 16                # triangulated irregular network: Triangle patches
 TRIANGLE = 17           # polygon restricted to one 4-point ring
 
 _POINT_SIZE = 21  # 1 byte order + 4 type + 16 coords
+
+# the kinds Geom.shells_and_holes gives rings for, and read_rings reads
+_AREAL = np.array([POLYGON, TRIANGLE, MULTIPOLYGON, POLYHEDRALSURFACE, TIN])
+_ZM = 0xC0000000  # EWKB Z and M flags
+_SRID = 0x20000000  # EWKB SRID flag
+_MEMBER_MIN = 9  # bytes of the smallest member: header + ring count
 
 
 def encode_points(x: np.ndarray, y: np.ndarray) -> list[bytes]:
@@ -306,11 +320,243 @@ def geom_type(wkb: bytes) -> int:
 
 
 def bboxes(wkbs) -> np.ndarray:
-    """(N, 4) array of (minx, miny, maxx, maxy) for a column of WKBs."""
-    out = np.empty((len(wkbs), 4), dtype=np.float64)
-    for i, w in enumerate(wkbs):
-        out[i] = decode(w).bbox()
+    """(N, 4) array of (minx, miny, maxx, maxy) for a column of WKBs (a list
+    of bytes or a binary Arrow column).  Areal rows take it from their ring
+    vertices (:func:`read_rings`); other rows from their ``Geom``, as
+    ``Geom.bbox`` does."""
+    rings, decoded = _read(wkbs)
+    n = rings.kind.size
+    out = np.empty((n, 4), dtype=np.float64)
+    areal = np.isin(rings.kind, _AREAL)
+    for i in np.flatnonzero(~areal):
+        out[i] = decoded[i].bbox()
+    row_voff = rings.ring_voff[rings.row_roff]
+    has_v = np.diff(row_voff) > 0
+    if (areal & ~has_v).any():
+        i = int(np.flatnonzero(areal & ~has_v)[0])
+        raise ValueError(f"row {i}: an areal geometry without vertices has no bbox")
+    if has_v.any():
+        # rows without vertices hold none, so each segment is one row's
+        starts = row_voff[:-1][has_v]
+        for j, (v, reduce) in enumerate(((rings.x, np.minimum), (rings.y, np.minimum),
+                                         (rings.x, np.maximum), (rings.y, np.maximum))):
+            out[has_v, j] = reduce.reduceat(v, starts)
     return out
+
+
+def offsets(counts: np.ndarray) -> np.ndarray:
+    """(len + 1,) int64 CSR offsets of ``counts``."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+class Rings(NamedTuple):
+    """Polygon rings of a column of geometries, flat: row -> ring -> vertex.
+    A row's rings are those of ``Geom.shells_and_holes()``, polygon by
+    polygon, shell first; non-areal rows have none."""
+
+    kind: np.ndarray  # (rows,) base type code (SRID flag stripped)
+    x: np.ndarray  # (vertices,) float64
+    y: np.ndarray  # (vertices,) float64
+    ring_voff: np.ndarray  # (rings + 1,) vertex offsets of each ring
+    ring_hole: np.ndarray  # (rings,) True for a hole, False for a shell
+    row_roff: np.ndarray  # (rows + 1,) ring offsets of each row
+
+    def only(self, rows: np.ndarray) -> "Rings":
+        """The same rows, keeping the rings of the rows where ``rows`` is
+        True only."""
+        nr = np.diff(self.row_roff)
+        keep = np.repeat(rows, nr)
+        nv = np.diff(self.ring_voff)
+        kv = np.repeat(keep, nv)
+        return Rings(self.kind, self.x[kv], self.y[kv], offsets(nv[keep]),
+                     self.ring_hole[keep], offsets(np.where(rows, nr, 0)))
+
+
+def rings_of(geoms: list) -> Rings:
+    """:class:`Rings` of decoded geometries, one row per ``Geom``."""
+    rings, hole, nr = [], [], []
+    for g in geoms:
+        n = len(rings)
+        for poly in g.shells_and_holes():
+            rings += poly
+            hole += [j > 0 for j in range(len(poly))]
+        nr.append(len(rings) - n)
+    v = np.concatenate(rings).astype(np.float64) if rings else np.empty((0, 2))
+    kind = np.fromiter((g.kind for g in geoms), np.int64, len(geoms))
+    return Rings(kind, v[:, 0].copy(), v[:, 1].copy(),
+                 offsets(np.fromiter(map(len, rings), np.int64, len(rings))),
+                 np.array(hole, dtype=bool), offsets(np.array(nr, dtype=np.int64)))
+
+
+class _Bytes:
+    """Unaligned reads from one value buffer: byte-strided ``u4`` / ``f8``
+    views (element i = the bytes from i on), in both byte orders."""
+
+    def __init__(self, data: np.ndarray):
+        self.u8 = data
+
+        def view(dt: str):
+            size = np.dtype(dt).itemsize
+            return np.ndarray((max(data.size - size + 1, 0),), dt, data, 0, (1,))
+
+        self._u4 = view("<u4"), view(">u4")
+        self._f8 = view("<f8"), view(">f8")
+
+    def _read(self, views, p: np.ndarray, le: np.ndarray, dtype) -> np.ndarray:
+        out = np.empty(p.size, dtype=dtype)
+        if le.all():
+            out[:] = views[0][p]
+        else:
+            out[le] = views[0][p[le]]
+            out[~le] = views[1][p[~le]]
+        return out
+
+    def u4(self, p: np.ndarray, le: np.ndarray) -> np.ndarray:
+        return self._read(self._u4, p, le, np.int64)
+
+    def f8(self, p: np.ndarray, le: np.ndarray) -> np.ndarray:
+        return self._read(self._f8, p, le, np.float64)
+
+    def header(self, p: np.ndarray):
+        """(little-endian, base type, Z/M flags, position after the header)
+        of the geometry headers at ``p``."""
+        le = self.u8[p] == 1
+        raw = self.u4(p + 1, le)
+        return le, raw & 0x1FFFFFFF, raw & _ZM, p + 5 + 4 * ((raw & _SRID) != 0)
+
+
+def _bodies(b: _Bytes, row, p, end, le, tri, bad, recs) -> np.ndarray:
+    """Read the polygon bodies (ring count, then rings) at ``p``, all at
+    once, ring index by ring index.  Appends one (row, vertex byte position,
+    vertex count, little-endian, hole) record array tuple per step to
+    ``recs``; marks in ``bad`` the rows that run past ``end`` or break the
+    Triangle shape where ``tri``.  Returns the position after each body."""
+    cur = p + 4
+    live = cur <= end
+    nr = np.zeros(p.size, dtype=np.int64)
+    nr[live] = b.u4(p[live], le[live])
+    # a ring takes >= 4 bytes, which also bounds the loop below
+    live &= (nr <= (end - cur) // 4) & (~tri | (nr == 1))
+    for j in range(int(nr[live].max(initial=0))):
+        a = np.flatnonzero(live & (nr > j))
+        fits = cur[a] + 4 <= end[a]
+        live[a[~fits]] = False
+        a = a[fits]
+        nv = b.u4(cur[a], le[a])
+        fits = (nv <= (end[a] - cur[a] - 4) // 16) & (~tri[a] | (nv == 4))
+        live[a[~fits]] = False
+        a, nv = a[fits], nv[fits]
+        recs.append((row[a], cur[a] + 4, nv, le[a], np.full(a.size, j > 0)))
+        cur[a] += 4 + 16 * nv
+    bad[row[~live]] = True
+    return cur
+
+
+def _chunk_rings(arr, large: bool):
+    """(kind, ring rows, ring vertex counts, ring holes, x, y, {row: Geom of
+    the rows decoded}) of one binary (``large``: large_binary) Arrow array,
+    rings in row order."""
+    n = len(arr)
+    _, obuf, dbuf = arr.buffers()
+    offs = np.frombuffer(obuf, np.int64 if large else np.int32)
+    offs = offs[arr.offset:arr.offset + n + 1].astype(np.int64)
+    b = _Bytes(np.frombuffer(dbuf, np.uint8) if dbuf is not None else np.zeros(0, np.uint8))
+    start, end = offs[:-1], offs[1:]
+    ok = end - start >= _MEMBER_MIN
+    if arr.null_count:
+        ok &= ~arr.is_null().to_numpy(zero_copy_only=False)
+    kind = np.zeros(n, dtype=np.int64)
+    bad = ~ok
+    recs: list = []
+    row = np.flatnonzero(ok)
+    le, base, zm, p = b.header(start[row])
+    kind[row] = base
+    fast = (zm == 0) & np.isin(base, _AREAL) & (p + 4 <= end[row])
+    bad[row[~fast]] = True
+    row, le, base, p = row[fast], le[fast], base[fast], p[fast]
+    single = (base == POLYGON) | (base == TRIANGLE)
+    r = row[single]
+    _bodies(b, r, p[single], end[r], le[single], base[single] == TRIANGLE, bad, recs)
+    # multi kinds: member k of every row at once, each member a header + body
+    r, le, p = row[~single], le[~single], p[~single]
+    cur, e = p + 4, end[r]
+    nparts = b.u4(p, le)
+    live = nparts <= (e - cur) // _MEMBER_MIN
+    bad[r[~live]] = True
+    for k in range(int(nparts[live].max(initial=0))):
+        a = np.flatnonzero(live & (nparts > k) & ~bad[r])
+        fits = cur[a] + _MEMBER_MIN <= e[a]
+        bad[r[a[~fits]]] = True
+        a = a[fits]
+        mle, mbase, mzm, mp = b.header(cur[a])
+        fits = (mzm == 0) & ((mbase == POLYGON) | (mbase == TRIANGLE))
+        bad[r[a[~fits]]] = True
+        a, mle, mbase, mp = a[fits], mle[fits], mbase[fits], mp[fits]
+        cur[a] = _bodies(b, r[a], mp, e[a], mle, mbase == TRIANGLE, bad, recs)
+    rrow, vpos, nv, rle, hole = (np.concatenate(c) for c in zip(*recs)) if recs else \
+        (np.empty(0, np.int64),) * 3 + (np.empty(0, bool),) * 2
+    keep = ~bad[rrow]
+    rrow, vpos, nv, rle, hole = (a[keep] for a in (rrow, vpos, nv, rle, hole))
+    first = np.repeat(offsets(nv)[:-1], nv)
+    pos = np.repeat(vpos, nv) + 16 * (np.arange(first.size) - first)
+    vle = np.repeat(rle, nv)
+    x, y = b.f8(pos, vle), b.f8(pos + 8, vle)
+    slow = np.flatnonzero(bad)
+    decoded = {int(i): decode(arr[int(i)].as_py()) for i in slow}
+    if slow.size:
+        # everything else goes through decode: same geometry, same errors
+        g = rings_of(list(decoded.values()))
+        kind[slow] = g.kind
+        rrow = np.concatenate([rrow, np.repeat(slow, np.diff(g.row_roff))])
+        nv = np.concatenate([nv, np.diff(g.ring_voff)])
+        hole = np.concatenate([hole, g.ring_hole])
+        x, y = np.concatenate([x, g.x]), np.concatenate([y, g.y])
+    if (np.diff(rrow) < 0).any():
+        # each row's rings come out in order, but multi-kind and decoded rows
+        # come after the others: a stable sort by row interleaves them
+        order = np.argsort(rrow, kind="stable")
+        first = np.repeat(offsets(nv[order])[:-1], nv[order])
+        vi = np.repeat(offsets(nv)[:-1][order], nv[order]) + np.arange(first.size) - first
+        rrow, nv, hole, x, y = rrow[order], nv[order], hole[order], x[vi], y[vi]
+    return kind, rrow, nv, hole, x, y, decoded
+
+
+def read_rings(col) -> Rings:
+    """:class:`Rings` of every row of a WKB column without a ``Geom`` per
+    row.  ``col`` is a binary / large_binary Arrow Array or ChunkedArray,
+    sliced or not; any other column (a list of bytes, another type) is
+    decoded row by row."""
+    return _read(col)[0]
+
+
+def _read(col) -> tuple:
+    """(:func:`read_rings`, {row: Geom} of the rows it decoded)."""
+    import pyarrow as pa
+
+    if isinstance(col, (list, tuple)) and all(isinstance(w, bytes) for w in col):
+        col = pa.array(col, pa.large_binary())
+    if not (isinstance(col, (pa.Array, pa.ChunkedArray)) and (
+            pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type))):
+        geoms = [decode(w) for w in (col.to_pylist() if hasattr(col, "to_pylist") else col)]
+        return rings_of(geoms), dict(enumerate(geoms))
+    large = pa.types.is_large_binary(col.type)
+    kinds, nrs, nvs, holes, xs, ys, decoded = [], [], [], [], [], [], {}
+    for arr in (col.chunks if isinstance(col, pa.ChunkedArray) else [col]):
+        kind, rrow, nv, hole, x, y, geoms = _chunk_rings(arr, large)
+        base = sum(map(len, kinds))
+        decoded.update((base + i, g) for i, g in geoms.items())
+        kinds.append(kind)
+        nrs.append(np.bincount(rrow, minlength=kind.size))
+        nvs.append(nv)
+        holes.append(hole)
+        xs.append(x)
+        ys.append(y)
+    cat = (lambda a, dt: np.concatenate(a) if a else np.empty(0, dt))
+    return Rings(cat(kinds, np.int64), cat(xs, np.float64), cat(ys, np.float64),
+                 offsets(cat(nvs, np.int64)), cat(holes, bool),
+                 offsets(cat(nrs, np.int64))), decoded
 
 
 def ring_area(ring: np.ndarray) -> float:

@@ -34,6 +34,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import wkb as _wkb
+from ..state.resources import default_concurrency
+from ..state.session import fetch
 
 
 def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,10 +190,7 @@ class FractionalZonalStage:
 
     def __init__(self, zones_ref, size: int = 64, cov_scale: int = 256,
                  val_scale: int = 16384, val_minmax_scale: int = 64):
-        import ray
-
-        zones = (ray.get(zones_ref)
-                 if isinstance(zones_ref, ray.ObjectRef) else zones_ref)
+        zones = fetch(zones_ref)
         self.size = size
         self.cov_scale = cov_scale
         self.val_scale = val_scale
@@ -271,7 +270,7 @@ class FractionalZonalStage:
 def zonal_stats_fractional(tiles_ds, zones: pa.Table, size: int = 64,
                            cov_scale: int = 256, val_scale: int = 16384,
                            val_minmax_scale: int = 64,
-                           concurrency: int | tuple = 4):
+                           concurrency: int | tuple | None = None):
     """Coverage-weighted zonal statistics over a streaming tile dataset
     (``alg/zonal.cpp`` pixels=FRACTIONAL): per zone, the number of touched
     pixels, the exact coverage sum (zone area in pixel units) and the
@@ -288,7 +287,7 @@ def zonal_stats_fractional(tiles_ds, zones: pa.Table, size: int = 64,
                                    cov_scale=cov_scale, val_scale=val_scale,
                                    val_minmax_scale=val_minmax_scale),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=concurrency or default_concurrency(),
         num_cpus=1,
     )
     return partial_aggregate(partials, ["zone_key"],

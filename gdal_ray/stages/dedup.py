@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.arrowbuf import string_buffer_views
+from ..state.resources import default_concurrency
 from . import textops
 from .relational import bucket_groups, partial_aggregate
 
@@ -695,7 +696,7 @@ class BloomMember:
 
 
 def bloom_decontaminate(cand_ds, ref_ds, text_col: str = "text",
-                        concurrency: int = 2):
+                        concurrency: int | tuple | None = None):
     """Membership of each candidate doc's content hash in the reference
     corpus's Bloom filter (RefinedWeb/CCNet-style held-out-set scrubbing):
     (doc_id, bloom_hit).  False positives are the documented Bloom trade
@@ -707,7 +708,7 @@ def bloom_decontaminate(cand_ds, ref_ds, text_col: str = "text",
         BloomMember,
         fn_constructor_kwargs=dict(bits_ref=bits_ref),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=concurrency or default_concurrency(),
     )
 
 

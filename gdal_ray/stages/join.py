@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from .. import keep_heap_warm
 from ..functions import geo, pip, wkb
+from ..state.resources import default_concurrency
+from ..state.session import fetch
 
 
 class _ZoneIndex:
@@ -66,9 +67,11 @@ class _ZoneIndex:
     cover exceeds ``MAX_COVER_CELLS * CELL_DIVISOR**2`` cells (the same zones,
     in median-zone units, at any divisor: near-global geometries) go to a
     small always-checked list.
-    The exact test runs over the edges of the non-rectangle zones, built once
-    from the decoded rings (:func:`pip.edge_csr`); the decoded geometries
-    themselves are not kept.
+    The build makes no per-zone Python object: :func:`wkb.read_rings` reads
+    the rings of the whole WKB column into flat arrays, and the rectangle
+    test (:meth:`_rect_like`), the boxes (when the ``minx..maxy`` columns are
+    absent) and the edges of the non-rectangle zones that the exact test runs
+    over (:func:`pip.edge_csr`) all come from those arrays.
     """
 
     MAX_COVER_CELLS = 4096  # in median-zone cells
@@ -81,25 +84,20 @@ class _ZoneIndex:
             self.zone_key = zones["zone_key"].to_numpy(zero_copy_only=False)
         else:
             self.zone_key = np.arange(zones.num_rows, dtype=np.int64)
-        wkbs = zones["wkb"].to_pylist()
-        geoms = [wkb.decode(w) for w in wkbs]
+        rings = wkb.read_rings(zones["wkb"])
         names = ("minx", "miny", "maxx", "maxy")
         if set(names) <= set(zones.column_names):
             cols = [zones[c].to_numpy(zero_copy_only=False) for c in names]
         else:
-            cols = wkb.bboxes(wkbs).T
+            cols = wkb.bboxes(zones["wkb"]).T
         # (N, 4) boxes over four contiguous columns: the probe gathers each
         # column by zone index, far cheaper than gathering (N, 4) rows
         cols = np.array(cols, dtype=np.float64)
         self.minx, self.miny, self.maxx, self.maxy = cols
         self.boxes = cols.T
-        self.is_rect = np.array(
-            [self._rect_like(g, b) for g, b in zip(geoms, self.boxes)], dtype=bool
-        ).reshape(-1)
+        self.is_rect = self._rect_like(rings, self.boxes)
         # rectangles are decided by the envelope test and carry no edges
-        self.edges = pip.edge_csr(
-            [[] if r else g.shells_and_holes() for g, r in zip(geoms, self.is_rect)]
-        )
+        self.edges = pip.edge_csr(rings.only(~self.is_rect))
         self._build_grid()
 
     def _build_grid(self):
@@ -164,14 +162,24 @@ class _ZoneIndex:
         return rows[hit], zidx[hit]
 
     @staticmethod
-    def _rect_like(g: "wkb.Geom", box: np.ndarray) -> bool:
-        if g.kind != wkb.POLYGON or len(g.parts[0]) != 1:
-            return False
-        ring = g.parts[0][0]
-        if len(ring) != 5:
-            return False
-        xs, ys = set(ring[:, 0]), set(ring[:, 1])
-        return xs == {box[0], box[2]} and ys == {box[1], box[3]}
+    def _rect_like(rings: "wkb.Rings", boxes: np.ndarray) -> np.ndarray:
+        """Rows that are one-ring Polygons of 5 vertices whose x values are
+        exactly {minx, maxx} of their box and y values {miny, maxy}."""
+        out = np.zeros(rings.kind.size, dtype=bool)
+        nr = np.diff(rings.row_roff)
+        row = np.flatnonzero((rings.kind == wkb.POLYGON) & (nr == 1))
+        v0 = rings.ring_voff[rings.row_roff[row]]
+        five = rings.ring_voff[rings.row_roff[row] + 1] - v0 == 5
+        row, vi = row[five], v0[five, None] + np.arange(5)
+
+        def same_set(v, lo, hi):  # set(v) == {lo, hi}, row by row
+            a, b = v == lo[:, None], v == hi[:, None]
+            return (a | b).all(axis=1) & a.any(axis=1) & b.any(axis=1)
+
+        box = boxes[row]
+        out[row] = (same_set(rings.x[vi], box[:, 0], box[:, 2])
+                    & same_set(rings.y[vi], box[:, 1], box[:, 3]))
+        return out
 
     def probe_points(
         self, px: np.ndarray, py: np.ndarray, predicate: str
@@ -200,8 +208,8 @@ class _ZoneIndex:
 class BroadcastPointJoin:
     """Actor-pool stage: stream point batches against a broadcast zone index.
 
-    State (zone table fetch + WKB decode + grid and edge CSR build) happens
-    ONCE per actor in ``__init__`` (the PROJ-TLS-context pattern,
+    State (zone table fetch + columnar ring read + grid and edge CSR build)
+    happens ONCE per actor in ``__init__`` (the PROJ-TLS-context pattern,
     ``ogr/ogr_proj_p.cpp:268``), which ends by switching the process to
     keep its freed heap (:func:`gdal_ray.keep_heap_warm`); ``__call__`` is
     pure vectorized probing.
@@ -228,8 +236,7 @@ class BroadcastPointJoin:
         # matches to fixed-length per-zone count/sum/min/max vectors instead
         # of materializing O(pairs) rows through the object store
         self.zonal_reduce_col = zonal_reduce_col
-        zones = ray.get(zones_ref) if isinstance(zones_ref, ray.ObjectRef) else zones_ref
-        self.index = _ZoneIndex(zones)
+        self.index = _ZoneIndex(fetch(zones_ref))
         self.predicate = predicate
         self.id_col = id_col
         self.lon_col = lon_col
@@ -295,14 +302,18 @@ def broadcast_spatial_join(
     zones: pa.Table,
     predicate: str = "intersects",
     id_col: str = "doc_id",
-    concurrency: int | tuple = 4,
+    concurrency: int | tuple | None = None,
     batch_size: int = 65536,
     emit_cols: tuple = (),
     emit_zone_index: bool = False,
     zonal_reduce_col: str | None = None,
     anti: bool = False,
 ):
-    """Plan 1: broadcast the zone table, stream the points.  Zero shuffle."""
+    """Plan 1: broadcast the zone table, stream the points.  Zero shuffle.
+    ``concurrency`` None sizes the actor pool from the session
+    (:func:`default_concurrency`)."""
+    import ray
+
     zones_ref = ray.put(zones)
     return points_ds.map_batches(
         BroadcastPointJoin,
@@ -317,7 +328,7 @@ def broadcast_spatial_join(
         ),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=concurrency or default_concurrency(),
     )
 
 

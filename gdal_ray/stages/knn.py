@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
+
+from ..state.resources import default_concurrency
+from ..state.session import fetch
 
 
 class BroadcastKNN:
@@ -38,7 +40,7 @@ class BroadcastKNN:
         tree: bool = False,
         chunk: int = 256,
     ):
-        t = ray.get(targets_ref) if isinstance(targets_ref, ray.ObjectRef) else targets_ref
+        t = fetch(targets_ref)
         self.tid = t["zone_id"].to_pylist()
         self.tkey = t["zone_key"].to_numpy(zero_copy_only=False).astype(np.int64)
         self.cx = t["cx"].to_numpy(zero_copy_only=False)
@@ -192,17 +194,19 @@ def knn_join(
     k: int = 3,
     id_col: str = "doc_id",
     tree: bool = False,
-    concurrency: int | tuple = 4,
+    concurrency: int | tuple | None = None,
     batch_size: int = 32768,
 ):
     """targets: table with (zone_id, zone_key, cx, cy)."""
+    import ray
+
     ref = ray.put(targets)
     return points_ds.map_batches(
         BroadcastKNN,
         fn_constructor_kwargs=dict(targets_ref=ref, k=k, id_col=id_col, tree=tree),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=concurrency or default_concurrency(),
     )
 
 
@@ -222,7 +226,7 @@ class BroadcastDWithin:
 
     def __init__(self, targets_ref, radius: float, id_col: str = "doc_id",
                  chunk: int = 256):
-        t = ray.get(targets_ref) if isinstance(targets_ref, ray.ObjectRef) else targets_ref
+        t = fetch(targets_ref)
         self.tkey = t["zone_key"].to_numpy(zero_copy_only=False).astype(np.int64)
         self.cx = t["cx"].to_numpy(zero_copy_only=False)
         self.cy = t["cy"].to_numpy(zero_copy_only=False)
@@ -266,14 +270,16 @@ class BroadcastDWithin:
 
 
 def dwithin_join(points_ds, targets: pa.Table, radius: float,
-                 id_col: str = "doc_id", concurrency: int | tuple = 4,
+                 id_col: str = "doc_id", concurrency: int | tuple | None = None,
                  batch_size: int = 32768):
     """targets: table with (zone_key, cx, cy)."""
+    import ray
+
     ref = ray.put(targets)
     return points_ds.map_batches(
         BroadcastDWithin,
         fn_constructor_kwargs=dict(targets_ref=ref, radius=radius, id_col=id_col),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=concurrency or default_concurrency(),
     )

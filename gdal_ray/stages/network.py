@@ -27,6 +27,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state.resources import default_concurrency
+from ..state.session import fetch
+
 
 def build_csr(edges: pa.Table, src_col: str = "src", dst_col: str = "dst",
               cost_col: str | None = "cost", directed: bool = False):
@@ -122,11 +125,7 @@ class NetworkDistanceStage:
     actor in ``__init__``; each batch is a vectorized searchsorted lookup."""
 
     def __init__(self, csr_ref, source: int):
-        import ray
-
-        nodes, indptr, indices, costs = (
-            ray.get(csr_ref) if isinstance(csr_ref, ray.ObjectRef)
-            else csr_ref)
+        nodes, indptr, indices, costs = fetch(csr_ref)
         self.nodes = nodes
         slot = np.searchsorted(nodes, source)
         if slot >= len(nodes) or nodes[slot] != source:
@@ -147,7 +146,7 @@ class NetworkDistanceStage:
 
 def shortest_path_distances(targets_ds, edges: pa.Table, source: int,
                             node_col: str = "node", directed: bool = False,
-                            concurrency: int = 2):
+                            concurrency: int | tuple | None = None):
     """Distance-from-source for every row of a target Dataset (the bulk
     form of GATDijkstraShortestPath): broadcast CSR, per-actor SSSP,
     vectorized per-batch lookups.  Unreachable nodes -> null."""
@@ -163,7 +162,7 @@ def shortest_path_distances(targets_ds, edges: pa.Table, source: int,
             return super().__call__(batch, node_col=node_col)
 
     return targets_ds.map_batches(Stage, batch_format="pyarrow",
-                                  concurrency=concurrency, num_cpus=1)
+                                  concurrency=concurrency or default_concurrency(), num_cpus=1)
 
 
 def dijkstra_path(edges: pa.Table, source: int, target: int,

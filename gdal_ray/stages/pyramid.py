@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from ..functions import checksum as cks
 from ..functions import geo
+from ..state.resources import default_concurrency
+from ..state.session import fetch
 
 
 def _mode_reduce(stack: np.ndarray) -> np.ndarray:
@@ -113,7 +114,7 @@ class TileWarper:
     def __init__(self, src_ref, tile_px: int = 256, resample: str = "nearest",
                  cutline_wkb: bytes | None = None, dst_alpha: bool = False,
                  cache_blocks: int = 64, geoloc=None):
-        src = ray.get(src_ref) if isinstance(src_ref, ray.ObjectRef) else src_ref
+        src = fetch(src_ref)
         self.src = src
         # a block-sharded source gets a per-actor LRU (gdalrasterblock.cpp
         # Touch/FlushBlock role) instead of holding the whole raster: each
@@ -418,7 +419,7 @@ def warp_to_tiles(
     bbox,
     tile_px: int = 256,
     resample: str = "nearest",
-    concurrency: int | tuple = 4,
+    concurrency: int | tuple | None = None,
     skip_blank: bool = True,
     cutline_wkb: bytes | None = None,
     dst_alpha: bool = False,
@@ -428,6 +429,7 @@ def warp_to_tiles(
     ``geoloc``: GeolocTransformer for geolocation-array-referenced sources
     (gdalwarp -geoloc, alg/gdalgeoloc.cpp) — ships to actors with the
     source."""
+    import ray
     import ray.data as rd
 
     tiles = rd.from_arrow(enumerate_tiles(z, *bbox))
@@ -438,7 +440,7 @@ def warp_to_tiles(
                                    cutline_wkb=cutline_wkb, dst_alpha=dst_alpha,
                                    geoloc=geoloc),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=concurrency or default_concurrency(),
     )
     if skip_blank:
         out = out.map_batches(
@@ -670,7 +672,7 @@ class AffineWarper:
 
     def __init__(self, src_ref, dst_gt, resample: str = "bilinear",
                  dst_crs: str | None = None):
-        src = ray.get(src_ref) if isinstance(src_ref, ray.ObjectRef) else src_ref
+        src = fetch(src_ref)
         self.src = src
         self.inv_gt = geo.inv_geotransform(src.gt)
         self.dst_gt = tuple(dst_gt)
@@ -713,10 +715,11 @@ class AffineWarper:
 
 def warp_affine(src: SourceRaster, dst_gt, width: int, height: int,
                 resample: str = "bilinear", tile: int = 64,
-                dst_crs: str | None = None, concurrency: int | tuple = 2):
+                dst_crs: str | None = None, concurrency: int | tuple | None = None):
     """Warp to an arbitrary affine destination grid: the dst raster tiles
     into ``tile``-sized pieces (distributed; edge tiles clip), each warped
     by an actor holding the broadcast source."""
+    import ray
     import ray.data as rd
 
     rows = [
@@ -731,7 +734,7 @@ def warp_affine(src: SourceRaster, dst_gt, width: int, height: int,
         fn_constructor_kwargs=dict(src_ref=src_ref, dst_gt=dst_gt,
                                    resample=resample, dst_crs=dst_crs),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=concurrency or default_concurrency(),
     )
 
 

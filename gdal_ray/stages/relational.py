@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.resources import default_concurrency
+
 _AGG_FIELD = {"sum": "sum", "min": "min", "max": "max", "count": "count"}
 
 
@@ -116,8 +118,6 @@ def hash_join_broadcast(ds, small: pa.Table, key: str, small_key: str,
     instead of the reference's per-row secondary-layer filter pushdown)."""
     import ray
 
-    from ..state.resources import default_concurrency
-
     ref = ray.put(small)
 
     class Joiner:
@@ -158,8 +158,6 @@ def hash_join_broadcast_left(ds, small: pa.Table, key: str, small_key: str,
     with NULL build columns).  Duplicate build keys keep the FIRST occurrence
     (matching the sorted-probe inner join's stable tie-break)."""
     import ray
-
-    from ..state.resources import default_concurrency
 
     ref = ray.put(small)
 
@@ -584,7 +582,7 @@ def group_string_agg_topn(ds, key_col: str, name_col: str, order_col: str,
 
 def range_join_broadcast(probe_ds, intervals: pa.Table, value_col: str,
                          lo_col: str, hi_col: str, emit: list,
-                         concurrency: int | tuple = 4):
+                         concurrency: int | tuple | None = None):
     """Interval / range join: each probe row matches every interval with
     ``lo <= value < hi`` (intervals may OVERLAP arbitrarily).
 
@@ -665,7 +663,7 @@ def range_join_broadcast(probe_ds, intervals: pa.Table, value_col: str,
             return pa.table(cols)
 
     return probe_ds.map_batches(
-        RangeJoiner, batch_format="pyarrow", concurrency=concurrency)
+        RangeJoiner, batch_format="pyarrow", concurrency=concurrency or default_concurrency())
 
 
 def exact_quantiles(ds, value_col: str, ps: tuple = (0.25, 0.5, 0.75, 0.9),

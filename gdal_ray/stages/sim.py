@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 from ..state.resources import default_concurrency as _default_concurrency
+from ..state.session import fetch
 
 
 def _stack_embeddings(col) -> np.ndarray:
@@ -30,7 +30,7 @@ class BroadcastCosineTopK:
     so full score blocks never reach the object store)."""
 
     def __init__(self, queries_ref, id_col: str, query_ids, k: int = 0):
-        q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
+        q = fetch(queries_ref)
         qm = np.asarray(q, dtype=np.float64)
         self.qn = qm / np.linalg.norm(qm, axis=1, keepdims=True)
         self.id_col = id_col
@@ -67,6 +67,8 @@ def cosine_topk(ds, queries: np.ndarray, query_ids, k: int = 10, id_col: str = "
     """Exact top-k per query: the scoring actor emits per-batch top-k partials
     (combiner folded into the actor — only k rows per query per batch reach
     the object store), then a tiny per-query group picks the global top-k."""
+    import ray
+
     ref = ray.put(np.asarray(queries, dtype=np.float64))
     pruned = ds.map_batches(
         BroadcastCosineTopK,
@@ -103,6 +105,8 @@ def cosine_neardup_pairs(ds, threshold: float = 0.8, id_col: str = "vec_id",
     the LSH-bucketed variant (``lsh_bucket_pairs``), same output above the
     threshold w.h.p.
     """
+    import ray
+
     n_rows = ds.count()
     if n_rows > max_rows:
         raise ValueError(
@@ -174,6 +178,7 @@ def ivf_topk(ds, queries: np.ndarray, query_ids, k: int = 10, id_col: str = "vec
     At 10^12 scale step 2 prunes the scan to ~nprobe/n_centroids of the
     corpus; recall depends on (n_centroids, nprobe) and the verify path is
     the brute ``cosine_topk``."""
+    import ray
     import ray.data as rd  # noqa: F401  (parallel with cosine_topk's imports)
 
     sample = ds.limit(train_sample).to_pandas()
@@ -324,6 +329,8 @@ def kmeans_assign(ds, k: int = 8, iters: int = 2, id_col: str = "vec_id",
     (cluster -> within-cluster pairwise cosine) and IVF codebook training at
     corpus scale: per-iteration cost is one pass, no shuffle.
     """
+    import ray
+
     def local_smallest(b: pa.Table) -> pa.Table:
         t = pa.table({id_col: b[id_col], "embedding": b["embedding"]})
         if t.num_rows > k:  # per-batch combiner: only k candidates survive
@@ -643,6 +650,8 @@ def pq_encode(ds, m: int = 4, k: int = 8, iters: int = 2,
 def _pq_train(ds, m: int, k: int, iters: int, id_col: str) -> np.ndarray:
     """Train the (m, k, d/m) PQ codebooks (deterministic Lloyd per
     subspace, one streaming pass per iteration for all subspaces)."""
+    import ray
+
     def local_smallest(b: pa.Table) -> pa.Table:
         t = pa.table({id_col: b[id_col], "embedding": b["embedding"]})
         if t.num_rows > k:
@@ -707,6 +716,8 @@ def _pq_train(ds, m: int, k: int, iters: int, id_col: str) -> np.ndarray:
 
 def _pq_assign(ds, cent: np.ndarray, id_col: str):
     """Per-vector nearest-codeword indices for trained codebooks."""
+    import ray
+
     m, k, dsub = cent.shape
     ref = ray.put(cent)
 
@@ -738,6 +749,8 @@ def pq_adc_topk(ds, q_e6: np.ndarray, m: int = 4, k: int = 8, iters: int = 2,
     combiner, final small sort.  Output: (vec_id, adc_e6) x topk ordered by
     (adc, id).
     """
+    import ray
+
     cent = _pq_train(ds, m, k, iters, id_col)
     dsub = cent.shape[2]
     cent_e6 = np.floor(cent * 1e6 + 0.5).astype(np.int64)

@@ -18,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ..state.resources import default_concurrency as _default_concurrency
+from ..state.session import fetch
 from .relational import bucket_groups
 
 _TOKEN_RE = re.compile(r"[^ ]+")
@@ -1183,11 +1184,9 @@ def lm_familiarity_score(ds, model_ref, text_col: str = "text",
     ray.put() of the train_char_ngram_counts table — loaded once per
     scoring task, the broadcast-model pattern.  keep = score >=
     min_avg_count * n_grams."""
-    import ray
 
     def score(t: pa.Table) -> pa.Table:
-        model = ray.get(model_ref) if isinstance(model_ref, ray.ObjectRef) \
-            else model_ref
+        model = fetch(model_ref)
         grams = model["gram"].to_numpy(zero_copy_only=False)
         cnts = model["cnt"].to_numpy(zero_copy_only=False)
         order = np.argsort(grams)
@@ -1348,7 +1347,7 @@ class BPEEncoder:
 
 def bpe_token_counts(ds, merges: list[tuple[str, str]],
                      text_col: str = "text", id_col: str = "doc_id",
-                     concurrency: int = 4):
+                     concurrency: int | tuple | None = None):
     """Per-doc token counts under a TRAINED merge list: merges broadcast
     into actor state, memoized per-word encode, one streaming pass."""
     import ray
@@ -1363,4 +1362,4 @@ def bpe_token_counts(ds, merges: list[tuple[str, str]],
             return super().__call__(batch, text_col=text_col, id_col=id_col)
 
     return ds.map_batches(Enc, batch_format="pyarrow",
-                          concurrency=concurrency, num_cpus=1)
+                          concurrency=concurrency or _default_concurrency(), num_cpus=1)

@@ -24,7 +24,7 @@ def zonal_stats(
     value_col: str = "n_chars",
     id_col: str = "doc_id",
     predicate: str = "intersects",
-    concurrency: int | tuple = 4,
+    concurrency: int | tuple | None = None,
 ):
     """Per-zone count / sum / min / max of an integer value column.
 
@@ -54,7 +54,7 @@ def zonal_stats_dense(
     value_col: str = "n_chars",
     id_col: str = "doc_id",
     predicate: str = "intersects",
-    concurrency: int | tuple = 8,
+    concurrency: int | tuple | None = None,
     batch_size: int = 32768,
 ) -> pa.Table:
     """Dense-key zonal aggregate: the scale plan when the zone count is
@@ -138,7 +138,7 @@ def zonal_stats_extended(
     value_col: str = "n_chars",
     id_col: str = "doc_id",
     predicate: str = "intersects",
-    concurrency: int | tuple = 4,
+    concurrency: int | tuple | None = None,
 ):
     """Per-zone mean/stddev as EXACT integer sufficient statistics.
 
@@ -188,7 +188,7 @@ def zonal_value_modes(
     value_col: str = "n_chars",
     id_col: str = "doc_id",
     predicate: str = "intersects",
-    concurrency: int | tuple = 4,
+    concurrency: int | tuple | None = None,
 ):
     """Per-zone MAJORITY / MINORITY value (stat names ``alg/zonal.cpp:661-701``):
     the most / least frequent value in the zone; ties resolve to the SMALLEST

@@ -5,11 +5,24 @@ start (or join) their session through ``init_ray``: a local node with no
 dashboard and Ray logging at ERROR, Ray Data progress bars off, Ray Data
 logging at WARNING (no per-Dataset "Starting execution" / "Execution plan"
 INFO lines), and two known-cosmetic Ray Data driver warnings kept out of
-the log.
+the log.  ``fetch`` resolves a stage argument that may be an ``ObjectRef``
+without importing Ray.
 """
 from __future__ import annotations
 
 import logging
+import sys
+
+
+def fetch(ref):
+    """``ray.get(ref)`` when ``ref`` is an ``ObjectRef``, else ``ref``.
+    Only a process that has imported Ray can hold an ``ObjectRef``, so
+    without ``ray`` in ``sys.modules`` the argument is returned as is and
+    Ray stays unimported."""
+    ray = sys.modules.get("ray")
+    if ray is not None and isinstance(ref, ray.ObjectRef):
+        return ray.get(ref)
+    return ref
 
 
 def _known_ray_noise(record: logging.LogRecord) -> bool:

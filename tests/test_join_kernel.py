@@ -281,7 +281,7 @@ def test_points_in_edges_chunks_match_one_pass(monkeypatch):
     rng = np.random.default_rng(9)
     zones = _random_zones(rng, 30)
     geoms = [wkb.decode(w) for w in zones["wkb"].to_pylist()]
-    e = pip.edge_csr([g.shells_and_holes() for g in geoms])
+    e = pip.edge_csr(wkb.read_rings(zones["wkb"]))
     zone = rng.integers(0, len(geoms), 4000)
     px, py = rng.uniform(-5, 105, zone.size), rng.uniform(-5, 105, zone.size)
     whole = pip.points_in_edges(px, py, zone, e)

@@ -101,6 +101,31 @@ def test_broadcast_join_edge_case_polygons(docs):
     assert got == brute_pairs(docs, zones, "intersects")
 
 
+def test_default_pool_leaves_cpus_for_the_read(docs, rect_zones, tmp_path):
+    """With the pool sized from the session (half its 4 CPUs), the parquet
+    read tasks feeding the join still get CPUs: a pool of every CPU left
+    them unscheduled and the run idle forever.  The run gets a time limit,
+    so a regression fails here instead of hanging the suite."""
+    import threading
+
+    import pyarrow.parquet as pq
+
+    pts = docs.select(["doc_id", "lon", "lat"])
+    for i in range(4):
+        pq.write_table(pts.slice(i * 250, 250), str(tmp_path / f"part{i}.parquet"))
+    out = {}
+
+    def run():
+        ds = join_stage.broadcast_spatial_join(rd.read_parquet(str(tmp_path)), rect_zones)
+        out["pairs"] = {(r["doc_id"], r["zone_id"]) for r in ds.take_all()}
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "default-pool join over a parquet read did not finish"
+    assert out["pairs"] == brute_pairs(docs, rect_zones, "intersects")
+
+
 @pytest.mark.parametrize("salts", [None, {"_probe": 0}])
 def test_partitioned_join_matches_broadcast(docs, rect_zones, salts):
     ds = rd.from_arrow(docs)
