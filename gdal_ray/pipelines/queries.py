@@ -4488,8 +4488,8 @@ def cluster_split_q(sf_dir: str):
 
 def dedup_keep_best_q(sf_dir: str):
     """Canonical-doc selection per duplicate cluster: keep the member with
-    max n_chars (ties -> min doc_id); membership attached via keyed union-tag
-    groupby (no broadcast of the cluster set)."""
+    max n_chars (ties -> min doc_id); membership attached via one keyed
+    cogroup (no broadcast of the cluster set)."""
     docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     clusters = dedup.dup_clusters(ds, min_jaccard_x1000=500)

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 from ..functions.arrowbuf import string_buffer_views
 from ..state.resources import default_concurrency
 from . import textops
-from .relational import bucket_groups, partial_aggregate
+from .relational import bucket_groups, cogroup, partial_aggregate
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
@@ -329,45 +329,24 @@ def simhash_neardup_pairs(ds, max_hamming: int = 3, text_col: str = "text",
 
 def _attach_blob(pairs_ds, blob_ds, key_name: str, out_name: str, carry: list):
     """Keyed join: attach ``blob_ds``'s (_k, _blob) rows to ``pairs_ds`` on
-    ``pairs[key_name] == _k`` via a union-tag groupby shuffle — no driver-side
+    ``pairs[key_name] == _k`` via one ``cogroup`` on ``_k`` — no driver-side
     materialization of either side.  ``carry`` = [(col, pa.type)] columns of
     ``pairs_ds`` to preserve (besides the join key)."""
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        cols = {c: t[c] for c, _ in carry}
-        cols["_k"] = t[key_name]
-        cols["_blob"] = pa.nulls(t.num_rows, pa.binary())
-        return pa.table(cols)
-
-    def tag_blob(t: pa.Table) -> pa.Table:
-        cols = {c: pa.nulls(t.num_rows, typ) for c, typ in carry}
-        cols["_k"] = t["_k"]
-        cols["_blob"] = t["_blob"]
-        return pa.table(cols)
-
-    unioned = pairs_ds.map_batches(tag_pairs, batch_format="pyarrow").union(
-        blob_ds.map_batches(tag_blob, batch_format="pyarrow")
-    )
     carry_names = [c for c, _ in carry]
-    empty = pa.table(
-        {**{c: pa.array([], typ) for c, typ in carry},
-         key_name: pa.array([], pa.int64()), out_name: pa.array([], pa.binary())}
-    )
+    pairs = pairs_ds.map_batches(
+        lambda t: t.select(carry_names + [key_name]).rename_columns(carry_names + ["_k"]),
+        batch_format="pyarrow")
+    blob_schema = pa.schema([("_k", pa.int64()), ("_blob", pa.binary())])
 
-    def merge(g: pa.Table) -> pa.Table:
-        blob_mask = pa.compute.is_valid(g["_blob"]).to_numpy(zero_copy_only=False)
-        blob_rows = np.flatnonzero(blob_mask)
-        pair_rows = np.flatnonzero(~blob_mask)
-        if blob_rows.size == 0 or pair_rows.size == 0:
-            return empty
-        blob = g["_blob"][int(blob_rows[0])].as_py()
-        sel = g.take(pa.array(pair_rows))
-        cols = {c: sel[c] for c in carry_names}
-        cols[key_name] = sel["_k"]
-        cols[out_name] = pa.array([blob] * pair_rows.size, pa.binary())
+    def merge(p: pa.Table, b: pa.Table) -> pa.Table:
+        n = p.num_rows if b.num_rows else 0  # pairs without a blob drop out
+        cols = {c: p[c][:n] for c in carry_names}
+        cols[key_name] = p["_k"][:n]
+        cols[out_name] = pa.array(b["_blob"][:1].to_pylist() * n, pa.binary())
         return pa.table(cols)
 
-    return unioned.groupby("_k").map_groups(merge, batch_format="pyarrow")
+    return cogroup([(pairs, pa.schema(carry + [("_k", pa.int64())])),
+                    (blob_ds, blob_schema)], "_k", merge)
 
 
 def shingle_set_table(ds, id_col="doc_id", text_col="text", shingle_k=3):
@@ -388,7 +367,7 @@ def ngram_jaccard_pairs(ds, id_col="doc_id", text_col="text", shingle_k=3, min_x
     verification per pair, thresholded on the exact value.
 
     Scale shape: candidate (id_a, id_b) pairs are re-joined to the per-doc
-    shingle-set table with two keyed groupby shuffles (``_attach_blob``) —
+    shingle-set table with two keyed ``cogroup`` shuffles (``_attach_blob``) —
     nothing corpus-sized is ever collected to the driver or broadcast."""
     cands = minhash_lsh_candidates(
         ds, text_col=text_col, id_col=id_col, num_perm=32, bands=8, shingle_k=shingle_k
@@ -463,48 +442,23 @@ def cluster_keep_best(docs_ds, clusters_ds, id_col: str = "doc_id",
     doc per dup cluster" policy.  Output: (cluster_id, keep_id, n_members,
     best_score).
 
-    Scale shape: cluster membership is attached to the docs table with a
-    keyed union-tag groupby on doc_id (no broadcast — the cluster set can be
+    Scale shape: cluster membership is attached to the docs table with one
+    ``cogroup`` on doc_id (no broadcast — the cluster set can be
     corpus-sized at 100 TB), then a per-cluster vectorized argmax.
     """
+    docs = docs_ds.map_batches(
+        lambda t: pa.table({"doc_id": t[id_col], "score": t[score_col]}),
+        batch_format="pyarrow")
+    docs_schema = pa.schema([("doc_id", pa.int64()), ("score", pa.int64())])
+    clusters_schema = pa.schema([("doc_id", pa.int64()), ("cluster_id", pa.int64())])
 
-    def tag_docs(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"_k": t[id_col],
-             "cluster_id": pa.nulls(t.num_rows, pa.int64()),
-             "score": pa.compute.cast(t[score_col], pa.int64())}
-        )
+    def merge(d: pa.Table, c: pa.Table) -> pa.Table:
+        n = 1 if d.num_rows and c.num_rows else 0
+        return pa.table({"cluster_id": c["cluster_id"][:n],
+                         "doc_id": d["doc_id"][:n], "score": d["score"][:n]})
 
-    def tag_clusters(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"_k": t["doc_id"], "cluster_id": t["cluster_id"],
-             "score": pa.nulls(t.num_rows, pa.int64())}
-        )
-
-    empty = pa.table(
-        {"cluster_id": pa.array([], pa.int64()),
-         "doc_id": pa.array([], pa.int64()),
-         "score": pa.array([], pa.int64())}
-    )
-
-    def merge(g: pa.Table) -> pa.Table:
-        cmask = pa.compute.is_valid(g["cluster_id"]).to_numpy(zero_copy_only=False)
-        crow = np.flatnonzero(cmask)
-        srow = np.flatnonzero(~cmask)
-        if crow.size == 0 or srow.size == 0:
-            return empty
-        return pa.table(
-            {"cluster_id": pa.array([g["cluster_id"][int(crow[0])].as_py()], pa.int64()),
-             "doc_id": g["_k"][:1],
-             "score": pa.array([g["score"][int(srow[0])].as_py()], pa.int64())}
-        )
-
-    joined = (
-        docs_ds.map_batches(tag_docs, batch_format="pyarrow")
-        .union(clusters_ds.map_batches(tag_clusters, batch_format="pyarrow"))
-        .groupby("_k")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    joined = cogroup([(docs, docs_schema), (clusters_ds, clusters_schema)],
+                     "doc_id", merge)
 
     def pick(g: pa.Table) -> pa.Table:
         s = g["score"].to_numpy(zero_copy_only=False)

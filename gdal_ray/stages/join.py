@@ -20,10 +20,11 @@ envelope reject + prepared-geometry pretest, reference ``ogrlayer.cpp:5385``,
 
 2. **Partitioned join** (both sides large): both sides are flat-mapped to
    grid-cell keys (zones duplicated over their bbox cover, points to their
-   single containing cell), co-partitioned by a salted ``groupby(cell)``, and
-   probed per group with a per-group zone index.  A point lives in exactly one
-   cell, so point x polygon pairs are emitted exactly once — no dedup shuffle
-   needed (polygon x polygon joins would need the (l,r) first-dedup, §2.7).
+   single containing cell), co-partitioned by one ``relational.cogroup`` on
+   the salted cell, and probed per cell with a per-cell zone index.  A point
+   lives in exactly one cell, so point x polygon pairs are emitted exactly
+   once — no dedup shuffle needed (polygon x polygon joins would need the
+   (l,r) first-dedup, §2.7).
 
 Predicate semantics (GEOS/OGC, ``ogr/ogrgeometry.cpp:6009-6362``):
   - ``intersects``: boundary inclusive.  Exact for axis-aligned-rectangle
@@ -163,22 +164,23 @@ class _ZoneIndex:
 
     @staticmethod
     def _rect_like(rings: "wkb.Rings", boxes: np.ndarray) -> np.ndarray:
-        """Rows that are one-ring Polygons of 5 vertices whose x values are
-        exactly {minx, maxx} of their box and y values {miny, maxy}."""
+        """Rows that are one-ring Polygons of 5 vertices: the four distinct
+        corners of their box in ring order, then the first one again."""
         out = np.zeros(rings.kind.size, dtype=bool)
         nr = np.diff(rings.row_roff)
         row = np.flatnonzero((rings.kind == wkb.POLYGON) & (nr == 1))
         v0 = rings.ring_voff[rings.row_roff[row]]
         five = rings.ring_voff[rings.row_roff[row] + 1] - v0 == 5
         row, vi = row[five], v0[five, None] + np.arange(5)
-
-        def same_set(v, lo, hi):  # set(v) == {lo, hi}, row by row
-            a, b = v == lo[:, None], v == hi[:, None]
-            return (a | b).all(axis=1) & a.any(axis=1) & b.any(axis=1)
-
-        box = boxes[row]
-        out[row] = (same_set(rings.x[vi], box[:, 0], box[:, 2])
-                    & same_set(rings.y[vi], box[:, 1], box[:, 3]))
+        x, y, box = rings.x[vi], rings.y[vi], boxes[row]
+        hi_x, hi_y = x == box[:, 2:3], y == box[:, 3:4]
+        on_box = (hi_x | (x == box[:, 0:1])) & (hi_y | (y == box[:, 1:2]))
+        corner = 2 * hi_x + hi_y  # 0..3, one per box corner
+        # consecutive corners differ in one coordinate: never a diagonal step
+        step = corner[:, :4] ^ corner[:, 1:]
+        out[row] = (on_box.all(axis=1) & (corner[:, 4] == corner[:, 0])
+                    & (np.bitwise_or.reduce(1 << corner[:, :4], axis=1) == 15)
+                    & (step != 3).all(axis=1))
         return out
 
     def probe_points(
@@ -348,7 +350,6 @@ def _zone_cell_expansion(batch: pa.Table, res: int, salts: dict | None) -> pa.Ta
     base = {
         "cell": cells,
         "salt": np.zeros(len(cells), dtype=np.int32),
-        "side": np.zeros(len(cells), dtype=np.int8),  # 0 = zone
         "zone_id": batch["zone_id"].take(take),
         "wkb": batch["wkb"].take(take),
         "minx": batch["minx"].take(take),
@@ -391,9 +392,6 @@ def _point_cell_tag(batch: pa.Table, res: int, salts: dict | None, id_col: str) 
         {
             "cell": cells,
             "salt": salt,
-            "side": np.ones(len(cells), dtype=np.int8),  # 1 = point
-            "zone_id": pa.nulls(len(cells), pa.string()),
-            "wkb": pa.nulls(len(cells), pa.binary()),
             "doc_id": batch[id_col],
             "lon": batch["lon"],
             "lat": batch["lat"],
@@ -431,21 +429,19 @@ def partitioned_spatial_join(
     id_col: str = "doc_id",
     salts: dict | None = None,
 ):
-    """Plan 2: cell-cover co-partitioned join via union + groupby + map_groups."""
-    zones_tagged = zones_ds.map_batches(
-        lambda b: _zone_cell_expansion(b, res, salts), batch_format="pyarrow"
-    )
-    points_tagged = points_ds.map_batches(
-        lambda b: _point_cell_tag(b, res, salts, id_col), batch_format="pyarrow"
-    )
+    """Plan 2: cell-cover co-partitioned join, one ``cogroup`` on (cell, salt)."""
+    from .relational import cogroup
 
-    def join_group(group: pa.Table) -> pa.Table:
-        side = group["side"].to_numpy(zero_copy_only=False)
-        zmask = side == 0
-        if not zmask.any() or zmask.all():
+    key = [("cell", pa.int64()), ("salt", pa.int32())]
+    box = [(c, pa.float64()) for c in ("minx", "miny", "maxx", "maxy")]
+    zone_side = pa.schema(key + [("zone_id", pa.string()), ("wkb", pa.binary())] + box)
+    doc_id = points_ds.schema().base_schema.field(id_col).type
+    point_side = pa.schema(key + [("doc_id", doc_id), ("lon", pa.float64()),
+                                  ("lat", pa.float64())])
+
+    def join_group(zones: pa.Table, pts: pa.Table) -> pa.Table:
+        if zones.num_rows == 0 or pts.num_rows == 0:
             return pa.table({"doc_id": pa.array([], pa.string()), "zone_id": pa.array([], pa.string())})
-        zones = group.filter(pa.array(zmask)).select(["zone_id", "wkb", "minx", "miny", "maxx", "maxy"])
-        pts = group.filter(pa.array(~zmask))
         index = _ZoneIndex(zones)
         px = pts["lon"].to_numpy(zero_copy_only=False)
         py = pts["lat"].to_numpy(zero_copy_only=False)
@@ -457,5 +453,11 @@ def partitioned_spatial_join(
             }
         )
 
-    both = zones_tagged.union(points_tagged)
-    return both.groupby(["cell", "salt"]).map_groups(join_group, batch_format="pyarrow")
+    zones_tagged = zones_ds.map_batches(
+        lambda b: _zone_cell_expansion(b, res, salts), batch_format="pyarrow"
+    )
+    points_tagged = points_ds.map_batches(
+        lambda b: _point_cell_tag(b, res, salts, id_col), batch_format="pyarrow"
+    )
+    return cogroup([(zones_tagged, zone_side), (points_tagged, point_side)],
+                   ["cell", "salt"], join_group)

@@ -5,13 +5,13 @@ Union :5803, SymDifference :6340, Identity :6770, Clip/Erase; envelope reject
 :5466-5485, prepared-geometry pretest :5510-5543) Ray-Data-first:
 
 - **One pair join** (``_pair_join``): both layers flat_map to the grid cells
-  their bboxes cover, are unioned and co-partitioned by ``groupby(cell)``;
-  per group an envelope reject, then the plan's per-pair function (exact
+  their bboxes cover and meet in one ``relational.cogroup`` on the cell;
+  per cell an envelope reject, then the plan's per-pair function (exact
   intersects, predicate, overlay or coverage overlap) on the survivors.
   ``polygon_join``, ``overlay_join``, ``predicate_join``, the pair stage of
   Union / SymDifference / Identity / Update, ``check_coverage`` and
-  ``clean_coverage`` all run this one plan; a self-join tags its one layer
-  once and pairs it with itself (id_a < id_b).
+  ``clean_coverage`` all run this one plan; a self-join covers its one
+  layer once and pairs it with itself (id_a < id_b).
 - **Owner-cell rule** (the reference-point method, Dittrich & Seeger, ICDE
   2000): a pair whose bboxes share k cells reaches k groups, but only the
   group of the cell holding the min corner of the intersection bbox emits
@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import geo, pip, wkb
+from .relational import cogroup
 
 
 def clip_ring_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def clip_geom_convex(g: "wkb.Geom", clipper_ring: np.ndarray) -> "wkb.Geom | Non
     return wkb.Geom(wkb.MULTIPOLYGON, polys_out)
 
 
-def _tag_side(batch: pa.Table, side: int, res: int, id_col: str) -> pa.Table:
+def _cell_cover(batch: pa.Table, res: int, id_col: str) -> pa.Table:
     """flat_map polygons over their bbox cell cover."""
     boxes = wkb.bboxes(batch["wkb"].to_pylist())
     rows, cells = geo.bbox_cover_cells(boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3], res)
@@ -98,7 +99,6 @@ def _tag_side(batch: pa.Table, side: int, res: int, id_col: str) -> pa.Table:
     return pa.table(
         {
             "cell": pa.array(cells),
-            "side": pa.array(np.full(len(cells), side, dtype=np.int8)),
             "gid": batch[id_col].take(take),
             "wkb": batch["wkb"].take(take),
             "minx": pa.array(boxes[rows, 0]),
@@ -109,60 +109,62 @@ def _tag_side(batch: pa.Table, side: int, res: int, id_col: str) -> pa.Table:
     )
 
 
-def _owner_cell_pairs(group: pa.Table, res: int, self_join: bool):
+_COVER_SCHEMA = pa.schema([("cell", pa.int64()), ("gid", pa.int64()), ("wkb", pa.binary()),
+                           ("minx", pa.float64()), ("miny", pa.float64()),
+                           ("maxx", pa.float64()), ("maxy", pa.float64())])
+
+
+def _owner_cell_pairs(left: pa.Table, right: pa.Table, res: int):
     """Yield (id_a, id_b, geom_a, geom_b) for every bbox-candidate pair of one
-    cell group whose OWNER cell is this group's cell.  Owner = the cell
-    holding the intersection-bbox min corner — a cell both sides' covers
-    are guaranteed to include — so a pair sharing k cells is emitted by
-    exactly ONE group.  Side 0 pairs with side 1; in a self-join the one
-    layer (side 0) plays both sides.  Geometries decode lazily, once per
-    feature (a cover lists each cell once, so a group position is one
-    feature)."""
-    cell = int(group["cell"][0].as_py())
-    side = group["side"].to_numpy(zero_copy_only=False)
-    box = np.column_stack(
-        [group[c].to_numpy(zero_copy_only=False) for c in ("minx", "miny", "maxx", "maxy")]
-    )
-    ids = group["gid"].to_numpy(zero_copy_only=False)
-    wkbs = group["wkb"].to_pylist()
-    lpos = np.flatnonzero(side == 0)
-    rpos = lpos if self_join else np.flatnonzero(side == 1)
+    cell's left and right covers whose OWNER cell is this cell.  Owner = the
+    cell holding the intersection-bbox min corner — a cell both sides'
+    covers are guaranteed to include — so a pair sharing k cells is emitted
+    by exactly ONE cell.  In a self-join ``right`` is ``left`` and only
+    pairs with id_a < id_b count.  Geometries decode lazily, once per
+    feature (a cover lists each cell once, so a row is one feature)."""
+    if left.num_rows == 0 or right.num_rows == 0:
+        return
+    cell = int(left["cell"][0].as_py())
+    lbox, rbox = (np.column_stack([t[c].to_numpy(zero_copy_only=False)
+                                   for c in ("minx", "miny", "maxx", "maxy")])
+                  for t in (left, right))
+    lid = left["gid"].to_numpy(zero_copy_only=False)
+    rid = right["gid"].to_numpy(zero_copy_only=False)
     # envelope reject (ogrlayer.cpp:5466-5485)
-    cand = pip.bbox_intersects(box[lpos], box[rpos])
-    if self_join:
-        cand &= ids[lpos][:, None] < ids[rpos][None, :]
-    li, ri = np.nonzero(cand)
-    a, b = lpos[li], rpos[ri]
-    owner = geo.point_cells(np.maximum(box[a, 0], box[b, 0]),
-                            np.maximum(box[a, 1], box[b, 1]), res)
-    geoms: dict = {}
+    cand = pip.bbox_intersects(lbox, rbox)
+    if right is left:
+        cand &= lid[:, None] < rid[None, :]
+    a, b = np.nonzero(cand)
+    owner = geo.point_cells(np.maximum(lbox[a, 0], rbox[b, 0]),
+                            np.maximum(lbox[a, 1], rbox[b, 1]), res)
+    geoms: dict = {}  # (table, row) -> Geom; a self-join shares one table
+
+    def geom(t: pa.Table, p: int):
+        if (id(t), p) not in geoms:
+            geoms[id(t), p] = wkb.decode(t["wkb"][int(p)].as_py())
+        return geoms[id(t), p]
+
     for k in np.flatnonzero(owner == cell):
-        for p in (a[k], b[k]):
-            if p not in geoms:
-                geoms[p] = wkb.decode(wkbs[p])
-        yield int(ids[a[k]]), int(ids[b[k]]), geoms[a[k]], geoms[b[k]]
+        yield int(lid[a[k]]), int(rid[b[k]]), geom(left, a[k]), geom(right, b[k])
 
 
 def _pair_join(left_ds, right_ds, res: int, left_id: str, right_id: str | None,
                schema: pa.Schema, per_pair):
     """The cell-partitioned pair join of every plan in this module.  Both
-    layers are tagged with their cell covers, unioned and grouped by cell;
-    each group runs ``per_pair(id_a, id_b, geom_a, geom_b)`` over its
+    layers flat_map to their cell covers and meet in one ``cogroup`` on the
+    cell; each cell runs ``per_pair(id_a, id_b, geom_a, geom_b)`` over its
     owner-cell pairs and builds its table from the rows (dicts) that call
     yields, typed by ``schema`` even when there are none.  ``right_ds`` None
     is a self-join of ``left_ds`` over pairs with id_a < id_b."""
-    self_join = right_ds is None
-    tagged = left_ds.map_batches(lambda b: _tag_side(b, 0, res, left_id), batch_format="pyarrow")
-    if not self_join:
-        tagged = tagged.union(
-            right_ds.map_batches(lambda b: _tag_side(b, 1, res, right_id), batch_format="pyarrow")
-        )
+    layers = [(left_ds, left_id)] + ([] if right_ds is None else [(right_ds, right_id)])
 
-    def join_group(group: pa.Table) -> pa.Table:
-        rows = [row for pair in _owner_cell_pairs(group, res, self_join) for row in per_pair(*pair)]
-        return pa.Table.from_pylist(rows, schema=schema)
+    def join_cell(*covers: pa.Table) -> pa.Table:
+        pairs = _owner_cell_pairs(covers[0], covers[-1], res)
+        return pa.Table.from_pylist([row for pair in pairs for row in per_pair(*pair)],
+                                    schema=schema)
 
-    return tagged.groupby("cell").map_groups(join_group, batch_format="pyarrow")
+    return cogroup([(ds.map_batches(lambda b, c=c: _cell_cover(b, res, c), batch_format="pyarrow"),
+                     _COVER_SCHEMA) for ds, c in layers], "cell", join_cell)
 
 
 def polygon_join(

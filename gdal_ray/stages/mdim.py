@@ -28,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .relational import cogroup
+
 
 class MDim:
     """Metadata for a chunked N-D array: dim names/sizes + chunk sizes.
@@ -463,37 +465,21 @@ def mdim_compare(ds_a, md_a: MDim, ds_b, md_b: MDim) -> pa.Table:
         raise ValueError(f"array layouts differ: {md_a.dims}/{md_a.chunks} "
                          f"vs {md_b.dims}/{md_b.chunks}")
 
-    def tag(side):
-        def f(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "side", pa.array(np.full(batch.num_rows, side, np.int8)))
-        return f
-
-    both = ds_a.map_batches(tag(0), batch_format="pyarrow").union(
-        ds_b.map_batches(tag(1), batch_format="pyarrow"))
-
-    empty = pa.table({"n_diff": pa.array([], pa.int64()),
-                      "max_abs_diff": pa.array([], pa.float64()),
-                      "sum_abs_diff": pa.array([], pa.float64()),
-                      "n_values": pa.array([], pa.int64())})
-
-    def per_chunk(group: pa.Table) -> pa.Table:
-        sides = group["side"].to_pylist()
-        if len(sides) != 2 or set(sides) != {0, 1}:
-            raise ValueError(f"chunk {group['ckey'][0].as_py()} present on "
-                             f"sides {sides}; grids must match 1:1")
-        rows = dict(zip(sides, _rows(group)))
-        a = rows[0][1].astype(np.float64)
-        b = rows[1][1].astype(np.float64)
-        d = np.abs(a - b)
+    def per_chunk(a: pa.Table, b: pa.Table) -> pa.Table:
+        if a.num_rows != 1 or b.num_rows != 1:
+            ckey = (a if a.num_rows else b)["ckey"][0].as_py()
+            sides = [0] * a.num_rows + [1] * b.num_rows
+            raise ValueError(f"chunk {ckey} present on sides {sides}; grids "
+                             "must match 1:1")
+        d = np.abs(next(_rows(a))[1].astype(np.float64)
+                   - next(_rows(b))[1].astype(np.float64))
         return pa.table({"n_diff": pa.array([int((d > 0).sum())], pa.int64()),
                          "max_abs_diff": pa.array([float(d.max())]),
                          "sum_abs_diff": pa.array([float(d.sum())]),
                          "n_values": pa.array([int(d.size)], pa.int64())})
 
-    parts = both.groupby("ckey").map_groups(per_chunk, batch_format="pyarrow")
-    import pandas as pd
-
+    parts = cogroup([(ds_a, _CHUNK_SCHEMA), (ds_b, _CHUNK_SCHEMA)], "ckey",
+                    per_chunk)
     df = parts.to_pandas()
     if df.empty:
         return pa.table({"n_diff": pa.array([0], pa.int64()),

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import checksum as cks
+from .relational import cogroup
 
 
 def _arr_of(batch: pa.Table, i: int) -> np.ndarray:
@@ -28,6 +29,17 @@ def _arr_of(batch: pa.Table, i: int) -> np.ndarray:
     h = batch["height"][i].as_py()
     w = batch["width"][i].as_py()
     return np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(h, w)
+
+
+def _tile_sides(layers: list) -> list:
+    """``cogroup`` sides of tile Datasets, each in its own schema (narrow
+    or wide, FIXTURES.md F3)."""
+    return [(ds, ds.schema().base_schema) for ds in layers]
+
+
+def _tile_rows(tables) -> list:
+    """(table, row) of every tile at one key, side by side in list order."""
+    return [(t, i) for t in tables for i in range(t.num_rows)]
 
 
 def _tile_out(batch: pa.Table, i: int, arr: np.ndarray, dtype_name: str) -> dict:
@@ -459,39 +471,24 @@ def stack_bands(layers: list):
     (apps/gdalalg_raster_stack.h role).  Shuffle key = (z, x, y); per-band
     payloads are concatenated and a band-weighted checksum
     sum((i+1) * cks_i) % 65536 pins both content AND band ordering."""
-    tagged = []
-    for li, ds in enumerate(layers):
-        tagged.append(
-            ds.map_batches(
-                lambda t, li=li: t.append_column("layer", pa.array([li] * t.num_rows, pa.int32())),
-                batch_format="pyarrow",
-            )
-        )
-    allds = tagged[0]
-    for t in tagged[1:]:
-        allds = allds.union(t)
 
-    def stack(group: pa.Table) -> pa.Table:
-        order = np.argsort(group["layer"].to_numpy(zero_copy_only=False), kind="stable")
-        datas, dtypes, wsum = [], [], 0
-        for bi, j in enumerate(order):
-            arr = _arr_of(group, int(j))
-            datas.append(group["data"][int(j)].as_py())
-            dtypes.append(group["dtype"][int(j)].as_py())
-            wsum += (bi + 1) * cks.tile_checksum(arr)
-        i0 = int(order[0])
+    def stack(*tables) -> pa.Table:
+        rows = _tile_rows(tables)
+        wsum = sum((bi + 1) * cks.tile_checksum(_arr_of(t, i))
+                   for bi, (t, i) in enumerate(rows))
+        t0 = rows[0][0]
         return pa.Table.from_pylist([{
-            "z": group["z"][i0].as_py(), "x": group["x"][i0].as_py(),
-            "y": group["y"][i0].as_py(),
-            "width": group["width"][i0].as_py(),
-            "height": group["height"][i0].as_py(),
-            "n_bands": len(order),
-            "dtypes": ",".join(dtypes),
-            "data": b"".join(datas),
+            "z": t0["z"][0].as_py(), "x": t0["x"][0].as_py(),
+            "y": t0["y"][0].as_py(),
+            "width": t0["width"][0].as_py(),
+            "height": t0["height"][0].as_py(),
+            "n_bands": len(rows),
+            "dtypes": ",".join(t["dtype"][i].as_py() for t, i in rows),
+            "data": b"".join(t["data"][i].as_py() for t, i in rows),
             "checksum": wsum % 65536,
         }])
 
-    return allds.groupby(["z", "x", "y"]).map_groups(stack, batch_format="pyarrow")
+    return cogroup(_tile_sides(layers), ["z", "x", "y"], stack)
 
 
 def select_band(stacked_ds, band: int):
@@ -527,37 +524,22 @@ def select_band(stacked_ds, band: int):
 
 def mosaic(layers: list, nodata: float = 0.0):
     """Compose N tile datasets: last non-nodata wins per pixel, in layer-list
-    order (gdalbuildvrt overlay resolution).  Shuffle key = (z, x, y)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
+    order (gdalbuildvrt overlay resolution).  Shuffle key = (z, band, x, y)."""
 
-    tagged = []
-    for li, ds in enumerate(layers):
-        tagged.append(
-            ds.map_batches(
-                lambda t, li=li: t.append_column("layer", pa.array([li] * t.num_rows, pa.int32())),
-                batch_format="pyarrow",
-            )
-        )
-    allds = tagged[0]
-    for t in tagged[1:]:
-        allds = allds.union(t)
-
-    def compose(group: pa.Table) -> pa.Table:
-        order = np.argsort(group["layer"].to_numpy(zero_copy_only=False), kind="stable")
-        i0 = int(order[0])
-        base = _arr_of(group, i0).astype(np.float64)
-        for j in order[1:]:
-            arr = _arr_of(group, int(j)).astype(np.float64)
+    def compose(*tables) -> pa.Table:
+        (t0, i0), *rest = _tile_rows(tables)
+        base = _arr_of(t0, i0).astype(np.float64)
+        for t, i in rest:
+            arr = _arr_of(t, i).astype(np.float64)
             m = arr != nodata
             base[m] = arr[m]
-        out = _tile_out(group, i0, base.astype(np.float32), "float32")
+        out = _tile_out(t0, i0, base.astype(np.float32), "float32")
         out["checksum"] = cks.tile_checksum(base)
         return pa.Table.from_pylist([out])
 
     # shuffle key = full tile address incl. band (multi-band layers compose
     # per band; no bit-packing so large z/x/y never collide)
-    return allds.groupby(["z", "band", "x", "y"]).map_groups(compose, batch_format="pyarrow")
+    return cogroup(_tile_sides(layers), ["z", "band", "x", "y"], compose)
 
 
 def mosaic_blend(layers: list, feather: int = 16, nodata: float = 0.0):
@@ -580,57 +562,37 @@ def mosaic_blend(layers: list, feather: int = 16, nodata: float = 0.0):
     density 0 become nodata.  Integer sources only (the float path would
     not be order-exact); output int32 + per-tile checksum.
     """
-    import ray.data as rd  # noqa: F401  (parity with mosaic; layers are Datasets)
-
-    from ..functions import checksum as cks
-
     rects = [tuple(int(v) for v in r) for _, r in layers]
     F = int(feather)
 
-    tagged = []
-    for li, (ds, _rect) in enumerate(layers):
-        tagged.append(
-            ds.map_batches(
-                lambda t, li=li: t.append_column(
-                    "layer", pa.array([li] * t.num_rows, pa.int32())),
-                batch_format="pyarrow",
-            )
-        )
-    allds = tagged[0]
-    for t in tagged[1:]:
-        allds = allds.union(t)
-
-    def blend(group: pa.Table) -> pa.Table:
-        i0 = 0
-        h = group["height"][i0].as_py()
-        w = group["width"][i0].as_py()
-        tx = group["x"][i0].as_py()
-        ty = group["y"][i0].as_py()
+    def blend(*tables) -> pa.Table:
+        t0 = next(t for t in tables if t.num_rows)
+        h = t0["height"][0].as_py()
+        w = t0["width"][0].as_py()
         gy, gx = np.mgrid[0:h, 0:w]
-        gx = gx + tx * w
-        gy = gy + ty * h
+        gx = gx + t0["x"][0].as_py() * w
+        gy = gy + t0["y"][0].as_py() * h
         num = np.zeros((h, w), dtype=np.int64)
         den = np.zeros((h, w), dtype=np.int64)
-        for i in range(group.num_rows):
-            li = group["layer"][i].as_py()
-            x0, y0, x1, y1 = rects[li]
-            arr = _arr_of(group, i)
-            if arr.dtype.kind not in "iu":
-                raise ValueError("mosaic_blend requires integer sources")
-            v = arr.astype(np.int64)
-            d = np.minimum.reduce([gx - x0 + 1, x1 - gx, gy - y0 + 1, y1 - gy])
-            d = np.clip(d, 0, F)
-            d[v == int(nodata)] = 0
-            num += d * v
-            den += d
+        for (x0, y0, x1, y1), t in zip(rects, tables):
+            for i in range(t.num_rows):
+                arr = _arr_of(t, i)
+                if arr.dtype.kind not in "iu":
+                    raise ValueError("mosaic_blend requires integer sources")
+                v = arr.astype(np.int64)
+                d = np.minimum.reduce([gx - x0 + 1, x1 - gx, gy - y0 + 1, y1 - gy])
+                d = np.clip(d, 0, F)
+                d[v == int(nodata)] = 0
+                num += d * v
+                den += d
         safe = np.maximum(den, 1)
         out = np.where(den > 0, (2 * num + den) // (2 * safe), np.int64(nodata))
-        row = _tile_out(group, i0, out.astype(np.int32), "int32")
+        row = _tile_out(t0, 0, out.astype(np.int32), "int32")
         row["checksum"] = cks.tile_checksum(out)
         return pa.Table.from_pylist([row])
 
-    return allds.groupby(["z", "band", "x", "y"]).map_groups(
-        blend, batch_format="pyarrow")
+    return cogroup(_tile_sides([ds for ds, _ in layers]),
+                   ["z", "band", "x", "y"], blend)
 
 
 def band_stats_lazy(tiles_ds, stride: int = 1):
@@ -714,33 +676,24 @@ def compare(tiles_a, tiles_b, scale_x100: bool = True):
     checksum delta.  Tiles pair by a keyed (z, x, y, band) shuffle — neither
     raster is broadcast, so both sides stream at 100 TB.
     """
-    from ..functions import checksum as cks_f
 
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.append_column("_side", pa.array(
-                np.full(t.num_rows, side, dtype=np.int8)))
-        return fn
-
-    def diff(g: pa.Table) -> pa.Table:
-        if g.num_rows != 2:  # unmatched tile: report full difference
-            i = 0
-            a = _arr_of(g, i)
+    def diff(a: pa.Table, b: pa.Table) -> pa.Table:
+        if a.num_rows != 1 or b.num_rows != 1:  # unmatched tile: report full difference
+            t = a if a.num_rows else b
             return pa.table({
-                "z": g["z"][:1], "x": g["x"][:1], "y": g["y"][:1],
-                "n_diff": pa.array([a.size], pa.int64()),
+                "z": t["z"][:1], "x": t["x"][:1], "y": t["y"][:1],
+                "n_diff": pa.array([_arr_of(t, 0).size], pa.int64()),
                 "max_abs_x100": pa.array([-1], pa.int64()),
                 "checksum_delta": pa.array([0], pa.int64()),
             })
-        i0 = 0 if g["_side"][0].as_py() == 0 else 1
-        a = _arr_of(g, i0).astype(np.float64)
-        b = _arr_of(g, 1 - i0).astype(np.float64)
-        d = b - a
+        av = _arr_of(a, 0).astype(np.float64)
+        bv = _arr_of(b, 0).astype(np.float64)
+        d = bv - av
         n_diff = int(np.count_nonzero(d))
         mx = float(np.abs(d).max()) if d.size else 0.0
-        ca, cb = cks_f.tile_checksum(a), cks_f.tile_checksum(b)
+        ca, cb = cks.tile_checksum(av), cks.tile_checksum(bv)
         return pa.table({
-            "z": g["z"][:1], "x": g["x"][:1], "y": g["y"][:1],
+            "z": a["z"][:1], "x": a["x"][:1], "y": a["y"][:1],
             "n_diff": pa.array([n_diff], pa.int64()),
             "max_abs_x100": pa.array(
                 [int(np.floor(mx * 100.0 + 0.5)) if scale_x100 else int(mx)],
@@ -752,9 +705,7 @@ def compare(tiles_a, tiles_b, scale_x100: bool = True):
 
     a = rd.from_arrow(tiles_a) if isinstance(tiles_a, pa.Table) else tiles_a
     b = rd.from_arrow(tiles_b) if isinstance(tiles_b, pa.Table) else tiles_b
-    return a.map_batches(tag(0), batch_format="pyarrow").union(
-        b.map_batches(tag(1), batch_format="pyarrow")
-    ).groupby(["z", "x", "y"]).map_groups(diff, batch_format="pyarrow")
+    return cogroup(_tile_sides([a, b]), ["z", "x", "y", "band"], diff)
 
 
 def equalize(tiles_ds, levels: int = 256):
@@ -812,41 +763,24 @@ def equalize(tiles_ds, levels: int = 256):
 def compare_rasters(tiles_a, tiles_b):
     """gdalcompare-style raster diff (reference:
     swig/python/gdal-utils/osgeo_utils/gdalcompare.py compare_image_pixels):
-    join the two tile sets on (x, y), count differing pixels and fold
-    max/sum absolute difference — one tile-keyed shuffle, O(1)-row result
-    (a per-tile partial per group, whole-table aggregate fold).  Raises if
-    a tile exists on only one side or shapes mismatch (the reference
-    errors on size mismatch before comparing pixels)."""
+    join the two tile sets on (z, x, y, band), count differing pixels and
+    fold max/sum absolute difference — one tile-keyed shuffle, O(1)-row
+    result (a per-tile partial per group, whole-table aggregate fold).
+    Raises if a tile exists on only one side or shapes mismatch (the
+    reference errors on size mismatch before comparing pixels)."""
     from ray.data.aggregate import Max as _Max, Sum as _Sum
 
-    from .focal import _dtype_of
-
-    def tag(side):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "side", pa.array(np.full(t.num_rows, side, np.int8)))
-        return fn
-
-    both = tiles_a.map_batches(tag(0), batch_format="pyarrow").union(
-        tiles_b.map_batches(tag(1), batch_format="pyarrow"))
-
-    def per_tile(g: pa.Table) -> pa.Table:
-        sides = g["side"].to_numpy(zero_copy_only=False)
-        if g.num_rows != 2 or sides.min() == sides.max():
+    def per_tile(a: pa.Table, b: pa.Table) -> pa.Table:
+        if a.num_rows != 1 or b.num_rows != 1:
+            t = a if a.num_rows else b
             raise ValueError(
-                f"compare_rasters: tile ({g['x'][0].as_py()}, "
-                f"{g['y'][0].as_py()}) present on one side only")
-        arrs = []
-        for i in np.argsort(sides):
-            dt = _dtype_of(g["dtype"][i].as_py())
-            arrs.append(np.frombuffer(g["data"][i].as_py(), dtype=dt)
-                        .reshape(g["height"][i].as_py(),
-                                 g["width"][i].as_py()))
-        a, b = arrs
-        if a.shape != b.shape:
-            raise ValueError(f"compare_rasters: shape mismatch {a.shape} "
-                             f"vs {b.shape}")
-        d = np.abs(a.astype(np.float64) - b.astype(np.float64))
+                f"compare_rasters: tile ({t['x'][0].as_py()}, "
+                f"{t['y'][0].as_py()}) present on one side only")
+        av, bv = _arr_of(a, 0), _arr_of(b, 0)
+        if av.shape != bv.shape:
+            raise ValueError(f"compare_rasters: shape mismatch {av.shape} "
+                             f"vs {bv.shape}")
+        d = np.abs(av.astype(np.float64) - bv.astype(np.float64))
         return pa.table({
             "n_pixels": pa.array([int(d.size)], pa.int64()),
             "n_diff": pa.array([int((d != 0).sum())], pa.int64()),
@@ -854,8 +788,8 @@ def compare_rasters(tiles_a, tiles_b):
             "sum_diff": pa.array([float(d.sum())], pa.float64()),
         })
 
-    parts = both.groupby(["x", "y"]).map_groups(per_tile,
-                                                batch_format="pyarrow")
+    parts = cogroup(_tile_sides([tiles_a, tiles_b]), ["z", "x", "y", "band"],
+                    per_tile)
     return parts.aggregate(
         _Sum("n_pixels", alias_name="n_pixels"),
         _Sum("n_diff", alias_name="n_diff"),
@@ -875,32 +809,17 @@ def composite_reduce(layers: list, method: str = "median",
     tile; output dtype float64."""
     if method not in ("median", "mean", "min", "max", "count_valid"):
         raise ValueError(method)
-    tagged = []
-    for li, ds in enumerate(layers):
-        tagged.append(ds.map_batches(
-            lambda t, li=li: t.append_column(
-                "layer", pa.array([li] * t.num_rows, pa.int32())),
-            batch_format="pyarrow"))
-    allds = tagged[0]
-    for t in tagged[1:]:
-        allds = allds.union(t)
 
-    from .focal import _dtype_of
-
-    def reduce_tile(group: pa.Table) -> pa.Table:
-        h = group["height"][0].as_py()
-        w = group["width"][0].as_py()
-        stack = np.empty((group.num_rows, h, w), dtype=np.float64)
-        for i in range(group.num_rows):
-            dt = _dtype_of(group["dtype"][i].as_py())
-            stack[i] = np.frombuffer(
-                group["data"][i].as_py(), dtype=dt).reshape(h, w)
+    def reduce_tile(*tables) -> pa.Table:
+        rows = _tile_rows(tables)
+        stack = np.stack([_arr_of(t, i).astype(np.float64) for t, i in rows])
+        h, w = stack.shape[1:]
         if nodata is not None:
             valid = stack != nodata
             nv = valid.sum(axis=0)
             stack = np.where(valid, stack, np.nan)
         else:
-            nv = np.full((h, w), group.num_rows, dtype=np.int64)
+            nv = np.full((h, w), len(rows), dtype=np.int64)
         with np.errstate(invalid="ignore"):
             if method == "median":
                 out = np.nanmedian(stack, axis=0) if nodata is not None \
@@ -918,14 +837,14 @@ def composite_reduce(layers: list, method: str = "median",
                 out = nv.astype(np.float64)
         if nodata is not None and method != "count_valid":
             out = np.where(nv > 0, out, nodata)
+        t0 = rows[0][0]
         return pa.Table.from_pylist([{
-            "z": group["z"][0].as_py(), "x": group["x"][0].as_py(),
-            "y": group["y"][0].as_py(), "width": w, "height": h,
+            "z": t0["z"][0].as_py(), "x": t0["x"][0].as_py(),
+            "y": t0["y"][0].as_py(), "width": w, "height": h,
             "dtype": "float64", "data": out.tobytes(),
         }])
 
-    return allds.groupby(["z", "x", "y"]).map_groups(
-        reduce_tile, batch_format="pyarrow")
+    return cogroup(_tile_sides(layers), ["z", "x", "y"], reduce_tile)
 
 
 def raster_update(dst_tiles, src_tiles, src_nodata: float | None = None):
@@ -933,57 +852,35 @@ def raster_update(dst_tiles, src_tiles, src_nodata: float | None = None):
     ``apps/gdalalg_raster_update.cpp``: warp a source INTO an existing
     raster in place; pixels where the source is nodata leave the
     destination untouched, and the update is clamped to the destination
-    extent).  Tile-model form: one (x, y)-keyed join; destination tiles
-    without a source tile pass through untouched, source tiles outside the
-    destination grid are dropped, overlapping tiles take source pixels
-    wherever they are valid.  Output dtype follows the destination (the
-    in-place contract)."""
-    from .focal import _dtype_of
+    extent).  Tile-model form: one (z, x, y, band)-keyed join; destination
+    tiles without a source tile pass through untouched, source tiles
+    outside the destination grid are dropped, overlapping tiles take source
+    pixels wherever they are valid.  Output dtype follows the destination
+    (the in-place contract)."""
 
-    def tag(side):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "side", pa.array(np.full(t.num_rows, side, np.int8)))
-        return fn
-
-    both = dst_tiles.map_batches(tag(0), batch_format="pyarrow").union(
-        src_tiles.map_batches(tag(1), batch_format="pyarrow"))
-
-    def per_tile(g: pa.Table) -> pa.Table:
-        sides = g["side"].to_numpy(zero_copy_only=False)
-        drop = g.schema.get_field_index("side")
-        if g.num_rows == 1:
-            if int(sides[0]) == 1:
-                return g.remove_column(drop).slice(0, 0)  # outside dst
-            return g.remove_column(drop)
-        if g.num_rows != 2 or sides.min() == sides.max():
+    def per_tile(dst: pa.Table, src: pa.Table) -> pa.Table:
+        if dst.num_rows + src.num_rows == 1:
+            return dst  # untouched, or no rows for a source tile outside dst
+        if dst.num_rows != 1 or src.num_rows != 1:
             raise ValueError(
-                f"raster_update: tile ({g['x'][0].as_py()}, "
-                f"{g['y'][0].as_py()}) has {g.num_rows} rows; expected one "
-                "per side")
-        di, si = int(np.argmin(sides)), int(np.argmax(sides))
-        ddt = _dtype_of(g["dtype"][di].as_py())
-        d = np.frombuffer(g["data"][di].as_py(), dtype=ddt).reshape(
-            g["height"][di].as_py(), g["width"][di].as_py())
-        s = np.frombuffer(g["data"][si].as_py(),
-                          dtype=_dtype_of(g["dtype"][si].as_py())).reshape(
-            g["height"][si].as_py(), g["width"][si].as_py())
+                f"raster_update: tile ({dst['x'][0].as_py()}, "
+                f"{dst['y'][0].as_py()}) has {dst.num_rows + src.num_rows} "
+                "rows; expected one per side")
+        d, s = _arr_of(dst, 0), _arr_of(src, 0)
         if d.shape != s.shape:
             raise ValueError(f"raster_update: shape mismatch {d.shape} vs "
                              f"{s.shape}")
-        nod = (g["nodata"][si].as_py() if src_nodata is None
+        nod = (src["nodata"][0].as_py() if src_nodata is None
                else float(src_nodata))
         valid = (s != np.asarray(nod, dtype=s.dtype)) if nod is not None \
             else np.ones(s.shape, bool)
-        out = np.where(valid, s.astype(ddt), d)
-        one = g.remove_column(drop).slice(di, 1)
-        cols = {c: one[c] for c in one.column_names}
-        cols["data"] = pa.array([np.ascontiguousarray(out).tobytes()],
-                                pa.binary())
-        return pa.table(cols)
+        out = np.where(valid, s.astype(d.dtype), d)
+        return dst.set_column(
+            dst.schema.get_field_index("data"), "data",
+            pa.array([np.ascontiguousarray(out).tobytes()], pa.binary()))
 
-    return both.groupby(["z", "x", "y", "band"]).map_groups(
-        per_tile, batch_format="pyarrow")
+    return cogroup(_tile_sides([dst_tiles, src_tiles]),
+                   ["z", "x", "y", "band"], per_tile)
 
 
 def nodata_to_alpha(tiles_ds, nodata: float | None = None,

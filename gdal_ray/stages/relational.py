@@ -11,7 +11,10 @@ combiner), and only the tiny per-key partials go through the all-to-all
 ``groupby``.  At 100 TB this turns the shuffle from O(rows) into
 O(keys x blocks).  Operators that must see all rows of a key at once (window
 ranks, semi/anti and set joins, dedup runs, label merges) share one keyed
-shuffle, ``bucket_groups``.
+shuffle, ``bucket_groups``.  It runs on ``cogroup``, the one exact-key
+co-group of several inputs, which the multi-input operators elsewhere (tile
+stacks and compares, chunk compares, blob and cluster joins, grid-cell pair
+joins) call directly.
 
 Numeric policy: aggregate outputs that feed the correctness oracle use exact
 scaled-integer semantics (money in cents, ratios as scaled ints) so results
@@ -212,6 +215,42 @@ def bucket_of(keys, buckets: int = BUCKETS) -> np.ndarray:
     return (h % np.uint64(buckets)).astype(np.int64)
 
 
+def cogroup(sides, keys, per_key):
+    """The exact-key co-group behind every multi-input operator: tag each
+    side's rows, ``union`` the sides, ``groupby(keys)`` and call ``per_key``
+    once per key.
+
+    ``sides`` is a list of ``(Dataset, pa.Schema)``; ``per_key(*tables)``
+    gets one table per side, in list order: that side's rows at the key,
+    projected and cast to its schema (a side with no rows there arrives as a
+    zero-row table of its schema).  Sides share a column by name, the key
+    columns among them; the columns a side lacks ride the shuffle as typed
+    nulls.  ``keys`` is a column name or a list of them.  The order of keys,
+    and of a side's rows at a key, are unspecified."""
+    schemas = [schema for _, schema in sides]
+    union = pa.unify_schemas(schemas, promote_options="permissive")
+
+    def tagger(i: int):
+        def tag(t: pa.Table) -> pa.Table:
+            t = t.select(schemas[i].names).cast(schemas[i])
+            cols = [t[f.name].cast(f.type) if f.name in t.column_names
+                    else pa.nulls(t.num_rows, f.type) for f in union]
+            return pa.Table.from_arrays(
+                cols + [pa.array(np.full(t.num_rows, i, np.int8))],
+                names=union.names + ["_side"])
+        return tag
+
+    def split(g: pa.Table) -> pa.Table:
+        side = g["_side"].to_numpy(zero_copy_only=False)
+        return per_key(*[g.filter(pa.array(side == i)).select(s.names).cast(s)
+                         for i, s in enumerate(schemas)])
+
+    first, *rest = [ds.map_batches(tagger(i), batch_format="pyarrow")
+                    for i, (ds, _) in enumerate(sides)]
+    both = first.union(*rest) if rest else first
+    return both.groupby(keys).map_groups(split, batch_format="pyarrow")
+
+
 def bucket_groups(sides, key, per_bucket, buckets: int = BUCKETS):
     """The keyed shuffle behind every hash-partitioned operator: tag rows
     with ``bucket_of(key)``, ``groupby`` the bucket, and call ``per_bucket``
@@ -221,11 +260,8 @@ def bucket_groups(sides, key, per_bucket, buckets: int = BUCKETS):
 
     ``sides`` is one Dataset, and ``per_bucket(table)`` gets the bucket's
     rows in the Dataset's own columns; or a list of ``(Dataset, pa.Schema)``
-    co-group sides, and ``per_bucket(*tables)`` gets one table per side: that
-    side's rows in the bucket, projected and cast to its schema (a side with
-    no rows there arrives as a zero-row table of its schema).  Sides share a
-    column by name, the key column among them; the columns a side lacks
-    ride the shuffle as typed nulls.  ``key`` is the key column's name or a
+    co-group sides, and ``per_bucket(*tables)`` gets one table per side as
+    ``cogroup`` hands them over.  ``key`` is the key column's name or a
     function of a batch returning the keys."""
     def part(t: pa.Table) -> pa.Array:
         keys = key(t) if callable(key) else t[key].to_numpy(zero_copy_only=False)
@@ -239,29 +275,17 @@ def bucket_groups(sides, key, per_bucket, buckets: int = BUCKETS):
             "_part").map_groups(lambda g: per_bucket(g.drop_columns(["_part"])),
                                 batch_format="pyarrow")
 
-    schemas = [schema for _, schema in sides]
-    union = pa.unify_schemas(schemas, promote_options="permissive")
-
-    def tagger(i: int):
+    def tagger(schema: pa.Schema):
         def tag(t: pa.Table) -> pa.Table:
-            t = t.select(schemas[i].names).cast(schemas[i])
-            cols = [t[f.name].cast(f.type) if f.name in t.column_names
-                    else pa.nulls(t.num_rows, f.type) for f in union]
-            return pa.Table.from_arrays(
-                cols + [part(t), pa.array(np.full(t.num_rows, i, np.int8))],
-                names=union.names + ["_part", "_side"])
+            t = t.select(schema.names).cast(schema)
+            return t.append_column("_part", part(t))
         return tag
 
-    def split(g: pa.Table) -> pa.Table:
-        side = g["_side"].to_numpy(zero_copy_only=False)
-        return per_bucket(*[
-            g.filter(pa.array(side == i)).select(s.names).cast(s)
-            for i, s in enumerate(schemas)])
-
-    tagged = [ds.map_batches(tagger(i), batch_format="pyarrow")
-              for i, (ds, _) in enumerate(sides)]
-    return tagged[0].union(*tagged[1:]).groupby("_part").map_groups(
-        split, batch_format="pyarrow")
+    return cogroup(
+        [(ds.map_batches(tagger(s), batch_format="pyarrow"),
+          s.append(pa.field("_part", pa.int64()))) for ds, s in sides],
+        "_part",
+        lambda *ts: per_bucket(*[t.drop_columns(["_part"]) for t in ts]))
 
 
 def _topn_mask(key: np.ndarray, order_val: np.ndarray, tie: np.ndarray, n: int):

@@ -1,13 +1,17 @@
 """Static gate: the keyed hash-bucket shuffle lives in one place,
-``relational.bucket_groups``.
+``relational.bucket_groups``, and the exact-key co-group of several inputs
+in one other, ``relational.cogroup``.
 
-Every other module that needs a keyed shuffle calls it.  This scan of
+Every other module that needs a keyed shuffle calls them.  This scan of
 ``gdal_ray/`` fails on a module other than ``relational.py`` that names a
 ``_part`` / ``_dpart`` bucket column (which also covers
 ``groupby("_part")``) or takes a value ``% num_partitions`` /
 ``% num_buckets``.  Hashes that feed no shuffle stay allowed: textops
 feature hashing (``% 2001``) and the SQL-mirrored sampling in
-``queries.py`` (``% 100``).
+``queries.py`` (``% 100``).  It also fails on a module that names a side
+tag column (``side`` / ``_side`` / ``layer``) and calls both ``union`` and
+``groupby``: rows tagged by side, unioned and grouped are a hand-written
+co-group.
 """
 
 import ast
@@ -17,6 +21,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OWNER = os.path.join("gdal_ray", "stages", "relational.py")
 BUCKET_COLUMNS = {"_part", "_dpart"}
 BUCKET_COUNTS = {"num_partitions", "num_buckets"}
+SIDE_TAGS = {"side", "_side", "layer"}
 
 
 def _violations(source: str) -> list:
@@ -28,6 +33,12 @@ def _violations(source: str) -> list:
             names = {n.id for n in ast.walk(node.right) if isinstance(n, ast.Name)}
             for name in sorted(names & BUCKET_COUNTS):
                 out.append((node.lineno, f"% {name}"))
+    tree = ast.parse(source)
+    calls = {n.func.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    if {"union", "groupby"} <= calls:
+        out += sorted((n.lineno, f"side tag {n.value!r}") for n in ast.walk(tree)
+                      if isinstance(n, ast.Constant) and n.value in SIDE_TAGS)
     return out
 
 
@@ -37,6 +48,35 @@ def test_scanner_flags_a_hand_written_shuffle():
            "    return ds.groupby('_part')\n")
     assert [line for line, _ in _violations(src)] == [2, 3]
     assert _violations("w = (j * 2654435761) % 2001 - 1000\n") == []
+
+
+# ``rastermap.compare`` as it was before it moved onto ``cogroup``
+HAND_WRITTEN_COGROUP = """
+def compare(tiles_a, tiles_b, scale_x100: bool = True):
+    def tag(side: int):
+        def fn(t: pa.Table) -> pa.Table:
+            return t.append_column("_side", pa.array(
+                np.full(t.num_rows, side, dtype=np.int8)))
+        return fn
+
+    def diff(g: pa.Table) -> pa.Table:
+        i0 = 0 if g["_side"][0].as_py() == 0 else 1
+        return g.slice(i0, 1)
+
+    a = rd.from_arrow(tiles_a) if isinstance(tiles_a, pa.Table) else tiles_a
+    b = rd.from_arrow(tiles_b) if isinstance(tiles_b, pa.Table) else tiles_b
+    return a.map_batches(tag(0), batch_format="pyarrow").union(
+        b.map_batches(tag(1), batch_format="pyarrow")
+    ).groupby(["z", "x", "y"]).map_groups(diff, batch_format="pyarrow")
+"""
+
+
+def test_scanner_flags_a_hand_written_cogroup():
+    assert _violations(HAND_WRITTEN_COGROUP) == [
+        (5, "side tag '_side'"), (10, "side tag '_side'")]
+    # a tagged union that no groupby follows, and a groupby of one input, pass
+    assert _violations("def f(a, b):\n    return a.union(b.add_column('side'))\n") == []
+    assert _violations("def f(a):\n    return a.groupby('side').count()\n") == []
 
 
 def test_keyed_shuffles_go_through_bucket_groups():
@@ -53,4 +93,4 @@ def test_keyed_shuffles_go_through_bucket_groups():
                 found += [f"{rel}:{line}: {what}"
                           for line, what in _violations(f.read())]
     assert not found, "hand-written keyed shuffle; use " \
-        "relational.bucket_groups:\n" + "\n".join(found)
+        "relational.bucket_groups or relational.cogroup:\n" + "\n".join(found)

@@ -246,6 +246,20 @@ def test_gdalcompare_identical_and_unmatched(ray_session):
     assert len(unmatched) == 2 and all(r["n_diff"] == 32 * 32 for r in unmatched)
 
 
+def test_gdalcompare_pairs_tiles_band_by_band(ray_session):
+    """A two-band raster compared with itself: every band of every tile
+    pairs with the same band on the other side, so nothing differs."""
+    b1 = synthetic.make_raster_tiles("checker", 1, 1, size=4)
+    b2 = synthetic.make_raster_tiles("ramp", 1, 1, size=4)
+    b2 = b2.set_column(b2.schema.get_field_index("band"), "band",
+                       pa.array([2], pa.int8()))
+    t = pa.concat_tables([b1, b2])
+    out = rastermap.compare(rd.from_arrow(t), rd.from_arrow(t)).take_all()
+    assert len(out) == 2
+    assert all(r["n_diff"] == 0 and r["max_abs_x100"] == 0
+               and r["checksum_delta"] == 0 for r in out)
+
+
 def test_neighbors_tiled_equals_monolithic(ray_session):
     """gdal raster neighbors: every method's per-tile integer aggregates must
     equal the same stencil run on the assembled mosaic with edge padding."""

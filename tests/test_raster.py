@@ -687,9 +687,13 @@ def test_compare_rasters_identical_and_mismatch(ray_session):
     from gdal_ray.sources import synthetic
     from gdal_ray.stages import rastermap
 
-    t = synthetic.make_raster_tiles("checker", 2, 2, size=32)
+    b1 = synthetic.make_raster_tiles("checker", 2, 2, size=32)
+    b2 = synthetic.make_raster_tiles("ramp", 2, 2, size=32)
+    b2 = b2.set_column(b2.schema.get_field_index("band"), "band",
+                       pa.array([2] * b2.num_rows, pa.int8()))
+    t = pa.concat_tables([b1, b2])  # two bands: each pairs with its own band
     res = rastermap.compare_rasters(rd.from_arrow(t), rd.from_arrow(t))
-    assert res["n_pixels"] == 4 * 32 * 32
+    assert res["n_pixels"] == 2 * 4 * 32 * 32
     assert res["n_diff"] == 0 and res["max_diff"] == 0.0
 
     with pytest.raises(Exception, match="one side only"):

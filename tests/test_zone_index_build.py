@@ -1,9 +1,9 @@
 """The zone index build from a columnar read of the WKB column
 (``wkb.read_rings``), pinned to the per-geometry build it replaces.
 
-The reference below is a verbatim copy of the previous build: ``wkb.decode``
-of every zone, the per-zone ``_rect_like`` set test, and the list form of
-``pip.edge_csr``.  Every ``_ZoneIndex`` array must equal it bit for bit: on
+The reference below is a copy of the previous build: ``wkb.decode`` of every
+zone, a per-zone rectangle test (the four distinct box corners in ring
+order), and the list form of ``pip.edge_csr``.  Every ``_ZoneIndex`` array must equal it bit for bit: on
 both perfbench zone tables, on Hypothesis tables that mix the areal kinds
 with rows the columnar reader hands to ``wkb.decode`` (points, lines, either
 byte order, EWKB SRIDs), and on an empty table.  Malformed rows must fail as
@@ -32,11 +32,14 @@ BOX = ("minx", "miny", "maxx", "maxy")
 def _ref_rect_like(g, box) -> bool:
     if g.kind != wkb.POLYGON or len(g.parts[0]) != 1:
         return False
-    ring = g.parts[0][0]
-    if len(ring) != 5:
+    ring = [tuple(p) for p in g.parts[0][0]]
+    if len(ring) != 5 or ring[4] != ring[0]:
         return False
-    xs, ys = set(ring[:, 0]), set(ring[:, 1])
-    return xs == {box[0], box[2]} and ys == {box[1], box[3]}
+    corners = {(box[0], box[1]), (box[2], box[1]), (box[2], box[3]), (box[0], box[3])}
+    if len(corners) != 4 or set(ring[:4]) != corners:
+        return False
+    # corner to corner along an edge, never across a diagonal
+    return all(p[0] == q[0] or p[1] == q[1] for p, q in zip(ring, ring[1:]))
 
 
 def _ref_edge_csr(zones: list) -> pip.EdgeCSR:
@@ -367,23 +370,34 @@ def test_null_row_fails_as_decode():
         _ZoneIndex(_table([good, None]))
 
 
-def test_five_vertex_rings_classified_as_before():
-    """Rectangles, a zero-width box, and 5-vertex rings that are not
-    rectangles: the set rule's verdict on each is kept as it was, also where
-    the box columns disagree with the ring."""
+def test_five_vertex_rings_need_four_distinct_corners():
+    """A 5-vertex ring is a rectangle only when it runs through the four
+    distinct corners of its box in ring order: a zero-width box, a triangle
+    with a repeated corner, a bow tie and a ring off its box are not, also
+    where the box columns disagree with the ring.  The triangle goes to the
+    exact test, so the probe agrees with ``pip.points_in_geom`` on it."""
     rings = [
         [[0.0, 0.0], [3.0, 0.0], [3.0, 2.0], [0.0, 2.0], [0.0, 0.0]],  # rectangle
         [[1.0, 0.0], [1.0, 2.0], [1.0, 2.0], [1.0, 0.0], [1.0, 0.0]],  # zero width
         [[0.0, 0.0], [3.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 0.0]],  # duplicated corner
         [[0.0, 0.0], [3.0, 0.0], [3.0, 2.0], [1.0, 2.0], [0.0, 0.0]],  # not on the box
         [[3.0, 0.0], [3.0, 2.0], [3.0, 2.0], [3.0, 0.0], [3.0, 0.0]],  # box wider
+        [[0.0, 0.0], [3.0, 0.0], [0.0, 2.0], [3.0, 2.0], [0.0, 0.0]],  # bow tie
     ]
     t = _table([_encode((wkb.POLYGON, [r]), False, False) for r in rings])
     zi = _assert_matches_reference(t)
-    assert zi.is_rect.tolist() == [True, True, True, False, True]
+    assert zi.is_rect.tolist() == [True, False, False, False, False, False]
     boxes = np.array([wkb.decode(w).bbox() for w in t["wkb"].to_pylist()])
-    boxes[-1, 0] = 0.0
+    boxes[-2, 0] = 0.0
     for j, c in enumerate(BOX):
         t = t.append_column(c, pa.array(boxes[:, j]))
     zi = _assert_matches_reference(t)
-    assert zi.is_rect.tolist() == [True, True, True, False, False]
+    assert zi.is_rect.tolist() == [True, False, False, False, False, False]
+
+    triangle = wkb.decode(t["wkb"][2].as_py())
+    gx, gy = np.meshgrid(np.arange(-0.25, 3.5, 0.25), np.arange(-0.3, 2.5, 0.3))
+    px, py = np.r_[gx.ravel(), 2.5], np.r_[gy.ravel(), 1.8]
+    zi = _ZoneIndex(t.slice(2, 1))
+    rows, _ = zi.probe_points(px, py, "intersects")
+    inside = pip.points_in_geom(px, py, triangle)
+    assert not inside[-1] and np.array_equal(np.sort(rows), np.flatnonzero(inside))
