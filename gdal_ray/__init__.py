@@ -10,7 +10,7 @@ every batch unless told otherwise.
    fresh ``mmap`` regions that ``free`` unmaps.  It runs at import so both
    the driver and every Ray worker (which imports this package when it
    deserializes a stage callable) get it.
-2. Once a stage's per-actor state is built, the stage calls
+2. Once a stage's per-process state is built, the stage calls
    :func:`keep_heap_warm`: ``malloc_trim(0)`` returns the state build's
    garbage to the OS, then ``M_TRIM_THRESHOLD`` goes to 1 GiB, so a freed
    batch temporary at the heap top stays resident for the next batch.  It
@@ -54,8 +54,8 @@ def _tune_allocator() -> None:
 
 def keep_heap_warm() -> None:
     """Return freed heap to the OS once, then keep what is freed from now
-    on (step 2 of the module docstring).  Call it as the last step of an
-    actor's ``__init__``."""
+    on (step 2 of the module docstring).  Call it as the last step of a
+    worker-cached operator's ``__init__``."""
     if _LIBC is not None:
         _LIBC.malloc_trim(0)
         _LIBC.mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP)

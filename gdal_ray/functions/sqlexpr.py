@@ -308,15 +308,19 @@ _CAST_TYPES = {
     "BOOLEAN": pa.bool_(),
 }
 
+_SPACE_SEPARATORS = (" \xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+                     "\u2007\u2008\u2009\u200a\u202f\u205f\u3000")
+
 _FUNCS = {
     "upper": lambda a: pc.utf8_upper(a),
     "lower": lambda a: pc.utf8_lower(a),
     "length": lambda a: pc.utf8_length(a),
-    # DuckDB/OGR trim(s) strips ONLY spaces (0x20), not \t\r\n — match the
-    # oracle dialect (utf8_trim_whitespace would strip all unicode ws).
-    "trim": lambda a: pc.utf8_trim(a, characters=" "),
-    "ltrim": lambda a: pc.utf8_ltrim(a, characters=" "),
-    "rtrim": lambda a: pc.utf8_rtrim(a, characters=" "),
+    # DuckDB trim(s) strips the Unicode space separators (category Zs: 0x20,
+    # NBSP, U+2000-200A, ...), not \t\r\n — match the oracle dialect
+    # (utf8_trim_whitespace would strip \t\r\n too).
+    "trim": lambda a: pc.utf8_trim(a, characters=_SPACE_SEPARATORS),
+    "ltrim": lambda a: pc.utf8_ltrim(a, characters=_SPACE_SEPARATORS),
+    "rtrim": lambda a: pc.utf8_rtrim(a, characters=_SPACE_SEPARATORS),
     "abs": lambda a: pc.abs(a),
     "floor": lambda a: pc.floor(a),
     "ceil": lambda a: pc.ceil(a),

@@ -1234,7 +1234,7 @@ class GridShiftTransformer:
     clamp to the border cell (PROJ extrapolates the edge cell the same way).
     Inverse is the NTv2 standard fixed-point iteration.
 
-    The grid arrays are small broadcast state (an actor-pool ``__init__``
+    The grid arrays are small broadcast state (a worker-cached ``__init__``
     load at scale — exactly how PROJ grids ship to workers)."""
 
     def __init__(self, lon0: float, lat0: float, step: float,
@@ -1387,7 +1387,7 @@ class GeolocTransformer:
     inverse: the reference builds a coarse backmap then refines with exact
     inverse bilinear interpolation (gdalgeoloc.cpp:651,967).  Here the seed
     structure is a CSR bin index over quad bounding boxes (built once in
-    ``__init__`` — actor-pool state at scale, like the CSR cell grid in
+    ``__init__`` — per-worker state at scale, like the CSR cell grid in
     stages/join.py) and refinement solves the quadratic inverse bilinear
     system per candidate quad, derived independently: with corner vectors
     E=P10-P00, F=P01-P00, G=P00-P10-P01+P11 and H=Q-P00, eliminating s from

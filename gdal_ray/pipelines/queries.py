@@ -26,7 +26,7 @@ from ..functions import geo
 from ..sources import synthetic
 from ..sources.io import read_table
 from ..stages import dedup, events, join, knn, relational, sim, textops, tiles, zonal
-from ..state.resources import default_concurrency as _dconc
+from ..state.session import fetch, map_cached
 
 KNN_K = 3
 NEARDUP_THRESHOLD = 0.45
@@ -737,23 +737,19 @@ def point_raster_lookup_q(sf_dir: str):
             tiles[(tx, ty)] = (gx + tx * tile) + (gy + ty * tile)  # value = px + py
     ref = ray.put(tiles)
 
-    class Lookup:
-        def __init__(self):
-            self.tiles = ray.get(ref)
+    def lookup(t: pa.Table) -> pa.Table:
+        lon = t["lon"].to_numpy(zero_copy_only=False)
+        lat = t["lat"].to_numpy(zero_copy_only=False)
+        px = np.clip(np.floor((lon + 180.0) / 360.0 * W).astype(np.int64), 0, W - 1)
+        py = np.clip(np.floor((85.0 - lat) / 170.0 * H).astype(np.int64), 0, H - 1)
+        vals = np.empty(len(lon), dtype=np.int64)
+        for (tx, ty), arr in fetch(ref).items():
+            m = (px // tile == tx) & (py // tile == ty)
+            if m.any():
+                vals[m] = arr[py[m] - ty * tile, px[m] - tx * tile]
+        return pa.table({"doc_id": t["doc_id"], "raster_value": pa.array(vals)})
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            lon = t["lon"].to_numpy(zero_copy_only=False)
-            lat = t["lat"].to_numpy(zero_copy_only=False)
-            px = np.clip(np.floor((lon + 180.0) / 360.0 * W).astype(np.int64), 0, W - 1)
-            py = np.clip(np.floor((85.0 - lat) / 170.0 * H).astype(np.int64), 0, H - 1)
-            vals = np.empty(len(lon), dtype=np.int64)
-            for (tx, ty), arr in self.tiles.items():
-                m = (px // tile == tx) & (py // tile == ty)
-                if m.any():
-                    vals[m] = arr[py[m] - ty * tile, px[m] - tx * tile]
-            return pa.table({"doc_id": t["doc_id"], "raster_value": pa.array(vals)})
-
-    return _docs_points(sf_dir).map_batches(Lookup, batch_format="pyarrow", concurrency=_dconc())
+    return _docs_points(sf_dir).map_batches(lookup, batch_format="pyarrow")
 
 
 def point_sample_bilinear_q(sf_dir: str):
@@ -775,41 +771,39 @@ def point_sample_bilinear_q(sf_dir: str):
             tiles[(tx, ty)] = (gx + tx * tile) + (gy + ty * tile)  # value = px + py
     ref = ray.put(tiles)
 
-    class Sample:
-        def __init__(self):
-            self.tiles = ray.get(ref)
+    def sample(t: pa.Table) -> pa.Table:
+        tiles = fetch(ref)
 
-        def _gather(self, xi: np.ndarray, yi: np.ndarray) -> np.ndarray:
+        def gather(xi: np.ndarray, yi: np.ndarray) -> np.ndarray:
             vals = np.empty(len(xi), dtype=np.float64)
-            for (tx, ty), arr in self.tiles.items():
+            for (tx, ty), arr in tiles.items():
                 m = (xi // tile == tx) & (yi // tile == ty)
                 if m.any():
                     vals[m] = arr[yi[m] - ty * tile, xi[m] - tx * tile]
             return vals
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            lon = t["lon"].to_numpy(zero_copy_only=False)
-            lat = t["lat"].to_numpy(zero_copy_only=False)
-            pxc = np.minimum(np.maximum((lon + 180.0) / 360.0 * float(W) - 0.5, 0.0), W - 1.0)
-            pyc = np.minimum(np.maximum((85.0 - lat) / 170.0 * float(H) - 0.5, 0.0), H - 1.0)
-            x0 = np.floor(pxc)
-            y0 = np.floor(pyc)
-            dx = pxc - x0
-            dy = pyc - y0
-            x1 = np.minimum(x0 + 1.0, W - 1.0)
-            y1 = np.minimum(y0 + 1.0, H - 1.0)
-            xi0, yi0 = x0.astype(np.int64), y0.astype(np.int64)
-            xi1, yi1 = x1.astype(np.int64), y1.astype(np.int64)
-            v00 = self._gather(xi0, yi0)
-            v10 = self._gather(xi1, yi0)
-            v01 = self._gather(xi0, yi1)
-            v11 = self._gather(xi1, yi1)
-            top = v00 * (1.0 - dx) + v10 * dx
-            bot = v01 * (1.0 - dx) + v11 * dx
-            val = top * (1.0 - dy) + bot * dy
-            return pa.table({"doc_id": t["doc_id"], "sampled": pa.array(val)})
+        lon = t["lon"].to_numpy(zero_copy_only=False)
+        lat = t["lat"].to_numpy(zero_copy_only=False)
+        pxc = np.minimum(np.maximum((lon + 180.0) / 360.0 * float(W) - 0.5, 0.0), W - 1.0)
+        pyc = np.minimum(np.maximum((85.0 - lat) / 170.0 * float(H) - 0.5, 0.0), H - 1.0)
+        x0 = np.floor(pxc)
+        y0 = np.floor(pyc)
+        dx = pxc - x0
+        dy = pyc - y0
+        x1 = np.minimum(x0 + 1.0, W - 1.0)
+        y1 = np.minimum(y0 + 1.0, H - 1.0)
+        xi0, yi0 = x0.astype(np.int64), y0.astype(np.int64)
+        xi1, yi1 = x1.astype(np.int64), y1.astype(np.int64)
+        v00 = gather(xi0, yi0)
+        v10 = gather(xi1, yi0)
+        v01 = gather(xi0, yi1)
+        v11 = gather(xi1, yi1)
+        top = v00 * (1.0 - dx) + v10 * dx
+        bot = v01 * (1.0 - dx) + v11 * dx
+        val = top * (1.0 - dy) + bot * dy
+        return pa.table({"doc_id": t["doc_id"], "sampled": pa.array(val)})
 
-    return _docs_points(sf_dir).map_batches(Sample, batch_format="pyarrow", concurrency=_dconc())
+    return _docs_points(sf_dir).map_batches(sample, batch_format="pyarrow")
 
 
 def grid_count_q(sf_dir: str):
@@ -2262,7 +2256,7 @@ def gnm_shortest_path_q(sf_dir: str):
     road grid with a wall between x=63 and x=64 open only at y=96; every
     part row maps to a target junction and gets its network distance from
     junction (0,0).  The engine runs real graph search over the edge list
-    (broadcast CSR, per-actor SSSP, vectorized lookups); the oracle is the
+    (broadcast CSR, per-worker SSSP, vectorized lookups); the oracle is the
     closed-form detour arithmetic the wall induces."""
     from ..stages import network
 
@@ -3642,7 +3636,7 @@ def tile_pyramid_q(sf_dir: str):
     n = 256
     gy, gx = np.mgrid[0:n, 0:n]
     src = pyr.SourceRaster((gx + gy).astype(np.float64) + 1.0, (-60.0, 120.0 / n, 0.0, 60.0, 0.0, -120.0 / n))
-    levels = pyr.tile_pyramid(src, z_max=4, z_min=2, bbox=(-59, -59, 59, 59), tile_px=64, concurrency=2)
+    levels = pyr.tile_pyramid(src, z_max=4, z_min=2, bbox=(-59, -59, 59, 59), tile_px=64)
     tabs = []
     for z, ds in levels.items():
         tabs.append(ds.select_columns(["z", "x", "y", "checksum"]).to_pandas())
@@ -3684,7 +3678,7 @@ def warp_geoloc_q(sf_dir: str):
                           line_offset=-7.5, line_step=8.0)
     out = pyr.warp_to_tiles(
         _ramp_src(), 4, (-59, -59, 59, 59), tile_px=64, resample="nearest",
-        skip_blank=False, concurrency=2, geoloc=g)
+        skip_blank=False, geoloc=g)
     return out.select_columns(["z", "x", "y", "checksum"])
 
 
@@ -3696,7 +3690,7 @@ def tile_pyramid_cubic_q(sf_dir: str):
 
     out = pyr.warp_to_tiles(
         _ramp_src(), 4, (-59, -59, 59, 59), tile_px=64, resample="cubic",
-        skip_blank=False, concurrency=2,
+        skip_blank=False,
     )
     return out.select_columns(["z", "x", "y", "checksum"])
 
@@ -3715,7 +3709,7 @@ def warp_cutline_q(sf_dir: str):
     ring = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
     out = pyr.warp_to_tiles(
         _ramp_src(), 4, (-59, -59, 59, 59), tile_px=64, resample="nearest",
-        skip_blank=False, concurrency=2, cutline_wkb=_w.encode_polygon([ring]),
+        skip_blank=False, cutline_wkb=_w.encode_polygon([ring]),
         dst_alpha=True,
     )
     return out.select_columns(["z", "x", "y", "checksum"])
@@ -3758,7 +3752,7 @@ def overview_kernels_q(sf_dir: str):
 
     base = pyr.warp_to_tiles(
         _ramp_src(), 4, (-59, -59, 59, 59), tile_px=64, resample="nearest",
-        skip_blank=False, concurrency=2,
+        skip_blank=False,
     ).materialize()
     outs = []
     for k in OVERVIEW_KERNELS:
@@ -3897,7 +3891,7 @@ def media_features_q(sf_dir: str):
 def media_features_real_q(sf_dir: str):
     """Multimodal featurization through the REAL byte-level codec path:
     payload PNGs are materialized to an on-disk store (resume = file
-    existence), then the decode actor pool reads each image payload back and
+    existence), then the decode stage reads each image payload back and
     parses it with the engine's own codecs — PNG for images (signature,
     chunk CRCs, zlib inflate) and RIFF/WAV for audio (chunk walk, PCM
     validation) — before feature extraction.  video falls back to the
@@ -3912,8 +3906,7 @@ def media_features_real_q(sf_dir: str):
     for _ in media.materialize_payload_store(
             docs, store, kinds=("image", "audio", "video")).iter_batches():
         pass
-    return media.featurize_media(docs, backend="real", store_root=store,
-                                 concurrency=2)
+    return media.featurize_media(docs, backend="real", store_root=store)
 
 
 def dither_fs_q(sf_dir: str):
@@ -3952,7 +3945,7 @@ def media_features_jpeg_q(sf_dir: str):
     """Round-4 multimodal featurization through the BASELINE JPEG codec
     (sources/jpeg — ITU-T T.81 Annex K tables, full entropy pipeline):
     image payloads are stored as JFIF with the fake pixels upscaled to
-    constant 8x8 blocks (pure-DC blocks round-trip the lossy path exactly at quality >= 75; 90 here), the decode actor pool sniffs the JPEG magic and runs
+    constant 8x8 blocks (pure-DC blocks round-trip the lossy path exactly at quality >= 75; 90 here), the decode stage sniffs the JPEG magic and runs
     Huffman decode + dequant + IDCT, and the extracted features equal the
     fake path's — so the media SQL oracle stays exact."""
     from ..stages import media
@@ -3963,13 +3956,12 @@ def media_features_jpeg_q(sf_dir: str):
             docs, store, kinds=("image", "audio", "video"),
             image_codec="jpeg").iter_batches():
         pass
-    return media.featurize_media(docs, backend="real", store_root=store,
-                                 concurrency=2)
+    return media.featurize_media(docs, backend="real", store_root=store)
 
 
 def video_frame_sample_q(sf_dir: str):
     """Frame-sampling over video spans through the REAL AVI codec: payloads
-    materialized to the store, each video decoded in the actor pool, every
+    materialized to the store, each video decoded in the decode stage, every
     2nd frame's exact integer mean emitted (the brief's frame-sample op)."""
     from ..stages import media
 
@@ -3979,13 +3971,13 @@ def video_frame_sample_q(sf_dir: str):
             docs, store, kinds=("image", "audio", "video")).iter_batches():
         pass
     return media.sample_frames(docs, stride=2, backend="real",
-                               store_root=store, concurrency=2)
+                               store_root=store)
 
 
 def media_features_adpcm_q(sf_dir: str):
     """Multimodal featurization with COMPRESSED audio payloads: audio spans
     are IMA-ADPCM WAVs (wFormatTag 0x11, sources/wav.py) decoded through the
-    real 4-bit nibble recurrence in the actor pool.  The payload holds each
+    real 4-bit nibble recurrence in the decode stage.  The payload holds each
     sample constant across one ADPCM block, which round-trips the lossy
     format exactly, so the features match the fake path and the same SQL
     oracle as media_features_real is exact."""
@@ -3997,15 +3989,14 @@ def media_features_adpcm_q(sf_dir: str):
             docs, store, kinds=("image", "audio", "video"),
             audio_codec="ima_adpcm").iter_batches():
         pass
-    return media.featurize_media(docs, backend="real", store_root=store,
-                                 concurrency=2)
+    return media.featurize_media(docs, backend="real", store_root=store)
 
 
 def video_frame_sample_mjpeg_q(sf_dir: str):
     """Frame-sampling through the COMPRESSED video path: payloads are
     Motion-JPEG AVIs (each frame an independent baseline-JFIF stream,
     sources/avi.py codec='mjpeg' + sources/jpeg.py), decoded frame-by-frame
-    in the actor pool.  Frames are 8x-upscaled constant blocks so the lossy
+    in the decode stage.  Frames are 8x-upscaled constant blocks so the lossy
     pipeline round-trips exactly and frame MEANS equal the fake path's —
     the same SQL oracle as video_frame_sample holds bit-for-bit."""
     from ..stages import media
@@ -4017,7 +4008,7 @@ def video_frame_sample_mjpeg_q(sf_dir: str):
             video_codec="mjpeg").iter_batches():
         pass
     return media.sample_frames(docs, stride=2, backend="real",
-                               store_root=store, concurrency=2)
+                               store_root=store)
 
 
 def media_resize_q(sf_dir: str):
@@ -4034,8 +4025,7 @@ def media_resize_q(sf_dir: str):
         pass
     return media.resize_media(docs, factor=2, backend="real",
                               store_root=store,
-                              out_root="/tmp/gdal_ray_media_resized",
-                              concurrency=2)
+                              out_root="/tmp/gdal_ray_media_resized")
 
 
 def media_inventory_q(sf_dir: str):
@@ -4215,15 +4205,14 @@ def viewshed_cumulative_q(sf_dir: str):
     """Cumulative viewshed (gdal_viewshed -mode cumulative,
     alg/viewshed/cumulative.cpp): a 4x4 observer grid (spacing 16) over the
     64x64 integer conformance DEM; visibility masks sum into the
-    observability heat map via actor-pool executors + partial-raster
+    observability heat map via worker-cached executors + partial-raster
     combiners.  Emits per-16x16-block heat sums (16 rows)."""
     from ..stages import viewshed as vs
 
     size = 64
     gy, gx = np.mgrid[0:size, 0:size]
     dem = (((gx * 73 + gy * 151) % 37) + ((gx * gy) % 11) * 3).astype(np.float64)
-    heat = vs.viewshed_cumulative(dem, spacing=16, observer_height=2.0,
-                                  concurrency=2)
+    heat = vs.viewshed_cumulative(dem, spacing=16, observer_height=2.0)
     blocks = heat.reshape(4, 16, 4, 16).sum(axis=(1, 3))
     by, bx = np.mgrid[0:4, 0:4]
     return pa.table({"bx": pa.array(bx.ravel().astype(np.int64)),
@@ -4432,9 +4421,8 @@ def viewshed_modes_q(sf_dir: str):
 
 def langid_q(sf_dir: str):
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(
-        textops.LangId, batch_format="pyarrow", concurrency=_dconc()
-    ).select_columns(["doc_id", "lang_pred"])
+    return map_cached(ds, textops.LangId, batch_format="pyarrow").select_columns(
+        ["doc_id", "lang_pred"])
 
 
 def fingerprint_q(sf_dir: str):
@@ -4498,12 +4486,9 @@ def dedup_keep_best_q(sf_dir: str):
 
 def quality_classifier_q(sf_dir: str):
     """Hashed-bag-of-words linear quality classifier (fastText shape):
-    stateful actor pool holds the word->bucket cache; integer fixed-point
-    scores."""
+    one scorer per worker process; integer fixed-point scores."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(
-        textops.HashedLinearScorer, batch_format="pyarrow", concurrency=_dconc()
-    )
+    return map_cached(ds, textops.HashedLinearScorer, batch_format="pyarrow")
 
 
 def knn_tree_q(sf_dir: str):

@@ -26,17 +26,6 @@ UHL_SIZE, DSI_SIZE, ACC_SIZE = 80, 648, 2700
 NODATA = -32767
 
 
-def _dms(angle: float, lon: bool) -> bytes:
-    hemi = (b"W" if angle < 0 else b"E") if lon else (b"S" if angle < 0 else b"N")
-    a = abs(angle)
-    d = int(a + 0.5 / 3600.0)
-    rem = a - d
-    m = int(rem * 60.0 + 0.5 / 60.0)
-    s = int((rem - m / 60.0) * 3600.0 + 0.5)
-    return b"%03d%02d%02d%s" % (d, m, s, hemi) if lon else \
-        b"%02d%02d%02d.%s" % (d, m, s, hemi)
-
-
 def write_dted(path: str, arr: np.ndarray, lon0: int = 0, lat0: int = 0,
                interval_tenths: int = 30) -> None:
     """Write a DTED file.  ``arr`` (nrows, ncols) int16, row 0 = NORTH;

@@ -498,13 +498,6 @@ def _parse_ifd_chain(buf: bytes):
     return en, images
 
 
-def _parse_ifd(buf: bytes):
-    """-> (endian '<'/'>', {tag: list-of-values}) for the FIRST image."""
-    en, off, big = _tiff_header(buf)
-    tags, _ = _parse_one_ifd(buf, en, off, big)
-    return en, tags
-
-
 def _parse_one_ifd_file(f, en: str, ifd_off: int, big: bool = False):
     """Seek-based single-IFD parse — only the IFD and its out-of-line
     payloads are read (a few hundred bytes), never pixel data."""

@@ -21,7 +21,7 @@ Reference surface: frmts/jpeg/jpgdataset.cpp (GDAL's JPEG driver, which
 delegates to libjpeg); this is an independent implementation of the same
 published format.  The DCT is an exact float64 matrix DCT-II; per-blob
 Huffman decode is necessarily sequential, so corpus-scale decode
-parallelism comes from the actor-pool ``map_batches`` stage over blobs
+parallelism comes from the ``map_batches`` decode stage over blobs
 (stages/media.py), not from inside one blob.
 
 Exactness note for oracles: an image whose every aligned 8x8 block is a
@@ -224,30 +224,6 @@ def _pad_edge(plane: np.ndarray, H: int, W: int) -> np.ndarray:
     p[:h, w:] = plane[:, w - 1:w]
     p[h:, w:] = plane[h - 1, w - 1]
     return p
-
-
-def _blocks_of(plane: np.ndarray) -> np.ndarray:
-    """(H,W) float -> (N,8,8) aligned blocks, edge-replicated padding."""
-    h, w = plane.shape
-    H = -(-h // 8) * 8
-    W = -(-w // 8) * 8
-    if (H, W) != (h, w):
-        p = np.empty((H, W), plane.dtype)
-        p[:h, :w] = plane
-        p[h:, :w] = plane[-1:, :]
-        p[:h, w:] = plane[:, -1:]
-        p[h:, w:] = plane[-1, -1]
-        plane = p
-    return (plane.reshape(H // 8, 8, W // 8, 8)
-            .transpose(0, 2, 1, 3).reshape(-1, 8, 8))
-
-
-def _unblocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    H = -(-h // 8) * 8
-    W = -(-w // 8) * 8
-    full = (blocks.reshape(H // 8, W // 8, 8, 8)
-            .transpose(0, 2, 1, 3).reshape(H, W))
-    return full[:h, :w]
 
 
 def _rgb_to_ycbcr(arr: np.ndarray):

@@ -331,34 +331,28 @@ def assemble_way_lines(ways_ds, nodes_ds):
 
     from ..functions import wkb as wkb_f
 
-    class Assemble:
-        def __init__(self):
-            self.ids, self.lons, self.lats = ray.get(ref_obj)
+    def assemble(t: pa.Table) -> pa.Table:
+        ids, lons, lats = ray.get(ref_obj)
+        out_ids, out_wkbs, out_tags = [], [], []
+        for i in range(t.num_rows):
+            refs = np.asarray(t["refs"][i].as_py(), dtype=np.int64)
+            pos = np.searchsorted(ids, refs)
+            pos = np.clip(pos, 0, len(ids) - 1)
+            ok = ids[pos] == refs
+            # ogrosmdatasource.cpp behavior: unresolvable node refs are
+            # skipped, the way survives if >= 2 points remain
+            pos = pos[ok]
+            pts = np.column_stack([lons[pos], lats[pos]])
+            if len(pts) < 2:
+                continue
+            out_ids.append(t["id"][i].as_py())
+            out_wkbs.append(wkb_f.encode_linestring(pts))
+            out_tags.append(t["tags"][i].as_py())
+        return pa.table({"id": pa.array(out_ids, pa.int64()),
+                         "wkb": pa.array(out_wkbs, pa.binary()),
+                         "tags": pa.array(out_tags, pa.string())})
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            out_ids, out_wkbs, out_tags = [], [], []
-            for i in range(t.num_rows):
-                refs = np.asarray(t["refs"][i].as_py(), dtype=np.int64)
-                pos = np.searchsorted(self.ids, refs)
-                pos = np.clip(pos, 0, len(self.ids) - 1)
-                ok = self.ids[pos] == refs
-                # ogrosmdatasource.cpp behavior: unresolvable node refs are
-                # skipped, the way survives if >= 2 points remain
-                pos = pos[ok]
-                pts = np.column_stack([self.lons[pos], self.lats[pos]])
-                if len(pts) < 2:
-                    continue
-                out_ids.append(t["id"][i].as_py())
-                out_wkbs.append(wkb_f.encode_linestring(pts))
-                out_tags.append(t["tags"][i].as_py())
-            return pa.table({"id": pa.array(out_ids, pa.int64()),
-                             "wkb": pa.array(out_wkbs, pa.binary()),
-                             "tags": pa.array(out_tags, pa.string())})
-
-    from ..state.resources import default_concurrency
-
-    return ways_ds.map_batches(Assemble, batch_format="pyarrow",
-                               concurrency=default_concurrency())
+    return ways_ds.map_batches(assemble, batch_format="pyarrow")
 
 
 # --- writer -----------------------------------------------------------------

@@ -8,7 +8,7 @@ reading most real-world GeoTIFFs (reference surface:
 
 Chunks are tile- or strip-sized (tens of KiB): these run inside
 ``map_batches`` workers per chunk, so LZW throughput parallelizes across
-the actor pool; the wide path for new data remains deflate.  LZW keeps one
+the workers; the wide path for new data remains deflate.  LZW keeps one
 Python step per input byte (encode) or per code (decode) and does all bit
 packing in numpy: on the 64 KiB uint8 tiles of perfbench's ``raster_cog``
 it encodes at 4.9 MB/s and decodes at 7.2 MB/s (one Xeon core, scaled to

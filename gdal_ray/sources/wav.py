@@ -15,7 +15,7 @@ Two formats:
   then 4-bit nibbles (low nibble first), the 89-entry step table and the
   {-1,-1,-1,-1,2,4,6,8} index-adaptation table.  The per-sample recurrence
   is sequential WITHIN a block; corpus-scale parallelism comes from the
-  actor-pool ``map_batches`` stage across payload blobs (stages/media.py),
+  ``map_batches`` decode stage across payload blobs (stages/media.py),
   the same stance as the JPEG codec.
 
 Exactness note for oracles: a signal that is CONSTANT within each block
@@ -161,7 +161,7 @@ def _decode_adpcm_data(data: bytes, block_align: int, spb: int,
     """Blocks are independent (each header restates predictor + index), so
     the decode vectorizes ACROSS blocks: one numpy step per nibble POSITION
     (spb-1 iterations) instead of a Python step per nibble — the in-file
-    counterpart of the across-blobs actor-pool parallelism."""
+    counterpart of the across-blobs task parallelism."""
     if block_align < 5 or spb != (block_align - 4) * 2 + 1:
         raise ValueError(
             f"inconsistent ADPCM framing: block_align={block_align}, "

@@ -21,7 +21,7 @@ on dyadic coordinates produce bit-exact dyadic fractions (the SQL-oracle
 contract of the ``zonal_fractional`` query).
 
 Ray-Data shape (100 TB plan): the zone layer is the bounded side —
-``ray.put`` once, decoded in each actor's ``__init__``; the raster
+``ray.put`` once, decoded once per worker process; the raster
 streams through ``map_batches`` as tile rows; per-(zone, tile) partials
 are emitted as EXACT scaled int64s and folded by one small keyed
 ``groupby`` (relational.partial_aggregate).  The pixel payload never
@@ -34,8 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import wkb as _wkb
-from ..state.resources import default_concurrency
-from ..state.session import fetch
+from ..state.session import fetch, map_cached
 
 
 def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,16 +175,16 @@ def rings_of_wkb(w: bytes) -> tuple[list, list]:
 
 
 class FractionalZonalStage:
-    """Actor-pool stage: coverage-weighted zonal partials per tile batch.
+    """Coverage-weighted zonal partials per tile batch.
 
     Zones (the bounded layer) are shipped once via ``ray.put`` and decoded
-    in ``__init__``; each ``__call__`` computes, for every tile row, the
-    exact coverage fractions of every intersecting zone and reduces them
-    to one partial row per (zone, tile): pixel count with frac>0, the
-    coverage sum and the coverage-weighted value sum as EXACT scaled
-    int64s (``cov_scale`` / ``val_scale`` must cover the inputs' fraction
-    bits — the graded query uses dyadic zone bounds so the scaling is
-    lossless), plus min/max of the value over touched pixels.
+    in ``__init__``, once per worker process; each ``__call__`` computes,
+    for every tile row, the exact coverage fractions of every intersecting
+    zone and reduces them to one partial row per (zone, tile): pixel count
+    with frac>0, the coverage sum and the coverage-weighted value sum as
+    EXACT scaled int64s (``cov_scale`` / ``val_scale`` must cover the
+    inputs' fraction bits — the graded query uses dyadic zone bounds so the
+    scaling is lossless), plus min/max of the value over touched pixels.
     """
 
     def __init__(self, zones_ref, size: int = 64, cov_scale: int = 256,
@@ -269,8 +268,7 @@ class FractionalZonalStage:
 
 def zonal_stats_fractional(tiles_ds, zones: pa.Table, size: int = 64,
                            cov_scale: int = 256, val_scale: int = 16384,
-                           val_minmax_scale: int = 64,
-                           concurrency: int | tuple | None = None):
+                           val_minmax_scale: int = 64):
     """Coverage-weighted zonal statistics over a streaming tile dataset
     (``alg/zonal.cpp`` pixels=FRACTIONAL): per zone, the number of touched
     pixels, the exact coverage sum (zone area in pixel units) and the
@@ -280,16 +278,8 @@ def zonal_stats_fractional(tiles_ds, zones: pa.Table, size: int = 64,
 
     from .relational import partial_aggregate
 
-    zones_ref = ray.put(zones)
-    partials = tiles_ds.map_batches(
-        FractionalZonalStage,
-        fn_constructor_kwargs=dict(zones_ref=zones_ref, size=size,
-                                   cov_scale=cov_scale, val_scale=val_scale,
-                                   val_minmax_scale=val_minmax_scale),
-        batch_format="pyarrow",
-        concurrency=concurrency or default_concurrency(),
-        num_cpus=1,
-    )
+    partials = map_cached(tiles_ds, FractionalZonalStage, ray.put(zones), size,
+                          cov_scale, val_scale, val_minmax_scale, batch_format="pyarrow")
     return partial_aggregate(partials, ["zone_key"],
                              sums=["n_pix", "cov", "wsum"],
                              mins=["vmin"], maxs=["vmax"])

@@ -19,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.arrowbuf import string_buffer_views
-from ..state.resources import default_concurrency
+from ..state.session import fetch, map_cached
 from . import textops
 from .relational import bucket_groups, cogroup, partial_aggregate
 
@@ -632,13 +632,11 @@ def bloom_build(ref_ds, text_col: str = "text"):
 
 
 class BloomMember:
-    """Actor-pool membership test: the bitset ships ONCE per actor via the
-    object store (ray.put handle in the constructor), never per batch."""
+    """Bloom membership test: the bitset ships ONCE per worker process via
+    the object store (ray.put handle in the constructor), never per batch."""
 
     def __init__(self, bits_ref):
-        import ray
-
-        self.bits = ray.get(bits_ref) if not isinstance(bits_ref, np.ndarray) else bits_ref
+        self.bits = fetch(bits_ref)
 
     def __call__(self, t: pa.Table) -> pa.Table:
         pos = bloom_positions(t["text"].to_pylist())
@@ -649,21 +647,15 @@ class BloomMember:
         })
 
 
-def bloom_decontaminate(cand_ds, ref_ds, text_col: str = "text",
-                        concurrency: int | tuple | None = None):
+def bloom_decontaminate(cand_ds, ref_ds, text_col: str = "text"):
     """Membership of each candidate doc's content hash in the reference
     corpus's Bloom filter (RefinedWeb/CCNet-style held-out-set scrubbing):
     (doc_id, bloom_hit).  False positives are the documented Bloom trade
     (k=3, m=8192 here; size both for the real corpus at deploy time)."""
     import ray
 
-    bits_ref = ray.put(bloom_build(ref_ds, text_col))
-    return cand_ds.map_batches(
-        BloomMember,
-        fn_constructor_kwargs=dict(bits_ref=bits_ref),
-        batch_format="pyarrow",
-        concurrency=concurrency or default_concurrency(),
-    )
+    return map_cached(cand_ds, BloomMember, ray.put(bloom_build(ref_ds, text_col)),
+                      batch_format="pyarrow")
 
 
 def _gram_words(grams) -> tuple:

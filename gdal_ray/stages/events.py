@@ -16,7 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .relational import bucket_groups, partial_aggregate
-from ..state.resources import default_concurrency as _default_concurrency
+from ..state.session import fetch, map_cached
 
 
 def _epoch_us(col) -> np.ndarray:
@@ -161,6 +161,31 @@ def _asof_backward_idx(lk: np.ndarray, lts: np.ndarray, rk: np.ndarray,
     return out
 
 
+class _AsofJoiner:
+    """The broadcast right side of :func:`asof_join`, fetched once per
+    worker process."""
+
+    def __init__(self, ref, left_key: str, left_ts: str, emit: tuple):
+        self.rk, self.rts, self.rank, self.rcols = fetch(ref)
+        self.left_key, self.left_ts, self.emit = left_key, left_ts, emit
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        lk = pc.cast(batch[self.left_key], pa.int64()).to_numpy(
+            zero_copy_only=False)
+        lts = pc.cast(pc.cast(batch[self.left_ts], pa.timestamp("us")),
+                      pa.int64()).to_numpy(zero_copy_only=False)
+        idx = _asof_backward_idx(lk, lts, self.rk, self.rts,
+                                 [self.rank[c] for c in self.emit])
+        ok = pa.array(idx >= 0)
+        take = pa.array(np.maximum(idx, 0))
+        out = batch
+        for c in self.emit:
+            vals = self.rcols[c].take(take)
+            out = out.append_column(
+                c, pc.if_else(ok, vals, pa.scalar(None, vals.type)))
+        return out
+
+
 def asof_join(
     events_ds,
     right: pa.Table,
@@ -169,7 +194,6 @@ def asof_join(
     left_ts: str = "ts",
     right_ts: str = "o_orderdate",
     emit: tuple = ("o_orderkey",),
-    concurrency: int | None = None,
 ):
     """As-of join: latest right row with right_ts <= left ts per key.
 
@@ -193,29 +217,8 @@ def asof_join(
     rcols = {c: (right[c].combine_chunks()
                  if isinstance(right[c], pa.ChunkedArray) else right[c])
              for c in emit}
-    ref = ray.put((rk, rts, rank, rcols))
-
-    class AsofJoiner:
-        def __init__(self):
-            self.rk, self.rts, self.rank, self.rcols = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lk = pc.cast(batch[left_key], pa.int64()).to_numpy(
-                zero_copy_only=False)
-            lts = pc.cast(pc.cast(batch[left_ts], TS), pa.int64()).to_numpy(
-                zero_copy_only=False)
-            idx = _asof_backward_idx(lk, lts, self.rk, self.rts,
-                                     [self.rank[c] for c in emit])
-            ok = pa.array(idx >= 0)
-            take = pa.array(np.maximum(idx, 0))
-            out = batch
-            for c in emit:
-                vals = self.rcols[c].take(take)
-                out = out.append_column(
-                    c, pc.if_else(ok, vals, pa.scalar(None, vals.type)))
-            return out
-
-    return events_ds.map_batches(AsofJoiner, batch_format="pyarrow", concurrency=concurrency or _default_concurrency())
+    return map_cached(events_ds, _AsofJoiner, ray.put((rk, rts, rank, rcols)), left_key,
+                      left_ts, emit, batch_format="pyarrow")
 
 
 def _rank_codes(col) -> np.ndarray:

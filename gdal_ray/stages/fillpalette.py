@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-from ..state.resources import default_concurrency as _default_concurrency
 
 
 def fill_nodata(tiles_ds, nodata: float = 0.0, max_dist: int = 8):
@@ -215,60 +214,49 @@ def median_cut(hist: np.ndarray, n_colors: int = 16, bits: int = 5) -> np.ndarra
     return np.array(pal, dtype=np.uint8)
 
 
-def expand_palette(tiles_ds, palette: np.ndarray, concurrency: int | None = None):
-    """pct2rgb: palette-index tiles -> RGB tiles via a broadcast palette
-    lookup (the inverse of apply_palette; re-answers the reference's
-    pct2rgb / color-table expansion, swig/python/gdal-utils pct2rgb)."""
-    import ray
+def expand_palette(tiles_ds, palette: np.ndarray):
+    """pct2rgb: palette-index tiles -> RGB tiles via a palette lookup (the
+    inverse of apply_palette; re-answers the reference's pct2rgb /
+    color-table expansion, swig/python/gdal-utils pct2rgb).  The palette is
+    at most 256 entries, so it ships inside each task."""
+    pal = np.asarray(palette, dtype=np.uint8)
 
-    ref = ray.put(np.asarray(palette, dtype=np.uint8))
+    def expand(batch: pa.Table) -> pa.Table:
+        rows = []
+        for i in range(batch.num_rows):
+            h = batch["height"][i].as_py()
+            w = batch["width"][i].as_py()
+            idx = np.frombuffer(batch["data"][i].as_py(), dtype=np.uint8)
+            rgb = pal[idx]  # (h*w, 3) fancy-index expansion
+            rows.append(
+                {"x": batch["x"][i].as_py(), "y": batch["y"][i].as_py(),
+                 "width": w, "height": h, "data": rgb.tobytes()}
+            )
+        return pa.Table.from_pylist(rows)
 
-    class Expand:
-        def __init__(self):
-            self.pal = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            rows = []
-            for i in range(batch.num_rows):
-                h = batch["height"][i].as_py()
-                w = batch["width"][i].as_py()
-                idx = np.frombuffer(batch["data"][i].as_py(), dtype=np.uint8)
-                rgb = self.pal[idx]  # (h*w, 3) fancy-index expansion
-                rows.append(
-                    {"x": batch["x"][i].as_py(), "y": batch["y"][i].as_py(),
-                     "width": w, "height": h, "data": rgb.tobytes()}
-                )
-            return pa.Table.from_pylist(rows)
-
-    return tiles_ds.map_batches(Expand, batch_format="pyarrow", concurrency=concurrency or _default_concurrency())
+    return tiles_ds.map_batches(expand, batch_format="pyarrow")
 
 
-def apply_palette(tiles_ds, palette: np.ndarray, concurrency: int | None = None):
-    """Broadcast palette -> nearest-color remap per tile (stateless map);
-    emits single-band palette-index tiles."""
-    import ray
+def apply_palette(tiles_ds, palette: np.ndarray):
+    """Palette -> nearest-color remap per tile (stateless map; the palette
+    ships inside each task); emits single-band palette-index tiles."""
+    pal = np.asarray(palette, dtype=np.float64)
 
-    ref = ray.put(np.asarray(palette, dtype=np.float64))
+    def remap(batch: pa.Table) -> pa.Table:
+        rows = []
+        for i in range(batch.num_rows):
+            h = batch["height"][i].as_py()
+            w = batch["width"][i].as_py()
+            rgb = np.frombuffer(batch["data"][i].as_py(), dtype=np.uint8).reshape(h * w, 3)
+            d2 = ((rgb[:, None, :].astype(np.float64) - pal[None, :, :]) ** 2).sum(axis=2)
+            idx = np.argmin(d2, axis=1).astype(np.uint8)
+            rows.append(
+                {"x": batch["x"][i].as_py(), "y": batch["y"][i].as_py(),
+                 "width": w, "height": h, "data": idx.tobytes()}
+            )
+        return pa.Table.from_pylist(rows)
 
-    class Remap:
-        def __init__(self):
-            self.pal = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            rows = []
-            for i in range(batch.num_rows):
-                h = batch["height"][i].as_py()
-                w = batch["width"][i].as_py()
-                rgb = np.frombuffer(batch["data"][i].as_py(), dtype=np.uint8).reshape(h * w, 3)
-                d2 = ((rgb[:, None, :].astype(np.float64) - self.pal[None, :, :]) ** 2).sum(axis=2)
-                idx = np.argmin(d2, axis=1).astype(np.uint8)
-                rows.append(
-                    {"x": batch["x"][i].as_py(), "y": batch["y"][i].as_py(),
-                     "width": w, "height": h, "data": idx.tobytes()}
-                )
-            return pa.Table.from_pylist(rows)
-
-    return tiles_ds.map_batches(Remap, batch_format="pyarrow", concurrency=concurrency or _default_concurrency())
+    return tiles_ds.map_batches(remap, batch_format="pyarrow")
 
 
 # -- ordered dithering (rgb2pct -dither analogue) -----------------------------

@@ -139,16 +139,6 @@ def convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.vstack([ring, ring[:1]])
 
 
-def convex_hull_batch(batch: pa.Table, wkb_col: str = "wkb") -> pa.Table:
-    out = []
-    for w in batch[wkb_col].to_pylist():
-        g = _wkb.decode(w)
-        out.append(_wkb.encode_polygon([convex_hull(g.vertices())]))
-    return batch.set_column(
-        batch.column_names.index(wkb_col), wkb_col, pa.array(out, pa.binary())
-    )
-
-
 def segmentize_batch(batch: pa.Table, max_len: float, wkb_col: str = "wkb") -> pa.Table:
     """Densify: insert vertices so no segment exceeds max_len."""
 

@@ -5,18 +5,20 @@ envelope reject + prepared-geometry pretest, reference ``ogrlayer.cpp:5385``,
 ``5466-5543``) Ray-Data-first, in two physical plans:
 
 1. **Broadcast join** (small polygon side — the common GDAL case): the zone
-   table is ``ray.put`` once; each actor builds a :class:`_ZoneIndex` (CSR
-   grid with cells of a quarter of the median zone side, ~1.56x expected
-   over-fetch and ~25 CSR entries per median zone, + flat polygon edge CSR)
-   in ``__init__`` and streams point batches through it with zero shuffle.
-   This is the 100 TB-friendly plan whenever the polygon side fits worker
-   memory (millions of zones).  With ``zonal_reduce_col`` the actor folds
-   each batch's matches into per-zone count/sum/min/max accumulators by
-   scatter ufuncs, as GDAL's zonal pass does (``alg/zonal.cpp:201-208``),
-   and ships four fixed-length vectors instead of the pairs.  Once its state
-   is built the actor keeps its freed heap pages
-   (:func:`gdal_ray.keep_heap_warm`), so a batch's temporaries reuse the
-   previous batch's warm pages instead of faulting in fresh ones.
+   table is ``ray.put`` once; each worker process builds a
+   :class:`_ZoneIndex` (CSR grid with cells of a quarter of the median zone
+   side, ~1.56x expected over-fetch and ~25 CSR entries per median zone, +
+   flat polygon edge CSR) on its first batch, keeps it for later batches and
+   queries (:func:`gdal_ray.state.session.map_cached`) and streams point
+   batches through it with zero shuffle.  This is the 100 TB-friendly plan
+   whenever the polygon side fits worker memory (millions of zones).  With
+   ``zonal_reduce_col`` the operator folds each batch's matches into
+   per-zone count/sum/min/max accumulators by scatter ufuncs, as GDAL's
+   zonal pass does (``alg/zonal.cpp:201-208``), and ships four fixed-length
+   vectors instead of the pairs.  Once its state is built the worker keeps
+   its freed heap pages (:func:`gdal_ray.keep_heap_warm`), so a batch's
+   temporaries reuse the previous batch's warm pages instead of faulting in
+   fresh ones.
 
 2. **Partitioned join** (both sides large): both sides are flat-mapped to
    grid-cell keys (zones duplicated over their bbox cover, points to their
@@ -42,13 +44,12 @@ import pyarrow as pa
 
 from .. import keep_heap_warm
 from ..functions import geo, pip, wkb
-from ..state.resources import default_concurrency
-from ..state.session import fetch
+from ..state.session import fetch, map_cached
 
 
 class _ZoneIndex:
     """CSR grid-bucket index + flat polygon edge CSR, built once per
-    actor/group.
+    worker process/group.
 
     The probe index is a uniform lon/lat grid: each zone is registered in
     every grid cell its bbox covers (CSR layout: cell -> zone ids).  A point
@@ -208,11 +209,11 @@ class _ZoneIndex:
 
 
 class BroadcastPointJoin:
-    """Actor-pool stage: stream point batches against a broadcast zone index.
+    """Stream point batches against a broadcast zone index.
 
     State (zone table fetch + columnar ring read + grid and edge CSR build)
-    happens ONCE per actor in ``__init__`` (the PROJ-TLS-context pattern,
-    ``ogr/ogr_proj_p.cpp:268``), which ends by switching the process to
+    happens ONCE per worker process in ``__init__`` (the PROJ-TLS-context
+    pattern, ``ogr/ogr_proj_p.cpp:268``), which ends by switching the process to
     keep its freed heap (:func:`gdal_ray.keep_heap_warm`); ``__call__`` is
     pure vectorized probing.
     """
@@ -304,34 +305,19 @@ def broadcast_spatial_join(
     zones: pa.Table,
     predicate: str = "intersects",
     id_col: str = "doc_id",
-    concurrency: int | tuple | None = None,
     batch_size: int = 65536,
     emit_cols: tuple = (),
     emit_zone_index: bool = False,
     zonal_reduce_col: str | None = None,
     anti: bool = False,
 ):
-    """Plan 1: broadcast the zone table, stream the points.  Zero shuffle.
-    ``concurrency`` None sizes the actor pool from the session
-    (:func:`default_concurrency`)."""
+    """Plan 1: broadcast the zone table, stream the points.  Zero shuffle."""
     import ray
 
-    zones_ref = ray.put(zones)
-    return points_ds.map_batches(
-        BroadcastPointJoin,
-        fn_constructor_kwargs=dict(
-            zones_ref=zones_ref,
-            predicate=predicate,
-            id_col=id_col,
-            emit_cols=emit_cols,
-            emit_zone_index=emit_zone_index,
-            zonal_reduce_col=zonal_reduce_col,
-            anti=anti,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_concurrency(),
-    )
+    return map_cached(
+        points_ds, BroadcastPointJoin, ray.put(zones), predicate, id_col, "lon", "lat",
+        emit_cols, emit_zone_index, zonal_reduce_col, anti,
+        batch_format="pyarrow", batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,18 @@ GDAL core has no kNN join (nearest-neighbor appears only inside gridding,
 ``alg/gdalgrid.cpp:905``); the north star mandates one.  Two physical plans:
 
 1. **Broadcast brute-force** (default; targets fit memory): the target
-   centroid matrix is ``ray.put`` once; each actor computes a chunked squared
+   centroid matrix is ``ray.put`` once; each task computes a chunked squared
    euclidean distance matrix per batch (numpy broadcast) and takes top-k with
    ``argpartition``.  Exact, vectorized, zero shuffle — right up to millions
    of targets.
 
 2. **Cell-partitioned candidate pruning** (``tree=True``): the scale path the
-   survey promised (SURVEY §7.4).  Once per actor, a coarse grid over the
-   target extent precomputes, per cell, the exact candidate set that can
-   contain ANY point-in-cell's k nearest (targets within d_k(cell center) +
-   cell diagonal — a triangle-inequality bound).  Per batch, points are
-   bucketed by cell and each bucket runs one vectorized distance matrix
-   against its (small) candidate set.  Same results as brute, but per-point
+   survey promised (SURVEY §7.4).  Once per worker process, a coarse grid
+   over the target extent precomputes, per cell, the exact candidate set
+   that can contain ANY point-in-cell's k nearest (targets within
+   d_k(cell center) + cell diagonal — a triangle-inequality bound).  Per
+   batch, points are bucketed by cell and each bucket runs one vectorized
+   distance matrix against its (small) candidate set.  Same results as brute, but per-point
    work is O(|candidates|) instead of O(|targets|).
 
 Ties are broken by target key ascending (deterministic, SQL-mirrorable via
@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..state.resources import default_concurrency
-from ..state.session import fetch
+from ..state.session import fetch, map_cached
 
 
 class BroadcastKNN:
@@ -103,7 +102,7 @@ class BroadcastKNN:
     def _build_cell_index(self):
         """Per-cell exact candidate sets: any point p inside cell c has its
         true k nearest targets within r(c) = d_k(center(c)) + diag(c)
-        (triangle inequality; + FP margin).  Built ONCE per actor."""
+        (triangle inequality; + FP margin).  Built ONCE per worker process."""
         k = min(self.k, self.cx.size)
         pad = 1e-9
         self.gx0 = float(self.cx.min()) - pad
@@ -194,20 +193,13 @@ def knn_join(
     k: int = 3,
     id_col: str = "doc_id",
     tree: bool = False,
-    concurrency: int | tuple | None = None,
     batch_size: int = 32768,
 ):
     """targets: table with (zone_id, zone_key, cx, cy)."""
     import ray
 
-    ref = ray.put(targets)
-    return points_ds.map_batches(
-        BroadcastKNN,
-        fn_constructor_kwargs=dict(targets_ref=ref, k=k, id_col=id_col, tree=tree),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_concurrency(),
-    )
+    return map_cached(points_ds, BroadcastKNN, ray.put(targets), k, id_col, tree,
+                      batch_format="pyarrow", batch_size=batch_size)
 
 
 class BroadcastDWithin:
@@ -215,11 +207,11 @@ class BroadcastDWithin:
     surface, reference ogr/ogrgeometry.cpp Distance): emit every
     (point, target) pair with planar distance <= radius.
 
-    Broadcast-build actor stage: targets ship once via ray.put; per batch a
-    chunked (points x targets) distance matrix — same in-place kernels as
-    BroadcastKNN — filters pairs vectorized.  Every actor holds all targets
-    and a (chunk x targets) scratch matrix, so the target set must fit one
-    actor's memory; no partitioned radius join exists
+    Broadcast stage: targets ship once via ray.put; per batch a chunked
+    (points x targets) distance matrix — same in-place kernels as
+    BroadcastKNN — filters pairs vectorized.  Every worker process holds all
+    targets and a (chunk x targets) scratch matrix, so the target set must
+    fit one worker's memory; no partitioned radius join exists
     (``join.partitioned_spatial_join`` takes no radius and does not expand
     a cover by one).
     """
@@ -270,16 +262,9 @@ class BroadcastDWithin:
 
 
 def dwithin_join(points_ds, targets: pa.Table, radius: float,
-                 id_col: str = "doc_id", concurrency: int | tuple | None = None,
-                 batch_size: int = 32768):
+                 id_col: str = "doc_id", batch_size: int = 32768):
     """targets: table with (zone_key, cx, cy)."""
     import ray
 
-    ref = ray.put(targets)
-    return points_ds.map_batches(
-        BroadcastDWithin,
-        fn_constructor_kwargs=dict(targets_ref=ref, radius=radius, id_col=id_col),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_concurrency(),
-    )
+    return map_cached(points_ds, BroadcastDWithin, ray.put(targets), radius, id_col,
+                      batch_format="pyarrow", batch_size=batch_size)

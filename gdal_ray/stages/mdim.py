@@ -178,8 +178,7 @@ def mdim_info(path: str) -> pa.Table:
                      "n_values": pa.array(nval, pa.int64())})
 
 
-def read_mdarray_chunks(path: str, var: str, chunks: dict[str, int],
-                        concurrency: int | None = None):
+def read_mdarray_chunks(path: str, var: str, chunks: dict[str, int]):
     """Open a netCDF variable as a streaming chunk Dataset.
 
     Driver side builds only the chunk-coordinate table (O(#chunks) rows of
@@ -219,8 +218,7 @@ def read_mdarray_chunks(path: str, var: str, chunks: dict[str, int],
 
     n_chunks = len(coords)
     ds = rd.from_arrow(index).repartition(min(n_chunks, 32)).map_batches(
-        load, batch_format="pyarrow",
-        **({"concurrency": concurrency} if concurrency else {}))
+        load, batch_format="pyarrow")
     return ds, md
 
 

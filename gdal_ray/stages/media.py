@@ -1,7 +1,7 @@
 """Multimodal span processing: decode / feature-extract / resize / frame-sample
 over the interleaved corpus's media spans.
 
-The Ray-side plumbing (schema, actor pools, batch sizing for large binary
+The Ray-side plumbing (schema, worker-cached decoders, batch sizing for large binary
 payloads, output layout) is real and tested.  Two codec backends behind
 ``DecodeBackend``:
 
@@ -29,7 +29,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
-from ..state.resources import default_concurrency as _default_concurrency
+
+from ..state.session import map_cached
 
 
 def fake_pixels(media_ref: str, thumb: int = 8) -> np.ndarray:
@@ -271,11 +272,12 @@ def materialize_payload_store(docs_ds, root: str, kinds=("image",),
 
 
 class MediaFeaturizer:
-    """Actor-pool stage: explode media spans -> decoded thumbnail features.
+    """Explode media spans -> decoded thumbnail features.
 
     Input batch: (doc_id, spans); output: one row per media span with
     (doc_id, span_idx, kind, media_ref, mean_x100: int64, phash: int64).
-    Backend construction happens once per actor (the model-load slot).
+    Backend construction happens once per worker process (the model-load
+    slot).
     """
 
     def __init__(self, backend: str = "fake", thumb: int = 8,
@@ -314,21 +316,16 @@ class MediaFeaturizer:
         )
 
 
-def featurize_media(docs_ds, backend: str = "fake", concurrency: int | tuple | None = None,
-                    batch_size: int = 1024, store_root: str | None = None):
-    """Media pipeline: project to (doc_id, spans) -> actor pool decode."""
+def featurize_media(docs_ds, backend: str = "fake", batch_size: int = 1024,
+                    store_root: str | None = None):
+    """Media pipeline: project to (doc_id, spans) -> cached-backend decode."""
     cols = docs_ds.schema().names
     if set(cols) - {"doc_id", "spans"}:
-        # project away wide geometry/derived columns before the decode pool
+        # project away wide geometry/derived columns before the decode stage
         # (SURVEY §7 "very wide rows": re-join by doc_id afterwards)
         docs_ds = docs_ds.select_columns(["doc_id", "spans"])
-    return docs_ds.map_batches(
-        MediaFeaturizer,
-        fn_constructor_kwargs=dict(backend=backend, store_root=store_root),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or _default_concurrency(),
-    )
+    return map_cached(docs_ds, MediaFeaturizer, backend, 8, store_root,
+                      batch_format="pyarrow", batch_size=batch_size)
 
 
 def span_stats(docs_ds):
@@ -613,10 +610,10 @@ def media_inventory(docs_ds):
 
 
 class FrameSampler:
-    """Actor-pool stage: explode VIDEO spans -> sampled per-frame features
-    (the brief's frame-sample op): every ``stride``-th frame of each video
-    ref decoded once per actor-held codec, one output row per sampled frame
-    with its exact integer mean."""
+    """Explode VIDEO spans -> sampled per-frame features (the brief's
+    frame-sample op): every ``stride``-th frame of each video ref decoded
+    once by the worker's codec, one output row per sampled frame with its
+    exact integer mean."""
 
     def __init__(self, stride: int = 2, backend: str = "fake", thumb: int = 8,
                  store_root: str | None = None):
@@ -650,20 +647,13 @@ class FrameSampler:
 
 
 def sample_frames(docs_ds, stride: int = 2, backend: str = "fake",
-                  concurrency: int | tuple | None = None, batch_size: int = 1024,
-                  store_root: str | None = None):
-    """Video frame-sampling pipeline: project -> actor-pool frame decode."""
+                  batch_size: int = 1024, store_root: str | None = None):
+    """Video frame-sampling pipeline: project -> cached-codec frame decode."""
     cols = docs_ds.schema().names
     if set(cols) - {"doc_id", "spans"}:
         docs_ds = docs_ds.select_columns(["doc_id", "spans"])
-    return docs_ds.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs=dict(stride=stride, backend=backend,
-                                   store_root=store_root),
-        batch_format="pyarrow",
-        concurrency=concurrency or _default_concurrency(),
-        batch_size=batch_size,
-    )
+    return map_cached(docs_ds, FrameSampler, stride, backend, 8, store_root,
+                      batch_format="pyarrow", batch_size=batch_size)
 
 
 def block_average(arr: np.ndarray, factor: int = 2) -> np.ndarray:
@@ -680,7 +670,7 @@ def block_average(arr: np.ndarray, factor: int = 2) -> np.ndarray:
 
 
 class ThumbResizer:
-    """Actor-pool media RESIZE stage: decode -> exact block-average downscale
+    """Media RESIZE stage: decode -> exact block-average downscale
     -> (optionally) re-encode the resized PNG to an output store + emit the
     resized thumb's integer features (mean_x100 and the position-weighted
     checksum, functions/checksum convention)."""
@@ -731,17 +721,11 @@ class ThumbResizer:
 
 
 def resize_media(docs_ds, factor: int = 2, backend: str = "fake",
-                 concurrency: int | tuple | None = None, batch_size: int = 1024,
-                 store_root: str | None = None, out_root: str | None = None):
-    """Media resize pipeline: project -> actor-pool decode + downscale."""
+                 batch_size: int = 1024, store_root: str | None = None,
+                 out_root: str | None = None):
+    """Media resize pipeline: project -> cached-codec decode + downscale."""
     cols = docs_ds.schema().names
     if set(cols) - {"doc_id", "spans"}:
         docs_ds = docs_ds.select_columns(["doc_id", "spans"])
-    return docs_ds.map_batches(
-        ThumbResizer,
-        fn_constructor_kwargs=dict(factor=factor, backend=backend,
-                                   store_root=store_root, out_root=out_root),
-        batch_format="pyarrow",
-        concurrency=concurrency or _default_concurrency(),
-        batch_size=batch_size,
-    )
+    return map_cached(docs_ds, ThumbResizer, factor, backend, 8, store_root, out_root,
+                      batch_format="pyarrow", batch_size=batch_size)

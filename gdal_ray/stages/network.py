@@ -8,7 +8,7 @@ Ray-Data shape: the graph TOPOLOGY (edge list: two int64 node ids + a
 float64 cost) is the bounded side of every plan here — a continental road
 network is ~10⁸ edges ≈ a few GB, far below the object store, even when
 the FEATURE payload attached to nodes/edges is 100 TB.  So single-source
-distances are computed ONCE per actor from a broadcast CSR adjacency
+distances are computed ONCE per worker from a broadcast CSR adjacency
 (``ray.put`` the arrays, build in ``__init__``), and the per-row work —
 annotating millions of target features with their network distance — is a
 vectorized O(1) lookup inside ``map_batches``.  Connected components reuse
@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..state.resources import default_concurrency
-from ..state.session import fetch
+from ..state.session import fetch, map_cached
 
 
 def build_csr(edges: pa.Table, src_col: str = "src", dst_col: str = "dst",
@@ -119,21 +118,22 @@ def extract_path(pred: np.ndarray, source_slot: int, target_slot: int):
 
 
 class NetworkDistanceStage:
-    """Actor-pool stage: annotate feature batches with the network distance
-    from a fixed source (GNMGenericNetwork::GetPath consumers at bulk
-    scale).  The CSR arrays ship once via ``ray.put``; SSSP runs once per
-    actor in ``__init__``; each batch is a vectorized searchsorted lookup."""
+    """Annotate feature batches with the network distance from a fixed
+    source (GNMGenericNetwork::GetPath consumers at bulk scale).  The CSR
+    arrays ship once via ``ray.put``; SSSP runs once per worker process in
+    ``__init__``; each batch is a vectorized searchsorted lookup."""
 
-    def __init__(self, csr_ref, source: int):
+    def __init__(self, csr_ref, source: int, node_col: str = "node"):
         nodes, indptr, indices, costs = fetch(csr_ref)
         self.nodes = nodes
+        self.node_col = node_col
         slot = np.searchsorted(nodes, source)
         if slot >= len(nodes) or nodes[slot] != source:
             raise KeyError(f"source node {source} not in graph")
         self.dist, _pred = sssp(indptr, indices, costs, int(slot))
 
-    def __call__(self, batch: pa.Table, node_col: str = "node") -> pa.Table:
-        k = batch[node_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        k = batch[self.node_col].to_numpy(zero_copy_only=False).astype(np.int64)
         slot = np.searchsorted(self.nodes, k)
         slot = np.clip(slot, 0, len(self.nodes) - 1)
         hit = self.nodes[slot] == k
@@ -145,24 +145,15 @@ class NetworkDistanceStage:
 
 
 def shortest_path_distances(targets_ds, edges: pa.Table, source: int,
-                            node_col: str = "node", directed: bool = False,
-                            concurrency: int | tuple | None = None):
+                            node_col: str = "node", directed: bool = False):
     """Distance-from-source for every row of a target Dataset (the bulk
-    form of GATDijkstraShortestPath): broadcast CSR, per-actor SSSP,
-    vectorized per-batch lookups.  Unreachable nodes -> null."""
+    form of GATDijkstraShortestPath): broadcast CSR, one SSSP per worker
+    process, vectorized per-batch lookups.  Unreachable nodes -> null."""
     import ray
 
-    csr_ref = ray.put(build_csr(edges, directed=directed))
-
-    class Stage(NetworkDistanceStage):
-        def __init__(self):
-            super().__init__(csr_ref, source)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return super().__call__(batch, node_col=node_col)
-
-    return targets_ds.map_batches(Stage, batch_format="pyarrow",
-                                  concurrency=concurrency or default_concurrency(), num_cpus=1)
+    return map_cached(targets_ds, NetworkDistanceStage,
+                      ray.put(build_csr(edges, directed=directed)), source, node_col,
+                      batch_format="pyarrow")
 
 
 def dijkstra_path(edges: pa.Table, source: int, target: int,

@@ -7,8 +7,8 @@ Re-answers ``gdalwarp`` / ``gdal raster tile`` (reference: transformer chain
 ``gdal2tiles.py:4531-4560``) Ray-Data-first:
 
   dst tile list (z, x, y) as a Dataset
-    -> map_batches(TileWarper actor pool): actor holds the composed
-       dst-pixel -> dst CRS -> src CRS -> src-pixel transform and the
+    -> map_batches(TileWarper): each worker process builds once the composed
+       dst-pixel -> dst CRS -> src CRS -> src-pixel transform and holds the
        broadcast source raster; per tile: inverse-transform the pixel-center
        grid, sample nearest/bilinear, checksum
     -> overview zooms: groupby(parent tile) -> map_groups 2x2 average
@@ -29,8 +29,7 @@ import pyarrow as pa
 
 from ..functions import checksum as cks
 from ..functions import geo
-from ..state.resources import default_concurrency
-from ..state.session import fetch
+from ..state.session import fetch, map_cached
 
 
 def _mode_reduce(stack: np.ndarray) -> np.ndarray:
@@ -105,10 +104,10 @@ class SourceRaster:
 
 
 class TileWarper:
-    """Actor: warp one XYZ (EPSG:3857) tile per call batch row.
+    """Warp one XYZ (EPSG:3857) tile per call batch row.
 
-    State built once per actor: the source raster (fetched from the object
-    store) and the inverse geotransform — the PROJ-TLS-context pattern
+    State built once per worker process: the source raster (fetched from the
+    object store) and the inverse geotransform — the PROJ-TLS-context pattern
     (ogr/ogr_proj_p.cpp:268)."""
 
     def __init__(self, src_ref, tile_px: int = 256, resample: str = "nearest",
@@ -419,29 +418,21 @@ def warp_to_tiles(
     bbox,
     tile_px: int = 256,
     resample: str = "nearest",
-    concurrency: int | tuple | None = None,
     skip_blank: bool = True,
     cutline_wkb: bytes | None = None,
     dst_alpha: bool = False,
     geoloc=None,
 ):
-    """Base-zoom warp: dst tile Dataset -> actor-pool warp kernel.
+    """Base-zoom warp: dst tile Dataset -> cached warp kernel.
     ``geoloc``: GeolocTransformer for geolocation-array-referenced sources
-    (gdalwarp -geoloc, alg/gdalgeoloc.cpp) — ships to actors with the
+    (gdalwarp -geoloc, alg/gdalgeoloc.cpp) — ships to the workers with the
     source."""
     import ray
     import ray.data as rd
 
     tiles = rd.from_arrow(enumerate_tiles(z, *bbox))
-    src_ref = ray.put(src)
-    out = tiles.map_batches(
-        TileWarper,
-        fn_constructor_kwargs=dict(src_ref=src_ref, tile_px=tile_px, resample=resample,
-                                   cutline_wkb=cutline_wkb, dst_alpha=dst_alpha,
-                                   geoloc=geoloc),
-        batch_format="pyarrow",
-        concurrency=concurrency or default_concurrency(),
-    )
+    out = map_cached(tiles, TileWarper, ray.put(src), tile_px, resample, cutline_wkb,
+                     dst_alpha, 64, geoloc, batch_format="pyarrow")
     if skip_blank:
         out = out.map_batches(
             lambda t: t.filter(pa.compute.equal(t["blank"], False)), batch_format="pyarrow"
@@ -664,7 +655,7 @@ def tile_pyramid(src: SourceRaster, z_max: int, z_min: int, bbox,
 
 
 class AffineWarper:
-    """Actor: warp dst tiles of an ARBITRARY affine target grid
+    """Warp dst tiles of an ARBITRARY affine target grid
     (gdalwarp -te/-tr/-ts surface, apps/gdalwarp_lib.cpp) — generalizes
     TileWarper from XYZ mercator tiles to any destination geotransform.
     ``dst_crs`` 'EPSG:3857' converts dst coords to the source's EPSG:4326
@@ -715,10 +706,10 @@ class AffineWarper:
 
 def warp_affine(src: SourceRaster, dst_gt, width: int, height: int,
                 resample: str = "bilinear", tile: int = 64,
-                dst_crs: str | None = None, concurrency: int | tuple | None = None):
+                dst_crs: str | None = None):
     """Warp to an arbitrary affine destination grid: the dst raster tiles
     into ``tile``-sized pieces (distributed; edge tiles clip), each warped
-    by an actor holding the broadcast source."""
+    by a worker holding the broadcast source."""
     import ray
     import ray.data as rd
 
@@ -728,14 +719,8 @@ def warp_affine(src: SourceRaster, dst_gt, width: int, height: int,
         for ty in range((height + tile - 1) // tile)
         for tx in range((width + tile - 1) // tile)
     ]
-    src_ref = ray.put(src)
-    return rd.from_arrow(pa.Table.from_pylist(rows)).map_batches(
-        AffineWarper,
-        fn_constructor_kwargs=dict(src_ref=src_ref, dst_gt=dst_gt,
-                                   resample=resample, dst_crs=dst_crs),
-        batch_format="pyarrow",
-        concurrency=concurrency or default_concurrency(),
-    )
+    return map_cached(rd.from_arrow(pa.Table.from_pylist(rows)), AffineWarper,
+                      ray.put(src), dst_gt, resample, dst_crs, batch_format="pyarrow")
 
 
 def refresh_overviews(tiles_ds, dirty_xy, kernel: str = "average"):

@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.resources import default_concurrency
+from ..state.session import fetch, map_cached
 
 _AGG_FIELD = {"sum": "sum", "min": "min", "max": "max", "count": "count"}
 
@@ -114,90 +114,81 @@ def filter_expr(ds, fn):
     return ds.map_batches(lambda t: t.filter(fn(t)), batch_format="pyarrow")
 
 
+class _BroadcastHashJoin:
+    """Probe batches against a broadcast build side sorted by key (built
+    once per worker process).  ``left`` keeps unmatched probe rows with NULL
+    build columns; otherwise they drop."""
+
+    def __init__(self, ref, small_key: str, key: str, emit: list, left: bool):
+        self.table = fetch(ref)
+        keys = self.table[small_key].to_numpy(zero_copy_only=False)
+        self.order = np.argsort(keys, kind="stable")
+        self.sorted_keys = keys[self.order]
+        self.key, self.emit, self.left = key, emit, left
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return self._left(batch) if self.left else self._inner(batch)
+
+    def _inner(self, batch: pa.Table) -> pa.Table:
+        if len(self.sorted_keys) == 0:  # empty build side -> no matches
+            out = batch.slice(0, 0)
+            for c in self.emit:
+                out = out.append_column(c, self.table[c].slice(0, 0))
+            return out
+        probe = batch[self.key].to_numpy(zero_copy_only=False)
+        pos = np.searchsorted(self.sorted_keys, probe)
+        pos = np.clip(pos, 0, len(self.sorted_keys) - 1)
+        hit = self.sorted_keys[pos] == probe
+        rows = np.nonzero(hit)[0]
+        src = self.order[pos[rows]]
+        out = batch.take(pa.array(rows))
+        for c in self.emit:
+            out = out.append_column(c, self.table[c].take(pa.array(src)))
+        return out
+
+    def _left(self, batch: pa.Table) -> pa.Table:
+        probe = batch[self.key].to_numpy(zero_copy_only=False)
+        out = batch
+        if len(self.sorted_keys) == 0:
+            for c in self.emit:
+                out = out.append_column(
+                    c, pa.nulls(out.num_rows, self.table.schema.field(c).type))
+            return out
+        pos = np.searchsorted(self.sorted_keys, probe)
+        pos = np.clip(pos, 0, len(self.sorted_keys) - 1)
+        hit = self.sorted_keys[pos] == probe
+        src = self.order[pos]
+        hit_arr = pa.array(hit)
+        for c in self.emit:
+            col = self.table[c].take(pa.array(src))
+            if isinstance(col, pa.ChunkedArray):
+                col = col.combine_chunks()
+            out = out.append_column(
+                c, pc.if_else(hit_arr, col, pa.scalar(None, col.type)))
+        return out
+
+
 def hash_join_broadcast(ds, small: pa.Table, key: str, small_key: str,
-                        emit: list[str], concurrency: int | None = None):
+                        emit: list[str]):
     """Equi-join with a broadcast small side (OGR SQL JOIN,
     ogr_gensql.cpp:1334-1530, re-expressed as ray.put + per-batch hash lookup
     instead of the reference's per-row secondary-layer filter pushdown)."""
     import ray
 
-    ref = ray.put(small)
-
-    class Joiner:
-        def __init__(self):
-            t = ray.get(ref)
-            keys = t[small_key].to_numpy(zero_copy_only=False)
-            order = np.argsort(keys, kind="stable")
-            self.sorted_keys = keys[order]
-            self.order = order
-            self.table = t
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(self.sorted_keys) == 0:  # empty build side -> no matches
-                out = batch.slice(0, 0)
-                for c in emit:
-                    out = out.append_column(c, self.table[c].slice(0, 0))
-                return out
-            probe = batch[key].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(self.sorted_keys, probe)
-            pos = np.clip(pos, 0, len(self.sorted_keys) - 1)
-            hit = self.sorted_keys[pos] == probe
-            rows = np.nonzero(hit)[0]
-            src = self.order[pos[rows]]
-            out = batch.take(pa.array(rows))
-            for c in emit:
-                out = out.append_column(c, self.table[c].take(pa.array(src)))
-            return out
-
-    return ds.map_batches(Joiner, batch_format="pyarrow",
-                          concurrency=concurrency or default_concurrency())
+    return map_cached(ds, _BroadcastHashJoin, ray.put(small), small_key, key, emit,
+                      False, batch_format="pyarrow")
 
 
 def hash_join_broadcast_left(ds, small: pa.Table, key: str, small_key: str,
-                             emit: list[str],
-                             concurrency: int | None = None):
+                             emit: list[str]):
     """LEFT OUTER equi-join with a broadcast small side (OGR SQL LEFT JOIN,
     ogr_gensql.cpp secondary-table semantics: unmatched probe rows survive
     with NULL build columns).  Duplicate build keys keep the FIRST occurrence
     (matching the sorted-probe inner join's stable tie-break)."""
     import ray
 
-    ref = ray.put(small)
-
-    class Joiner:
-        def __init__(self):
-            t = ray.get(ref)
-            keys = t[small_key].to_numpy(zero_copy_only=False)
-            order = np.argsort(keys, kind="stable")
-            self.sorted_keys = keys[order]
-            self.order = order
-            self.table = t
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            probe = batch[key].to_numpy(zero_copy_only=False)
-            out = batch
-            if len(self.sorted_keys) == 0:
-                for c in emit:
-                    out = out.append_column(
-                        c, pa.nulls(out.num_rows, self.table.schema.field(c).type))
-                return out
-            pos = np.searchsorted(self.sorted_keys, probe)
-            pos = np.clip(pos, 0, len(self.sorted_keys) - 1)
-            hit = self.sorted_keys[pos] == probe
-            src = self.order[pos]
-            import pyarrow.compute as pc
-
-            hit_arr = pa.array(hit)
-            for c in emit:
-                col = self.table[c].take(pa.array(src))
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                out = out.append_column(
-                    c, pc.if_else(hit_arr, col, pa.scalar(None, col.type)))
-            return out
-
-    return ds.map_batches(Joiner, batch_format="pyarrow",
-                          concurrency=concurrency or default_concurrency())
+    return map_cached(ds, _BroadcastHashJoin, ray.put(small), small_key, key, emit,
+                      True, batch_format="pyarrow")
 
 
 BUCKETS = 64
@@ -604,16 +595,80 @@ def group_string_agg_topn(ds, key_col: str, name_col: str, order_col: str,
     return pruned.groupby(key_col).map_groups(per_group, batch_format="pyarrow")
 
 
+class _RangeJoiner:
+    """The slab CSR of a broadcast interval table (see
+    :func:`range_join_broadcast`), built once per worker process."""
+
+    def __init__(self, ref, value_col: str, lo_col: str, hi_col: str, emit: list):
+        t = fetch(ref)
+        self.value_col, self.emit = value_col, emit
+        lo = t[lo_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        hi = t[hi_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        keep = hi > lo
+        lo, hi = lo[keep], hi[keep]
+        self.table = t.filter(pa.array(keep))
+        # elementary slabs between consecutive distinct endpoints
+        B = np.unique(np.concatenate([lo, hi]))
+        self.bounds = B
+        nslabs = max(len(B) - 1, 0)
+        s0 = np.searchsorted(B, lo, side="left")
+        s1 = np.searchsorted(B, hi, side="left")
+        counts = np.zeros(nslabs + 1, dtype=np.int64)
+        np.add.at(counts, s0, 1)
+        np.add.at(counts, s1, -1)
+        cover = np.cumsum(counts[:-1])  # intervals covering each slab
+        self.indptr = np.zeros(nslabs + 1, dtype=np.int64)
+        np.cumsum(cover, out=self.indptr[1:])
+        # fill CSR fully vectorized: expand every interval to its
+        # (slab, interval) incidences with repeat/arange, then one
+        # stable argsort on slab groups the lists (total size = sum of
+        # coverage, bounded by overlap depth x slabs)
+        span = s1 - s0
+        total = int(span.sum())
+        rep_k = np.repeat(np.arange(len(lo)), span)
+        offs = np.zeros(len(lo), dtype=np.int64)
+        np.cumsum(span[:-1], out=offs[1:])
+        slab_of = s0[rep_k] + (np.arange(total) - np.repeat(offs, span))
+        order = np.argsort(slab_of, kind="stable")
+        self.indices = rep_k[order]
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        v = batch[self.value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        B = self.bounds
+        slab = np.searchsorted(B, v, side="right") - 1
+        ok = (slab >= 0) & (slab < len(B) - 1)
+        slab_ok = slab[ok]
+        rows_ok = np.flatnonzero(ok)
+        cnt = self.indptr[slab_ok + 1] - self.indptr[slab_ok]
+        probe_rows = np.repeat(rows_ok, cnt)
+        total = int(cnt.sum())
+        if total == 0:
+            cols = {c: batch[c].slice(0, 0) for c in batch.column_names}
+            for c in self.emit:
+                cols[c] = self.table[c].slice(0, 0)
+            return pa.table(cols)
+        starts = np.repeat(self.indptr[slab_ok], cnt)
+        offs = np.zeros(len(cnt), dtype=np.int64)
+        np.cumsum(cnt[:-1], out=offs[1:])
+        pos = starts + (np.arange(total) - np.repeat(offs, cnt))
+        ivl = self.indices[pos]
+        cols = {c: batch[c].take(pa.array(probe_rows))
+                for c in batch.column_names}
+        take = pa.array(ivl)
+        for c in self.emit:
+            cols[c] = self.table[c].take(take)
+        return pa.table(cols)
+
+
 def range_join_broadcast(probe_ds, intervals: pa.Table, value_col: str,
-                         lo_col: str, hi_col: str, emit: list,
-                         concurrency: int | tuple | None = None):
+                         lo_col: str, hi_col: str, emit: list):
     """Interval / range join: each probe row matches every interval with
     ``lo <= value < hi`` (intervals may OVERLAP arbitrarily).
 
     Physical plan (the 1-D cousin of the CSR cell-grid spatial join,
     join.py): the interval endpoints cut the value axis into elementary
     SLABS; a CSR (slab -> covering-interval list) index is built ONCE per
-    actor from the broadcast interval table, and each probe batch is one
+    worker from the broadcast interval table, and each probe batch is one
     searchsorted + one CSR gather — candidates are EXACT matches (slab
     boundaries are interval endpoints), so there is no post-filter.
     Broadcast side must be metadata-sized; for a corpus-sized build side,
@@ -624,70 +679,8 @@ def range_join_broadcast(probe_ds, intervals: pa.Table, value_col: str,
     """
     import ray
 
-    ref = ray.put(intervals)
-
-    class RangeJoiner:
-        def __init__(self):
-            t = ray.get(ref)
-            lo = t[lo_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            hi = t[hi_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            keep = hi > lo
-            lo, hi = lo[keep], hi[keep]
-            self.table = t.filter(pa.array(keep))
-            # elementary slabs between consecutive distinct endpoints
-            B = np.unique(np.concatenate([lo, hi]))
-            self.bounds = B
-            nslabs = max(len(B) - 1, 0)
-            s0 = np.searchsorted(B, lo, side="left")
-            s1 = np.searchsorted(B, hi, side="left")
-            counts = np.zeros(nslabs + 1, dtype=np.int64)
-            np.add.at(counts, s0, 1)
-            np.add.at(counts, s1, -1)
-            cover = np.cumsum(counts[:-1])  # intervals covering each slab
-            self.indptr = np.zeros(nslabs + 1, dtype=np.int64)
-            np.cumsum(cover, out=self.indptr[1:])
-            # fill CSR fully vectorized: expand every interval to its
-            # (slab, interval) incidences with repeat/arange, then one
-            # stable argsort on slab groups the lists (total size = sum of
-            # coverage, bounded by overlap depth x slabs)
-            span = s1 - s0
-            total = int(span.sum())
-            rep_k = np.repeat(np.arange(len(lo)), span)
-            offs = np.zeros(len(lo), dtype=np.int64)
-            np.cumsum(span[:-1], out=offs[1:])
-            slab_of = s0[rep_k] + (np.arange(total) - np.repeat(offs, span))
-            order = np.argsort(slab_of, kind="stable")
-            self.indices = rep_k[order]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            B = self.bounds
-            slab = np.searchsorted(B, v, side="right") - 1
-            ok = (slab >= 0) & (slab < len(B) - 1)
-            slab_ok = slab[ok]
-            rows_ok = np.flatnonzero(ok)
-            cnt = self.indptr[slab_ok + 1] - self.indptr[slab_ok]
-            probe_rows = np.repeat(rows_ok, cnt)
-            total = int(cnt.sum())
-            if total == 0:
-                cols = {c: batch[c].slice(0, 0) for c in batch.column_names}
-                for c in emit:
-                    cols[c] = self.table[c].slice(0, 0)
-                return pa.table(cols)
-            starts = np.repeat(self.indptr[slab_ok], cnt)
-            offs = np.zeros(len(cnt), dtype=np.int64)
-            np.cumsum(cnt[:-1], out=offs[1:])
-            pos = starts + (np.arange(total) - np.repeat(offs, cnt))
-            ivl = self.indices[pos]
-            cols = {c: batch[c].take(pa.array(probe_rows))
-                    for c in batch.column_names}
-            take = pa.array(ivl)
-            for c in emit:
-                cols[c] = self.table[c].take(take)
-            return pa.table(cols)
-
-    return probe_ds.map_batches(
-        RangeJoiner, batch_format="pyarrow", concurrency=concurrency or default_concurrency())
+    return map_cached(probe_ds, _RangeJoiner, ray.put(intervals), value_col, lo_col,
+                      hi_col, emit, batch_format="pyarrow")
 
 
 def exact_quantiles(ds, value_col: str, ps: tuple = (0.25, 0.5, 0.75, 0.9),

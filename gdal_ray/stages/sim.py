@@ -1,7 +1,7 @@
 """Similarity search over embedding columns (list<float>).
 
 Brute-force cosine top-k as the exact baseline: the query matrix is broadcast
-(``ray.put`` once), each actor normalizes it in ``__init__`` and runs one
+(``ray.put`` once), each worker process normalizes it once and runs one
 numpy matmul per batch — vectorized, zero shuffle, linear scan.  The scale
 path is LSH bucketing (random hyperplane signatures -> groupby bucket ->
 within-bucket exact rerank), which bounds the per-task candidate set.
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-from ..state.resources import default_concurrency as _default_concurrency
-from ..state.session import fetch
+from ..state.session import fetch, map_cached
 
 
 def _stack_embeddings(col) -> np.ndarray:
@@ -26,7 +25,7 @@ def _stack_embeddings(col) -> np.ndarray:
 
 class BroadcastCosineTopK:
     """Scores every row against the broadcast query matrix and emits only the
-    PER-BATCH top-k per query (the combiner is folded into the scoring actor,
+    PER-BATCH top-k per query (the combiner is folded into the scoring task,
     so full score blocks never reach the object store)."""
 
     def __init__(self, queries_ref, id_col: str, query_ids, k: int = 0):
@@ -63,19 +62,16 @@ class BroadcastCosineTopK:
         )
 
 
-def cosine_topk(ds, queries: np.ndarray, query_ids, k: int = 10, id_col: str = "vec_id", concurrency: int | None = None):
-    """Exact top-k per query: the scoring actor emits per-batch top-k partials
-    (combiner folded into the actor — only k rows per query per batch reach
-    the object store), then a tiny per-query group picks the global top-k."""
+def cosine_topk(ds, queries: np.ndarray, query_ids, k: int = 10, id_col: str = "vec_id"):
+    """Exact top-k per query: the scoring task emits per-batch top-k partials
+    (combiner folded into the scoring stage — only k rows per query per batch
+    reach the object store), then a tiny per-query group picks the global
+    top-k."""
     import ray
 
     ref = ray.put(np.asarray(queries, dtype=np.float64))
-    pruned = ds.map_batches(
-        BroadcastCosineTopK,
-        fn_constructor_kwargs=dict(queries_ref=ref, id_col=id_col, query_ids=query_ids, k=k),
-        batch_format="pyarrow",
-        concurrency=concurrency or _default_concurrency(),
-    )
+    pruned = map_cached(ds, BroadcastCosineTopK, ref, id_col, query_ids, k,
+                        batch_format="pyarrow")
 
     def final_topk(group: pa.Table) -> pa.Table:
         sims = group["cos_sim"].to_numpy(zero_copy_only=False)
@@ -162,9 +158,51 @@ def cosine_neardup_pairs(ds, threshold: float = 0.8, id_col: str = "vec_id",
     return blocks.map_batches(score_block, batch_format="pyarrow")
 
 
+class _IVFScorer:
+    """Per-batch: assign vectors to centroids, then score each query
+    against ONLY the rows of its probed lists (true IVF semantics — a
+    multi-query batch prunes per query, ~nprobe/n_centroids of the scan
+    each), emitting per-batch top-k partials."""
+
+    def __init__(self, state_ref, qids: list, k: int, id_col: str):
+        self.C, self.probe, self.qn = fetch(state_ref)
+        self.qids, self.k, self.id_col = qids, k, id_col
+        self.probe_mask = np.zeros((len(self.qn), len(self.C)), dtype=bool)
+        for qi, row in enumerate(self.probe):
+            self.probe_mask[qi, row] = True
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        emb = _stack_embeddings(batch["embedding"])
+        norms = np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
+        embn = emb / norms
+        cent = np.argmax(embn @ self.C.T, axis=1)
+        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
+        out_q, out_id, out_sim = [], [], []
+        for qi in range(len(self.qn)):
+            rows = np.flatnonzero(self.probe_mask[qi][cent])
+            if rows.size == 0:
+                continue
+            sims = embn[rows] @ self.qn[qi]
+            sel = np.arange(rows.size)
+            if rows.size > self.k:
+                sel = np.lexsort((ids[rows], -sims))[:self.k]
+            out_q.append(np.full(sel.size, self.qids[qi]))
+            out_id.append(ids[rows[sel]])
+            out_sim.append(sims[sel])
+        if not out_q:
+            return pa.table({"query_id": pa.array([], pa.int64()),
+                             self.id_col: pa.array([], pa.int64()),
+                             "cos_sim": pa.array([], pa.float64())})
+        return pa.table(
+            {"query_id": pa.array(np.concatenate(out_q)),
+             self.id_col: pa.array(np.concatenate(out_id)),
+             "cos_sim": pa.array(np.concatenate(out_sim))}
+        )
+
+
 def ivf_topk(ds, queries: np.ndarray, query_ids, k: int = 10, id_col: str = "vec_id",
              n_centroids: int = 16, nprobe: int = 4, train_sample: int = 2048,
-             kmeans_iters: int = 10, seed: int = 424242, concurrency: int | None = None):
+             kmeans_iters: int = 10, seed: int = 424242):
     """IVF approximate top-k (the classic coarse-quantizer ANN scale path):
 
     1. train a small k-means codebook on a deterministic sample (driver-side,
@@ -201,47 +239,7 @@ def ivf_topk(ds, queries: np.ndarray, query_ids, k: int = 10, id_col: str = "vec
     state = ray.put((C, probe, qn))
     qids = list(query_ids)
 
-    class IVFScorer:
-        """Per-batch: assign vectors to centroids, then score each query
-        against ONLY the rows of its probed lists (true IVF semantics — a
-        multi-query batch prunes per query, ~nprobe/n_centroids of the scan
-        each), emitting per-batch top-k partials."""
-
-        def __init__(self):
-            self.C, self.probe, self.qn = ray.get(state)
-            self.probe_mask = np.zeros((len(self.qn), len(self.C)), dtype=bool)
-            for qi, row in enumerate(self.probe):
-                self.probe_mask[qi, row] = True
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            emb = _stack_embeddings(batch["embedding"])
-            norms = np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
-            embn = emb / norms
-            cent = np.argmax(embn @ self.C.T, axis=1)
-            ids = batch[id_col].to_numpy(zero_copy_only=False)
-            out_q, out_id, out_sim = [], [], []
-            for qi in range(len(self.qn)):
-                rows = np.flatnonzero(self.probe_mask[qi][cent])
-                if rows.size == 0:
-                    continue
-                sims = embn[rows] @ self.qn[qi]
-                sel = np.arange(rows.size)
-                if rows.size > k:
-                    sel = np.lexsort((ids[rows], -sims))[:k]
-                out_q.append(np.full(sel.size, qids[qi]))
-                out_id.append(ids[rows[sel]])
-                out_sim.append(sims[sel])
-            if not out_q:
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 id_col: pa.array([], pa.int64()),
-                                 "cos_sim": pa.array([], pa.float64())})
-            return pa.table(
-                {"query_id": pa.array(np.concatenate(out_q)),
-                 id_col: pa.array(np.concatenate(out_id)),
-                 "cos_sim": pa.array(np.concatenate(out_sim))}
-            )
-
-    pruned = ds.map_batches(IVFScorer, batch_format="pyarrow", concurrency=concurrency or _default_concurrency())
+    pruned = map_cached(ds, _IVFScorer, state, qids, k, id_col, batch_format="pyarrow")
 
     def final_topk(group: pa.Table) -> pa.Table:
         sims = group["cos_sim"].to_numpy(zero_copy_only=False)

@@ -4,21 +4,23 @@ Beyond-reference operators mandated by the project brief: token counting,
 quality scoring, language-ID heuristic, document fingerprinting, and the
 hashing primitives the dedup suite builds on (MinHash, SimHash, shingles).
 
-All stages are vectorized ``map_batches`` bodies; regex/state setup happens in
-actor ``__init__`` (the stateful-stage pattern).  Counts/scores are integers
-so oracle comparisons are bit-stable.
+All stages are vectorized ``map_batches`` bodies; regex/state setup happens
+once per worker process in an operator's ``__init__``
+(``state.session.map_cached``).  Counts/scores are integers so oracle
+comparisons are bit-stable.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-from ..state.resources import default_concurrency as _default_concurrency
-from ..state.session import fetch
+
+from ..state.session import fetch, map_cached
 from .relational import bucket_groups
 
 _TOKEN_RE = re.compile(r"[^ ]+")
@@ -154,8 +156,8 @@ def ngram_decontaminate_batch(batch: pa.Table, bench_grams: set,
     """Benchmark decontamination: flag documents sharing any word n-gram with
     the (broadcast) benchmark set — the standard eval-overlap filter for
     training corpora.  bench_grams is a set of '\\x01'-joined lowercase word
-    n-grams (small broadcast state; ray.put it and load in an actor
-    ``__init__`` at scale).  Appends n_gram_hits (count of overlapping
+    n-grams (small broadcast state; ray.put it and load it through
+    ``state.session.map_cached`` at scale).  Appends n_gram_hits (count of overlapping
     n-gram OCCURRENCES) and contaminated."""
     import pandas as pd
 
@@ -612,8 +614,36 @@ def doc_frequencies(ds, text_col: str = "text"):
              .groupby("term").aggregate(Sum("df", alias_name="df"))
 
 
+class _TermAffinity:
+    """The broadcast target-corpus term counts of :func:`target_affinity`,
+    sorted once per worker process."""
+
+    def __init__(self, ref, text_col: str, id_col: str):
+        t = fetch(ref)
+        terms = np.asarray(t["term"].to_pylist(), dtype=object)
+        counts = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.argsort(terms, kind="stable")
+        self.terms = terms[order]
+        self.counts = counts[order]
+        self.text_col, self.id_col = text_col, id_col
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        doc_idx, terms, lens = _batch_doc_tokens(batch, self.text_col)
+        t = np.asarray(terms.to_pylist(), dtype=object)
+        if len(self.terms):
+            pos = np.searchsorted(self.terms, t)
+            pos = np.clip(pos, 0, len(self.terms) - 1)
+            w = np.where(self.terms[pos] == t, self.counts[pos], 0)
+        else:
+            w = np.zeros(len(t), dtype=np.int64)
+        aff = np.bincount(doc_idx, weights=w, minlength=len(lens)).astype(np.int64)
+        return pa.table({self.id_col: batch[self.id_col],
+                         "affinity": pa.array(aff),
+                         "n_tokens": pa.array(lens)})
+
+
 def target_affinity(ds, stats: pa.Table, text_col: str = "text",
-                    id_col: str = "doc_id", concurrency: int | None = None):
+                    id_col: str = "doc_id"):
     """DSIR-shaped importance scoring pass 2: per doc, the integer sum of the
     broadcast target-corpus occurrence count of each token (tokens unseen in
     the target contribute 0).  Integer-exact under any reduction order.
@@ -622,36 +652,52 @@ def target_affinity(ds, stats: pa.Table, text_col: str = "text",
     every batch (broadcast small side, never re-shipped per batch)."""
     import ray
 
-    ref = ray.put(stats)
+    return map_cached(ds, _TermAffinity, ray.put(stats), text_col, id_col,
+                      batch_format="pyarrow")
 
-    class Scorer:
-        def __init__(self):
-            t = ray.get(ref)
-            terms = np.asarray(t["term"].to_pylist(), dtype=object)
-            counts = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.argsort(terms, kind="stable")
-            self.terms = terms[order]
-            self.counts = counts[order]
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            doc_idx, terms, lens = _batch_doc_tokens(batch, text_col)
-            t = np.asarray(terms.to_pylist(), dtype=object)
-            if len(self.terms):
-                pos = np.searchsorted(self.terms, t)
-                pos = np.clip(pos, 0, len(self.terms) - 1)
-                w = np.where(self.terms[pos] == t, self.counts[pos], 0)
-            else:
-                w = np.zeros(len(t), dtype=np.int64)
-            aff = np.bincount(doc_idx, weights=w, minlength=len(lens)).astype(np.int64)
-            return pa.table({id_col: batch[id_col],
-                             "affinity": pa.array(aff),
-                             "n_tokens": pa.array(lens)})
+class _TfidfTop:
+    """The broadcast document frequencies of :func:`tfidf_top_term`, sorted
+    once per worker process."""
 
-    return ds.map_batches(Scorer, batch_format="pyarrow", concurrency=concurrency or _default_concurrency())
+    def __init__(self, ref, text_col: str, id_col: str):
+        t = fetch(ref)
+        terms = np.asarray(t["term"].to_pylist(), dtype=object)
+        df = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.argsort(terms, kind="stable")
+        self.terms = terms[order]
+        self.df = df[order]
+        self.text_col, self.id_col = text_col, id_col
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        doc_idx, terms, lens = _batch_doc_tokens(batch, self.text_col)
+        t = np.asarray(terms.to_pylist(), dtype=object)
+        uniq, codes = np.unique(t, return_inverse=True)
+        order = np.lexsort((codes, doc_idx))
+        d_, c_ = doc_idx[order], codes[order]
+        first = np.ones(len(c_), dtype=bool)
+        first[1:] = (d_[1:] != d_[:-1]) | (c_[1:] != c_[:-1])
+        starts = np.flatnonzero(first)
+        tf = np.diff(np.r_[starts, len(c_)]).astype(np.int64)
+        d_u, c_u = d_[starts], c_[starts]
+        t_u = uniq[c_u]
+        pos = np.searchsorted(self.terms, t_u)
+        pos = np.clip(pos, 0, max(len(self.terms) - 1, 0))
+        df = self.df[pos]
+        assert (self.terms[pos] == t_u).all(), "df table must cover the corpus"
+        score = tf.astype(np.float64) / df
+        o2 = np.lexsort((c_u, -score, d_u))
+        keep_first = np.ones(len(o2), dtype=bool)
+        keep_first[1:] = d_u[o2][1:] != d_u[o2][:-1]
+        win = o2[keep_first]
+        return pa.table({self.id_col: batch[self.id_col].take(pa.array(d_u[win])),
+                         "top_term": pa.array(t_u[win], pa.string()),
+                         "tf": pa.array(tf[win]),
+                         "df": pa.array(df[win])})
 
 
 def tfidf_top_term(ds, dfs: pa.Table, text_col: str = "text",
-                   id_col: str = "doc_id", concurrency: int | None = None):
+                   id_col: str = "doc_id"):
     """Per doc, the term maximizing tf/df (rank-equivalent to tf-idf for a
     fixed corpus size), ties broken by lexicographically smallest term.
     Output: (doc_id, top_term, tf, df).
@@ -661,65 +707,30 @@ def tfidf_top_term(ds, dfs: pa.Table, text_col: str = "text",
     the pass-1 broadcast."""
     import ray
 
-    ref = ray.put(dfs)
-
-    class Top:
-        def __init__(self):
-            t = ray.get(ref)
-            terms = np.asarray(t["term"].to_pylist(), dtype=object)
-            df = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.argsort(terms, kind="stable")
-            self.terms = terms[order]
-            self.df = df[order]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            doc_idx, terms, lens = _batch_doc_tokens(batch, text_col)
-            t = np.asarray(terms.to_pylist(), dtype=object)
-            uniq, codes = np.unique(t, return_inverse=True)
-            order = np.lexsort((codes, doc_idx))
-            d_, c_ = doc_idx[order], codes[order]
-            first = np.ones(len(c_), dtype=bool)
-            first[1:] = (d_[1:] != d_[:-1]) | (c_[1:] != c_[:-1])
-            starts = np.flatnonzero(first)
-            tf = np.diff(np.r_[starts, len(c_)]).astype(np.int64)
-            d_u, c_u = d_[starts], c_[starts]
-            t_u = uniq[c_u]
-            pos = np.searchsorted(self.terms, t_u)
-            pos = np.clip(pos, 0, max(len(self.terms) - 1, 0))
-            df = self.df[pos]
-            assert (self.terms[pos] == t_u).all(), "df table must cover the corpus"
-            score = tf.astype(np.float64) / df
-            o2 = np.lexsort((c_u, -score, d_u))
-            keep_first = np.ones(len(o2), dtype=bool)
-            keep_first[1:] = d_u[o2][1:] != d_u[o2][:-1]
-            win = o2[keep_first]
-            return pa.table({id_col: batch[id_col].take(pa.array(d_u[win])),
-                             "top_term": pa.array(t_u[win], pa.string()),
-                             "tf": pa.array(tf[win]),
-                             "df": pa.array(df[win])})
-
-    return ds.map_batches(Top, batch_format="pyarrow", concurrency=concurrency or _default_concurrency())
+    return map_cached(ds, _TfidfTop, ray.put(dfs), text_col, id_col,
+                      batch_format="pyarrow")
 
 
 N_FEATURE_BUCKETS = 65536
 
 
-def _md5_buckets(uniq, n_buckets: int, cache: dict) -> np.ndarray:
-    """word -> md5-first-8-LE % n_buckets for each distinct word, through a
-    per-actor cache (repeated vocabulary costs one digest total)."""
-    out = np.empty(len(uniq), dtype=np.int64)
-    for i, w in enumerate(uniq):
-        b = cache.get(w)
-        if b is None:
-            b = int.from_bytes(hashlib.md5(w.encode()).digest()[:8],
-                               "little") % n_buckets
-            cache[w] = b
-        out[i] = b
-    return out
+@functools.lru_cache(maxsize=1 << 18)
+def _md5_bucket(word: str, n_buckets: int) -> int:
+    """md5-first-8-LE % n_buckets of a word, memoized per process (repeated
+    vocabulary costs one digest).  int() BEFORE the modulo: np.uint64 %
+    python-int promotes to float64 and silently drops the low bits of large
+    digests."""
+    return int.from_bytes(hashlib.md5(word.encode()).digest()[:8], "little") % n_buckets
+
+
+def _md5_buckets(uniq, n_buckets: int) -> np.ndarray:
+    """:func:`_md5_bucket` of each distinct word."""
+    return np.fromiter((_md5_bucket(w, n_buckets) for w in uniq),
+                       dtype=np.int64, count=len(uniq))
 
 
 def hashed_term_counts(ds, text_col: str = "text", row_filter=None,
-                       n_buckets: int = N_FEATURE_BUCKETS, concurrency: int | None = None):
+                       n_buckets: int = N_FEATURE_BUCKETS):
     """DSIR pass 1, hashed features: bucket -> target-corpus token
     occurrences.  Unlike ``term_counts`` the result is FIXED-SIZE
     (≤ n_buckets rows) regardless of vocabulary — the driver-side fold is
@@ -727,59 +738,51 @@ def hashed_term_counts(ds, text_col: str = "text", row_filter=None,
     100 TB-safe (DSIR itself scores over hashed n-gram buckets).  Shuffle
     carries ≤ n_buckets partial rows per block."""
 
-    class Partial:
-        def __init__(self):
-            self._cache: dict = {}
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if row_filter is not None:
-                batch = batch.filter(row_filter(batch))
-            _, terms, _ = _batch_doc_tokens(batch, text_col)
-            t = np.asarray(terms.to_pylist(), dtype=object)
-            if not len(t):
-                return pa.table({"bucket": pa.array([], pa.int64()),
-                                 "c": pa.array([], pa.int64())})
-            uniq, codes = np.unique(t, return_inverse=True)
-            bu = _md5_buckets(uniq, n_buckets, self._cache)
-            counts = np.bincount(bu[codes], minlength=n_buckets)
-            nz = np.flatnonzero(counts)
-            return pa.table({"bucket": pa.array(nz.astype(np.int64)),
-                             "c": pa.array(counts[nz].astype(np.int64))})
+    def partial(batch: pa.Table) -> pa.Table:
+        if row_filter is not None:
+            batch = batch.filter(row_filter(batch))
+        _, terms, _ = _batch_doc_tokens(batch, text_col)
+        t = np.asarray(terms.to_pylist(), dtype=object)
+        if not len(t):
+            return pa.table({"bucket": pa.array([], pa.int64()),
+                             "c": pa.array([], pa.int64())})
+        uniq, codes = np.unique(t, return_inverse=True)
+        bu = _md5_buckets(uniq, n_buckets)
+        counts = np.bincount(bu[codes], minlength=n_buckets)
+        nz = np.flatnonzero(counts)
+        return pa.table({"bucket": pa.array(nz.astype(np.int64)),
+                         "c": pa.array(counts[nz].astype(np.int64))})
 
     from ray.data.aggregate import Sum
 
-    return ds.map_batches(Partial, batch_format="pyarrow", concurrency=concurrency or _default_concurrency()) \
+    return ds.map_batches(partial, batch_format="pyarrow") \
              .groupby("bucket").aggregate(Sum("c", alias_name="c"))
 
 
 def hashed_doc_frequencies(ds, text_col: str = "text",
-                           n_buckets: int = N_FEATURE_BUCKETS, concurrency: int | None = None):
+                           n_buckets: int = N_FEATURE_BUCKETS):
     """Hashed document frequencies: bucket -> number of docs containing at
     least one term of the bucket.  Exact per-batch distinct (doc, bucket)
     combiner (a document never spans batches); fixed-size result like
     ``hashed_term_counts``."""
 
-    class Partial:
-        def __init__(self):
-            self._cache: dict = {}
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            doc_idx, terms, _ = _batch_doc_tokens(batch, text_col)
-            t = np.asarray(terms.to_pylist(), dtype=object)
-            if not len(t):
-                return pa.table({"bucket": pa.array([], pa.int64()),
-                                 "df": pa.array([], pa.int64())})
-            uniq, codes = np.unique(t, return_inverse=True)
-            bu = _md5_buckets(uniq, n_buckets, self._cache)
-            key = np.unique(doc_idx.astype(np.int64) * n_buckets + bu[codes])
-            counts = np.bincount(key % n_buckets, minlength=n_buckets)
-            nz = np.flatnonzero(counts)
-            return pa.table({"bucket": pa.array(nz.astype(np.int64)),
-                             "df": pa.array(counts[nz].astype(np.int64))})
+    def partial(batch: pa.Table) -> pa.Table:
+        doc_idx, terms, _ = _batch_doc_tokens(batch, text_col)
+        t = np.asarray(terms.to_pylist(), dtype=object)
+        if not len(t):
+            return pa.table({"bucket": pa.array([], pa.int64()),
+                             "df": pa.array([], pa.int64())})
+        uniq, codes = np.unique(t, return_inverse=True)
+        bu = _md5_buckets(uniq, n_buckets)
+        key = np.unique(doc_idx.astype(np.int64) * n_buckets + bu[codes])
+        counts = np.bincount(key % n_buckets, minlength=n_buckets)
+        nz = np.flatnonzero(counts)
+        return pa.table({"bucket": pa.array(nz.astype(np.int64)),
+                         "df": pa.array(counts[nz].astype(np.int64))})
 
     from ray.data.aggregate import Sum
 
-    return ds.map_batches(Partial, batch_format="pyarrow", concurrency=concurrency or _default_concurrency()) \
+    return ds.map_batches(partial, batch_format="pyarrow") \
              .groupby("bucket").aggregate(Sum("df", alias_name="df"))
 
 
@@ -795,41 +798,35 @@ def fold_bucket_table(bucket_ds, value_col: str, n_buckets: int) -> np.ndarray:
 
 
 def target_affinity_hashed(ds, bucket_counts: np.ndarray,
-                           text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None):
+                           text_col: str = "text", id_col: str = "doc_id"):
     """DSIR importance scoring pass 2 over HASHED features: per doc, the
     integer sum of the broadcast per-bucket target count of each token.
     The broadcast side is a fixed n_buckets int64 vector (ray.put once,
-    fetched per actor), so vocabulary growth never reaches the driver."""
+    fetched per batch), so vocabulary growth never reaches the driver."""
     import ray
 
     n_buckets = len(bucket_counts)
     ref = ray.put(np.ascontiguousarray(bucket_counts, dtype=np.int64))
 
-    class Scorer:
-        def __init__(self):
-            self.counts = ray.get(ref)
-            self._cache: dict = {}
+    def score(batch: pa.Table) -> pa.Table:
+        doc_idx, terms, lens = _batch_doc_tokens(batch, text_col)
+        t = np.asarray(terms.to_pylist(), dtype=object)
+        if len(t):
+            uniq, codes = np.unique(t, return_inverse=True)
+            w = fetch(ref)[_md5_buckets(uniq, n_buckets)[codes]]
+        else:
+            w = np.zeros(0, dtype=np.int64)
+        aff = np.bincount(doc_idx, weights=w,
+                          minlength=len(lens)).astype(np.int64)
+        return pa.table({id_col: batch[id_col],
+                         "affinity": pa.array(aff),
+                         "n_tokens": pa.array(lens)})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            doc_idx, terms, lens = _batch_doc_tokens(batch, text_col)
-            t = np.asarray(terms.to_pylist(), dtype=object)
-            if len(t):
-                uniq, codes = np.unique(t, return_inverse=True)
-                bu = _md5_buckets(uniq, n_buckets, self._cache)
-                w = self.counts[bu[codes]]
-            else:
-                w = np.zeros(0, dtype=np.int64)
-            aff = np.bincount(doc_idx, weights=w,
-                              minlength=len(lens)).astype(np.int64)
-            return pa.table({id_col: batch[id_col],
-                             "affinity": pa.array(aff),
-                             "n_tokens": pa.array(lens)})
-
-    return ds.map_batches(Scorer, batch_format="pyarrow", concurrency=concurrency or _default_concurrency())
+    return ds.map_batches(score, batch_format="pyarrow")
 
 
 def tfidf_top_term_hashed(ds, bucket_df: np.ndarray, text_col: str = "text",
-                          id_col: str = "doc_id", concurrency: int | None = None):
+                          id_col: str = "doc_id"):
     """Per doc, the term maximizing tf / df_bucket(term) (hashed document
     frequencies — the fixed-size-broadcast variant of ``tfidf_top_term``),
     ties broken by lexicographically smallest term.  Output: (doc_id,
@@ -840,42 +837,36 @@ def tfidf_top_term_hashed(ds, bucket_df: np.ndarray, text_col: str = "text",
     n_buckets = len(bucket_df)
     ref = ray.put(np.ascontiguousarray(bucket_df, dtype=np.int64))
 
-    class Top:
-        def __init__(self):
-            self.df = ray.get(ref)
-            self._cache: dict = {}
+    def top(batch: pa.Table) -> pa.Table:
+        doc_idx, terms, lens = _batch_doc_tokens(batch, text_col)
+        t = np.asarray(terms.to_pylist(), dtype=object)
+        if not len(t):
+            return pa.table({id_col: batch[id_col].slice(0, 0),
+                             "top_term": pa.array([], pa.string()),
+                             "tf": pa.array([], pa.int64()),
+                             "df": pa.array([], pa.int64())})
+        uniq, codes = np.unique(t, return_inverse=True)
+        order = np.lexsort((codes, doc_idx))
+        d_, c_ = doc_idx[order], codes[order]
+        first = np.ones(len(c_), dtype=bool)
+        first[1:] = (d_[1:] != d_[:-1]) | (c_[1:] != c_[:-1])
+        starts = np.flatnonzero(first)
+        tf = np.diff(np.r_[starts, len(c_)]).astype(np.int64)
+        d_u, c_u = d_[starts], c_[starts]
+        t_u = uniq[c_u]
+        df = fetch(ref)[_md5_buckets(t_u, n_buckets)]
+        assert (df > 0).all(), "df buckets must cover the corpus"
+        score = tf.astype(np.float64) / df
+        o2 = np.lexsort((c_u, -score, d_u))
+        keep_first = np.ones(len(o2), dtype=bool)
+        keep_first[1:] = d_u[o2][1:] != d_u[o2][:-1]
+        win = o2[keep_first]
+        return pa.table({id_col: batch[id_col].take(pa.array(d_u[win])),
+                         "top_term": pa.array(t_u[win], pa.string()),
+                         "tf": pa.array(tf[win]),
+                         "df": pa.array(df[win])})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            doc_idx, terms, lens = _batch_doc_tokens(batch, text_col)
-            t = np.asarray(terms.to_pylist(), dtype=object)
-            if not len(t):
-                return pa.table({id_col: batch[id_col].slice(0, 0),
-                                 "top_term": pa.array([], pa.string()),
-                                 "tf": pa.array([], pa.int64()),
-                                 "df": pa.array([], pa.int64())})
-            uniq, codes = np.unique(t, return_inverse=True)
-            order = np.lexsort((codes, doc_idx))
-            d_, c_ = doc_idx[order], codes[order]
-            first = np.ones(len(c_), dtype=bool)
-            first[1:] = (d_[1:] != d_[:-1]) | (c_[1:] != c_[:-1])
-            starts = np.flatnonzero(first)
-            tf = np.diff(np.r_[starts, len(c_)]).astype(np.int64)
-            d_u, c_u = d_[starts], c_[starts]
-            t_u = uniq[c_u]
-            bu = _md5_buckets(t_u, n_buckets, self._cache)
-            df = self.df[bu]
-            assert (df > 0).all(), "df buckets must cover the corpus"
-            score = tf.astype(np.float64) / df
-            o2 = np.lexsort((c_u, -score, d_u))
-            keep_first = np.ones(len(o2), dtype=bool)
-            keep_first[1:] = d_u[o2][1:] != d_u[o2][:-1]
-            win = o2[keep_first]
-            return pa.table({id_col: batch[id_col].take(pa.array(d_u[win])),
-                             "top_term": pa.array(t_u[win], pa.string()),
-                             "tf": pa.array(tf[win]),
-                             "df": pa.array(df[win])})
-
-    return ds.map_batches(Top, batch_format="pyarrow", concurrency=concurrency or _default_concurrency())
+    return ds.map_batches(top, batch_format="pyarrow")
 
 
 def qc_weight(bucket):
@@ -893,9 +884,9 @@ class HashedLinearScorer:
     a production fastText/linear quality filter — swap ``qc_weight`` for
     learned weights and the pipeline is unchanged.
 
-    Stateful actor stage: the word->bucket md5 cache persists across batches
-    (__init__-once pattern), so repeated vocabulary costs one digest total.
-    Integer arithmetic end to end -> bit-stable oracle.
+    Words hash through the per-process :func:`_md5_bucket` memo, so
+    repeated vocabulary costs one digest total.  Integer arithmetic end to
+    end -> bit-stable oracle.
     """
 
     def __init__(self, text_col: str = "text", id_col: str = "doc_id",
@@ -905,25 +896,12 @@ class HashedLinearScorer:
         self.buckets = buckets
         j = np.arange(buckets, dtype=np.int64)
         self.w = (j * np.int64(2654435761)) % 2001 - 1000
-        self._cache: dict = {}
-
-    def _bucket_of(self, word: str) -> int:
-        b = self._cache.get(word)
-        if b is None:
-            d = hashlib.md5(word.encode()).digest()
-            # int() BEFORE the modulo: np.uint64 % python-int promotes to
-            # float64 and silently drops the low bits of large digests
-            b = int.from_bytes(d[:8], "little") % self.buckets
-            self._cache[word] = b
-        return b
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_idx, terms, lens = _batch_doc_tokens(batch, self.text_col)
         t = np.asarray(terms.to_pylist(), dtype=object)
         uniq, codes = np.unique(t, return_inverse=True)
-        bu = np.fromiter((self._bucket_of(w) for w in uniq),
-                         dtype=np.int64, count=len(uniq))
-        wt = self.w[bu[codes]]
+        wt = self.w[_md5_buckets(uniq, self.buckets)[codes]]
         score = np.bincount(doc_idx, weights=wt, minlength=len(lens)).astype(np.int64)
         return pa.table(
             {self.id_col: batch[self.id_col],
@@ -1303,14 +1281,13 @@ def bpe_train_merges(words: pa.Table, n_merges: int = 100):
 
 
 class BPEEncoder:
-    """Actor-state BPE encoder: merge ranks broadcast once, per-WORD
-    tokenizations memoized (Zipf makes the cache hit rate ~99% on real
-    corpora), batches tokenized with one regex pass + dict lookups."""
+    """BPE token counter: merge ranks broadcast once per worker process,
+    per-WORD tokenizations memoized (Zipf makes the cache hit rate ~99% on
+    real corpora), batches tokenized with one regex pass + dict lookups."""
 
-    def __init__(self, merges: list[tuple[str, str]]):
-        import re
-
-        self.rank = {tuple(m): i for i, m in enumerate(merges)}
+    def __init__(self, merges_ref, text_col: str = "text", id_col: str = "doc_id"):
+        self.rank = {tuple(m): i for i, m in enumerate(fetch(merges_ref))}
+        self.text_col, self.id_col = text_col, id_col
         self.pat = re.compile(BPE_PATTERN)
         self.cache: dict[str, int] = {}
 
@@ -1334,32 +1311,20 @@ class BPEEncoder:
             self.cache[w] = n
         return n
 
-    def __call__(self, batch: pa.Table, text_col: str = "text",
-                 id_col: str = "doc_id") -> pa.Table:
-        ids = batch[id_col]
+    def __call__(self, batch: pa.Table) -> pa.Table:
         ns = []
-        for x in batch[text_col].to_pylist():
+        for x in batch[self.text_col].to_pylist():
             ns.append(sum(self.encode_word(w) for w in self.pat.findall(x))
                       if x else 0)
-        return pa.table({id_col: ids,
+        return pa.table({self.id_col: batch[self.id_col],
                          "n_bpe_tokens": pa.array(ns, pa.int64())})
 
 
 def bpe_token_counts(ds, merges: list[tuple[str, str]],
-                     text_col: str = "text", id_col: str = "doc_id",
-                     concurrency: int | tuple | None = None):
+                     text_col: str = "text", id_col: str = "doc_id"):
     """Per-doc token counts under a TRAINED merge list: merges broadcast
-    into actor state, memoized per-word encode, one streaming pass."""
+    once per worker process, memoized per-word encode, one streaming pass."""
     import ray
 
-    ref = ray.put(list(merges))
-
-    class Enc(BPEEncoder):
-        def __init__(self):
-            super().__init__(ray.get(ref))
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return super().__call__(batch, text_col=text_col, id_col=id_col)
-
-    return ds.map_batches(Enc, batch_format="pyarrow",
-                          concurrency=concurrency or _default_concurrency(), num_cpus=1)
+    return map_cached(ds, BPEEncoder, ray.put(list(merges)), text_col, id_col,
+                      batch_format="pyarrow")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state.session import fetch, map_cached
+
 
 def viewshed_array(dem: np.ndarray, ox: int, oy: int, observer_height: float = 0.0,
                    n_steps: int | None = None, mode: str = "normal") -> np.ndarray:
@@ -319,17 +321,14 @@ def viewshed_sectors(tiles_ds, observer_x: int, observer_y: int, radius: int,
 
 
 class _CumulativeExecutor:
-    """Actor: holds the (broadcast) DEM once; each call scores a BATCH of
-    observers and returns ONE partial count raster — the reference's
-    executor/combiner split (alg/viewshed/cumulative.cpp:36-90 observer
-    queue -> normal-mode executors with visibleVal=1 -> summing combiners)
-    re-expressed as an actor-pool map_batches with per-batch partials."""
+    """Holds the (broadcast) DEM once per worker process; each call scores
+    a BATCH of observers and returns ONE partial count raster — the
+    reference's executor/combiner split (alg/viewshed/cumulative.cpp:36-90
+    observer queue -> normal-mode executors with visibleVal=1 -> summing
+    combiners) re-expressed as a map_batches with per-batch partials."""
 
     def __init__(self, dem_ref, observer_height: float = 0.0):
-        import ray
-
-        self.dem = (ray.get(dem_ref) if not isinstance(dem_ref, np.ndarray)
-                    else dem_ref)
+        self.dem = fetch(dem_ref)
         self.oh = float(observer_height)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -347,15 +346,14 @@ class _CumulativeExecutor:
 
 def viewshed_cumulative(dem: np.ndarray, spacing: int,
                         observer_height: float = 0.0,
-                        concurrency: int | None = None,
                         batch_size: int = 4):
     """Cumulative viewshed (gdal_viewshed -mode cumulative,
     alg/viewshed/cumulative.cpp): observers on a ``spacing`` grid each run
     a normal-mode viewshed and the visibility masks SUM into an
     observability heat map.
 
-    Ray shape: the observer grid is a Dataset fanned over an actor pool
-    holding the broadcast DEM; each batch returns one partial count raster
+    Ray shape: the observer grid is a Dataset fanned over tasks that hold
+    the broadcast DEM once per worker process; each batch returns one partial count raster
     and the driver folds O(n_batches) partials (bounded by ceil(observers /
     batch_size)).  At continental scale the DEM tiles and each observer's
     disc is radius-bounded, so partials become tile-keyed rows through a
@@ -365,24 +363,14 @@ def viewshed_cumulative(dem: np.ndarray, spacing: int,
     import ray
     import ray.data as rd
 
-    from ..state.resources import default_concurrency
-
-    # leave CPUs for the repartition tasks: a pool as wide as the cluster
-    # starves the AllToAll stage on small clusters
-    concurrency = concurrency or max(2, min(4, default_concurrency() // 2))
     h, w = dem.shape
     oys, oxs = np.mgrid[0:h:spacing, 0:w:spacing]
     obs = pa.table({"ox": pa.array(oxs.ravel().astype(np.int64)),
                     "oy": pa.array(oys.ravel().astype(np.int64))})
-    dem_ref = ray.put(np.ascontiguousarray(dem))
-    n_batches = max(1, (obs.num_rows + batch_size - 1) // batch_size)
-    parts = rd.from_arrow(obs).repartition(
-        min(n_batches, max(concurrency * 2, 1))).map_batches(
-        _CumulativeExecutor,
-        fn_constructor_kwargs=dict(dem_ref=dem_ref,
-                                   observer_height=observer_height),
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=concurrency)
+    parts = map_cached(
+        rd.from_arrow(obs).repartition(target_num_rows_per_block=batch_size),
+        _CumulativeExecutor, ray.put(np.ascontiguousarray(dem)), observer_height,
+        batch_size=batch_size, batch_format="pyarrow")
     heat = np.zeros((h, w), dtype=np.int64)
     # streaming fold: driver holds the heat raster + ONE partial at a time
     # (iter_rows, not take_all — O(h*w) driver memory regardless of batches)
@@ -399,10 +387,7 @@ class _CumulativeTileExecutor:
 
     def __init__(self, dem_ref, observer_height: float, tile: int,
                  radius: int | None):
-        import ray
-
-        self.dem = (ray.get(dem_ref) if not isinstance(dem_ref, np.ndarray)
-                    else dem_ref)
+        self.dem = fetch(dem_ref)
         self.oh = float(observer_height)
         self.tile = int(tile)
         self.radius = radius
@@ -454,34 +439,24 @@ class _CumulativeTileExecutor:
 def viewshed_cumulative_tiles(dem: np.ndarray, spacing: int,
                               observer_height: float = 0.0,
                               radius: int | None = None, tile: int = 128,
-                              concurrency: int | None = None,
                               batch_size: int = 4):
     """Cumulative viewshed as a TILE Dataset (the default scale path,
-    replacing the whole-raster driver fold): observers fan over an actor
-    pool, each emits per-tile count fragments (radius-bounded when
+    replacing the whole-raster driver fold): observers fan over tasks, each
+    batch emits per-tile count fragments (radius-bounded when
     ``radius`` is set), and a (tx, ty) groupby sums fragments into final
     heat tiles.  The driver never materializes the raster; rows are
     O(tiles)."""
     import ray
     import ray.data as rd
 
-    from ..state.resources import default_concurrency
-
     h, w = dem.shape
     oys, oxs = np.mgrid[0:h:spacing, 0:w:spacing]
     obs = pa.table({"ox": pa.array(oxs.ravel().astype(np.int64)),
                     "oy": pa.array(oys.ravel().astype(np.int64))})
-    dem_ref = ray.put(np.ascontiguousarray(dem))
-    conc = concurrency or max(2, default_concurrency() // 2)
-    n_batches = max(1, (obs.num_rows + batch_size - 1) // batch_size)
-    frags = rd.from_arrow(obs).repartition(
-        min(n_batches, max(conc * 2, 1))).map_batches(
-        _CumulativeTileExecutor,
-        fn_constructor_kwargs=dict(dem_ref=dem_ref,
-                                   observer_height=observer_height,
-                                   tile=tile, radius=radius),
-        batch_size=batch_size, batch_format="pyarrow",
-        concurrency=conc)
+    frags = map_cached(
+        rd.from_arrow(obs).repartition(target_num_rows_per_block=batch_size),
+        _CumulativeTileExecutor, ray.put(np.ascontiguousarray(dem)), observer_height,
+        tile, radius, batch_size=batch_size, batch_format="pyarrow")
 
     def fold(group: pa.Table) -> pa.Table:
         th = int(group["height"][0].as_py())
@@ -511,22 +486,16 @@ CUMULATIVE_TILED_THRESHOLD = 1 << 22
 def viewshed_cumulative_auto(dem: np.ndarray, spacing: int,
                              observer_height: float = 0.0,
                              radius: int | None = None,
-                             tile: int = 128,
-                             concurrency: int | None = None):
+                             tile: int = 128):
     """Cumulative viewshed with automatic plan selection: small DEMs use
     the single-raster fold; above CUMULATIVE_TILED_THRESHOLD cells the
     tile-keyed groupby plan is the default and the result is assembled
     from O(tiles) rows.  Returns the int64 heat map either way."""
     h, w = dem.shape
     if h * w <= CUMULATIVE_TILED_THRESHOLD and radius is None:
-        from ..state.resources import default_concurrency
-
-        return viewshed_cumulative(
-            dem, spacing, observer_height,
-            concurrency=concurrency or min(4, default_concurrency()))
+        return viewshed_cumulative(dem, spacing, observer_height)
     tiles_ds = viewshed_cumulative_tiles(
-        dem, spacing, observer_height, radius=radius, tile=tile,
-        concurrency=concurrency)
+        dem, spacing, observer_height, radius=radius, tile=tile)
     heat = np.zeros((h, w), dtype=np.int64)
     for row in tiles_ds.iter_rows():
         ty, tx = row["ty"], row["tx"]

@@ -24,7 +24,6 @@ def zonal_stats(
     value_col: str = "n_chars",
     id_col: str = "doc_id",
     predicate: str = "intersects",
-    concurrency: int | tuple | None = None,
 ):
     """Per-zone count / sum / min / max of an integer value column.
 
@@ -35,7 +34,6 @@ def zonal_stats(
         zones,
         predicate=predicate,
         id_col=id_col,
-        concurrency=concurrency,
         emit_cols=(value_col,),
     )
     return partial_aggregate(
@@ -54,15 +52,15 @@ def zonal_stats_dense(
     value_col: str = "n_chars",
     id_col: str = "doc_id",
     predicate: str = "intersects",
-    concurrency: int | tuple | None = None,
     batch_size: int = 32768,
 ) -> pa.Table:
     """Dense-key zonal aggregate: the scale plan when the zone count is
     bounded (the usual GDAL zonal case — zones are a layer, not a corpus).
 
-    The per-zone reduction is PUSHED INTO the join actor (``zonal_reduce_col``
-    on BroadcastPointJoin): each batch's matches collapse to fixed-length
-    count/sum/min/max vectors inside the same actor, so the O(pairs) match set
+    The per-zone reduction is PUSHED INTO the join operator
+    (``zonal_reduce_col`` on BroadcastPointJoin): each batch's matches
+    collapse to fixed-length count/sum/min/max vectors inside the same
+    task, so the O(pairs) match set
     (~10x the input here) never crosses the object store.  The final combine
     is a tiny driver-side vector sum (merging histogram partials, SURVEY
     §2.5).  Without the pushdown, the pair materialization dominates the whole
@@ -78,7 +76,6 @@ def zonal_stats_dense(
         zones,
         predicate=predicate,
         id_col=id_col,
-        concurrency=concurrency,
         batch_size=batch_size,
         zonal_reduce_col=value_col,
     )
@@ -138,7 +135,6 @@ def zonal_stats_extended(
     value_col: str = "n_chars",
     id_col: str = "doc_id",
     predicate: str = "intersects",
-    concurrency: int | tuple | None = None,
 ):
     """Per-zone mean/stddev as EXACT integer sufficient statistics.
 
@@ -158,7 +154,6 @@ def zonal_stats_extended(
         zones,
         predicate=predicate,
         id_col=id_col,
-        concurrency=concurrency,
         emit_cols=(value_col,),
     ).map_batches(add_sq, batch_format="pyarrow")
     agg = partial_aggregate(
@@ -188,7 +183,6 @@ def zonal_value_modes(
     value_col: str = "n_chars",
     id_col: str = "doc_id",
     predicate: str = "intersects",
-    concurrency: int | tuple | None = None,
 ):
     """Per-zone MAJORITY / MINORITY value (stat names ``alg/zonal.cpp:661-701``):
     the most / least frequent value in the zone; ties resolve to the SMALLEST
@@ -206,7 +200,6 @@ def zonal_value_modes(
         zones,
         predicate=predicate,
         id_col=id_col,
-        concurrency=concurrency,
         emit_cols=(value_col,),
         emit_zone_index=True,
     )

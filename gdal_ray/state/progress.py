@@ -6,9 +6,8 @@ plumbing every GDAL utility threads through its driver calls.  Ray-Data-first
 re-expression: progress of a streaming Dataset cannot be observed from the
 driver thread (blocks execute remotely, out of order), so the counting side
 is a zero-CPU named actor that passthrough ``map_batches`` stages increment
-per batch, and the reporting side is a driver poller that converts counts to
-a completion fraction for any ``callback(complete, message) -> bool``
-(GDAL's exact callback signature; returning False requests cancellation —
+per batch, and the reporting side is any
+``callback(complete, message) -> bool`` (GDAL's exact callback signature; returning False requests cancellation —
 honored at the next partition boundary in ``write_partitioned``, since a
 streaming Ray Data execution cannot be safely interrupted mid-block).
 """
@@ -16,8 +15,6 @@ streaming Ray Data execution cannot be safely interrupted mid-block).
 from __future__ import annotations
 
 import sys
-import threading
-import time
 
 import pyarrow as pa
 
@@ -104,43 +101,3 @@ def track_progress(ds, stage: str, actor):
         return t
 
     return ds.map_batches(count, batch_format="pyarrow")
-
-
-class ProgressPoller:
-    """Driver-side reporter: polls the progress actor on a background
-    thread and feeds ``callback(count/total, stage)``.  Use as a context
-    manager around the consuming call (write_parquet / iter_batches); on
-    exit it reports 1.0 if the stream completed."""
-
-    def __init__(self, actor, stage: str, total: int, callback=None,
-                 interval: float = 0.5):
-        self.actor = actor
-        self.stage = stage
-        self.total = max(int(total), 1)
-        self.callback = callback if callback is not None else TermProgress()
-        self.interval = float(interval)
-        self._stop = threading.Event()
-        self._thread = None
-
-    def _poll(self):
-        import ray
-
-        while not self._stop.wait(self.interval):
-            snap = ray.get(self.actor.snapshot.remote())
-            n = snap["counts"].get(self.stage, 0)
-            # hold at <1.0 until the consumer actually finishes
-            frac = min(n / self.total, 0.999)
-            if self.callback(frac, self.stage) is False:
-                return
-
-    def __enter__(self):
-        self._thread = threading.Thread(target=self._poll, daemon=True)
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._stop.set()
-        self._thread.join(timeout=5)
-        if exc_type is None:
-            self.callback(1.0, self.stage)
-        return False

@@ -11,11 +11,6 @@ GIB = 1024**3
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_pool_is_half_the_cpus_with_a_floor_of_one():
-    pools = {n: bench.ray_settings(n, 16 * GIB)["concurrency"] for n in (1, 2, 3, 4, 8, 32)}
-    assert pools == {1: 1, 2: 1, 3: 1, 4: 2, 8: 4, 32: 16}
-
-
 def test_object_store_is_a_fraction_of_memtotal():
     for mem in (15 * GIB, 64 * GIB, 512 * GIB):
         store = bench.ray_settings(4, mem)["object_store_memory"]

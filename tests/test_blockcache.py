@@ -50,9 +50,9 @@ def test_warp_blocked_source_matches_broadcast(ray_session):
     store = RasterBlockStore.put(a, GT, block=128)
     for resample in ("nearest", "bilinear"):
         full = pyr.warp_to_tiles(src, 3, (-40, -40, 40, 40), tile_px=32,
-                                 concurrency=2, resample=resample).take_all()
+                                 resample=resample).take_all()
         blocked = pyr.warp_to_tiles(store, 3, (-40, -40, 40, 40), tile_px=32,
-                                    concurrency=2, resample=resample).take_all()
+                                    resample=resample).take_all()
         fb = {(r["x"], r["y"]): (r["checksum"], r["data"]) for r in full}
         bb = {(r["x"], r["y"]): (r["checksum"], r["data"]) for r in blocked}
         assert fb == bb

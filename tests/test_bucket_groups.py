@@ -179,7 +179,7 @@ CASES = {
         _ds(_comps()[0]), _ds(_comps()[1]),
         payload=[("name", pa.string()), ("value", pa.float64())]),
     "zonal_value_modes": lambda: zonal.zonal_value_modes(
-        _ds(_points()[0]), _points()[1], concurrency=1),
+        _ds(_points()[0]), _points()[1]),
 }
 
 

@@ -311,10 +311,10 @@ def test_zonal_modes_and_extended(ray_session):
         tiles_stage.derive_geometry_batch, batch_format="pyarrow"
     )
     modes = zonal.zonal_value_modes(
-        pts, zones, value_col="n_chars", concurrency=2
+        pts, zones, value_col="n_chars"
     ).to_pandas()
     ext = zonal.zonal_stats_extended(
-        pts, zones, value_col="n_chars", concurrency=2
+        pts, zones, value_col="n_chars"
     ).to_pandas()
 
     # brute: pandas join

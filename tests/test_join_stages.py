@@ -84,7 +84,7 @@ def test_broadcast_join_rect_zones(docs, rect_zones, predicate):
     got = {
         (r["doc_id"], r["zone_id"])
         for r in join_stage.broadcast_spatial_join(
-            ds, rect_zones, predicate=predicate, concurrency=2
+            ds, rect_zones, predicate=predicate
         ).take_all()
     }
     assert got == brute_pairs(docs, rect_zones, predicate)
@@ -96,16 +96,17 @@ def test_broadcast_join_edge_case_polygons(docs):
     ds = rd.from_arrow(docs)
     got = {
         (r["doc_id"], r["zone_id"])
-        for r in join_stage.broadcast_spatial_join(ds, zones, concurrency=2).take_all()
+        for r in join_stage.broadcast_spatial_join(ds, zones).take_all()
     }
     assert got == brute_pairs(docs, zones, "intersects")
 
 
-def test_default_pool_leaves_cpus_for_the_read(docs, rect_zones, tmp_path):
-    """With the pool sized from the session (half its 4 CPUs), the parquet
-    read tasks feeding the join still get CPUs: a pool of every CPU left
-    them unscheduled and the run idle forever.  The run gets a time limit,
-    so a regression fails here instead of hanging the suite."""
+def test_join_over_a_parquet_read_finishes_in_a_4_cpu_session(docs, rect_zones, tmp_path):
+    """A broadcast join fed by a parquet read finishes in the 4-CPU test
+    session: nothing the join holds may leave the read tasks without CPUs
+    (an actor pool of every CPU once left them unscheduled and the run idle
+    forever).  The run gets a time limit, so a regression fails here
+    instead of hanging the suite."""
     import threading
 
     import pyarrow.parquet as pq
@@ -122,7 +123,7 @@ def test_default_pool_leaves_cpus_for_the_read(docs, rect_zones, tmp_path):
     worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(timeout=120)
-    assert not worker.is_alive(), "default-pool join over a parquet read did not finish"
+    assert not worker.is_alive(), "join over a parquet read did not finish"
     assert out["pairs"] == brute_pairs(docs, rect_zones, "intersects")
 
 
@@ -156,7 +157,7 @@ def test_knn_matches_brute(docs, rect_zones):
     )
     ds = rd.from_arrow(docs)
     for tree in (False, True):
-        rows = knn_stage.knn_join(ds, targets, k=3, tree=tree, concurrency=2).take_all()
+        rows = knn_stage.knn_join(ds, targets, k=3, tree=tree).take_all()
         got = {(r["doc_id"], r["rank"]): r["zone_id"] for r in rows}
         lon = docs["lon"].to_numpy()
         lat = docs["lat"].to_numpy()
@@ -253,7 +254,7 @@ def test_dwithin_radius_join_matches_brute(ray_session):
         "lon": pa.array(px), "lat": pa.array(py)}))
     targets = pa.table({"zone_key": pa.array(np.arange(m), pa.int64()),
                         "cx": pa.array(cx), "cy": pa.array(cy)})
-    out = knn_stage.dwithin_join(pts, targets, radius=2.0, concurrency=2).take_all()
+    out = knn_stage.dwithin_join(pts, targets, radius=2.0).take_all()
     got = {(r["doc_id"], r["zone_key"]) for r in out}
     d2 = (px[:, None] - cx[None, :]) ** 2 + (py[:, None] - cy[None, :]) ** 2
     expect = {(int(i), int(j)) for i, j in zip(*np.nonzero(d2 <= 4.0))}

@@ -16,7 +16,7 @@ from gdal_ray.pipelines import steps
 def test_media_featurize_deterministic_and_complete():
     docs = synthetic.make_docs(200)
     ds = rd.from_arrow(docs)
-    rows = media.featurize_media(ds, concurrency=2, batch_size=64).take_all()
+    rows = media.featurize_media(ds, batch_size=64).take_all()
     # expected media spans: every non-text span of every doc
     expect = 0
     for i in range(docs.num_rows):

@@ -215,7 +215,7 @@ def _ramp_source(n=512):
 def test_warp_nearest_matches_pointwise_oracle():
     src = _ramp_source()
     z = 3
-    out = pyr_stage.warp_to_tiles(src, z, (-44, -44, 44, 44), tile_px=64, concurrency=2)
+    out = pyr_stage.warp_to_tiles(src, z, (-44, -44, 44, 44), tile_px=64)
     rows = out.take_all()
     assert rows
     inv = geo.inv_geotransform(src.gt)
@@ -239,9 +239,9 @@ def test_warp_nearest_matches_pointwise_oracle():
 def test_warp_bilinear_close_to_nearest_on_smooth_ramp():
     src = _ramp_source()
     z = 3
-    near = pyr_stage.warp_to_tiles(src, z, (-40, -40, 40, 40), tile_px=32, concurrency=2,
+    near = pyr_stage.warp_to_tiles(src, z, (-40, -40, 40, 40), tile_px=32,
                                    resample="nearest").take_all()
-    bil = pyr_stage.warp_to_tiles(src, z, (-40, -40, 40, 40), tile_px=32, concurrency=2,
+    bil = pyr_stage.warp_to_tiles(src, z, (-40, -40, 40, 40), tile_px=32,
                                   resample="bilinear").take_all()
     nb = {(r["x"], r["y"]): np.frombuffer(r["data"], np.float64) for r in near}
     for r in bil:
@@ -255,7 +255,7 @@ def test_warp_bilinear_close_to_nearest_on_smooth_ramp():
 def test_pyramid_overview_reduction():
     src = _ramp_source()
     pyr = pyr_stage.tile_pyramid(src, z_max=3, z_min=2, bbox=(-44, -44, 44, 44),
-                                 tile_px=64, concurrency=2)
+                                 tile_px=64)
     base = {(r["x"], r["y"]): np.frombuffer(r["data"], np.float64).reshape(64, 64)
             for r in pyr[3].take_all()}
     over = pyr[2].take_all()

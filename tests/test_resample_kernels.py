@@ -182,7 +182,7 @@ def test_warp_tiles_join_matches_broadcast(resample):
     gy, gx = np.mgrid[0:n, 0:n]
     src = pyr.SourceRaster((gx + gy).astype(np.float64) + 1.0, gt)
     bro = pyr.warp_to_tiles(src, 4, (-59, -59, 59, 59), tile_px=64,
-                            resample=resample, skip_blank=False, concurrency=2)
+                            resample=resample, skip_blank=False)
     bmap = {(r["x"], r["y"]): r["checksum"] for r in bro.take_all()
             if not r["blank"]}
     join = pyr.warp_tiles_join(rd.from_arrow(_ramp_src_tiles(n, 64)), gt, 4,

@@ -101,7 +101,7 @@ def test_knn_tree_tie_break_mass_ties():
                     "lon": pa.array([0.0]), "lat": pa.array([0.0])})
     ds = rd.from_arrow(pts)
     for tree in (False, True):
-        rows = knn_stage.knn_join(ds, targets, k=3, tree=tree, concurrency=1).take_all()
+        rows = knn_stage.knn_join(ds, targets, k=3, tree=tree).take_all()
         got = sorted((r["rank"], r["zone_id"]) for r in rows)
         # lowest keys 0,1,2 belong to zone_ids z23, z22, z21
         assert got == [(1, "z23"), (2, "z22"), (3, "z21")], (tree, got)
@@ -227,7 +227,7 @@ def test_build_overview_missing_quadrant_nodata():
     gy, gx = np.mgrid[0:n, 0:n]
     src = pyr.SourceRaster((gx + gy).astype(np.float64) + 1.0,
                            (-30.0, 60.0 / n, 0.0, 30.0, 0.0, -60.0 / n), nodata=-9999.0)
-    base = pyr.warp_to_tiles(src, 4, (-29, -29, 29, 29), tile_px=32, concurrency=2,
+    base = pyr.warp_to_tiles(src, 4, (-29, -29, 29, 29), tile_px=32,
                              skip_blank=False)
     over = pyr.build_overview(base).take_all()
     for r in over:

@@ -785,11 +785,11 @@ def test_geoloc_warp_matches_affine_with_rotation(ray_session):
                           line_offset=-3.5, line_step=4.0)
     bbox = (-15, -15, 15, 15)
     aff = pyr.warp_to_tiles(src, 5, bbox, tile_px=32, resample="nearest",
-                            skip_blank=False, concurrency=2
+                            skip_blank=False
                             ).select_columns(["z", "x", "y", "checksum"]
                                              ).to_pandas()
     glo = pyr.warp_to_tiles(src, 5, bbox, tile_px=32, resample="nearest",
-                            skip_blank=False, concurrency=2, geoloc=g
+                            skip_blank=False, geoloc=g
                             ).select_columns(["z", "x", "y", "checksum"]
                                              ).to_pandas()
     m = aff.merge(glo, on=["z", "x", "y"], suffixes=("_a", "_g"))

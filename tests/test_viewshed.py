@@ -185,8 +185,7 @@ def test_viewshed_cumulative_matches_observer_sum(ray_session):
 
     gy, gx = np.mgrid[0:48, 0:48]
     dem = (((gx * 7 + gy * 13) % 19) + ((gx * gy) % 5) * 4).astype(np.float64)
-    heat = viewshed_cumulative(dem, spacing=12, observer_height=1.0,
-                               concurrency=2, batch_size=3)
+    heat = viewshed_cumulative(dem, spacing=12, observer_height=1.0, batch_size=3)
     ref = np.zeros_like(heat)
     for oy in range(0, 48, 12):
         for ox in range(0, 48, 12):
@@ -206,13 +205,9 @@ def test_viewshed_cumulative_tiled_matches_monolithic(ray_session):
 
     rng = np.random.default_rng(5)
     dem = (rng.random((130, 170)) * 40).astype(np.float64)
-    # concurrency=2: a 4-actor pool starves the repartition tasks on the
-    # 4-CPU test cluster
-    mono = vs.viewshed_cumulative(dem, spacing=48, observer_height=2.0,
-                                  concurrency=2)
+    mono = vs.viewshed_cumulative(dem, spacing=48, observer_height=2.0)
     tiles = vs.viewshed_cumulative_tiles(dem, spacing=48,
-                                         observer_height=2.0, tile=64,
-                                         concurrency=2)
+                                         observer_height=2.0, tile=64)
     heat = np.zeros_like(mono)
     for row in tiles.iter_rows():
         ty, tx = row["ty"], row["tx"]
@@ -230,7 +225,7 @@ def test_viewshed_cumulative_radius_bounded(ray_session):
     from gdal_ray.stages import viewshed as vs
 
     dem = np.zeros((96, 96))
-    full = vs.viewshed_cumulative(dem, spacing=96, concurrency=2)
+    full = vs.viewshed_cumulative(dem, spacing=96)
     got = vs.viewshed_cumulative_auto(dem, spacing=96, radius=200, tile=64)
     assert (got == full).all()
     small = vs.viewshed_cumulative_auto(dem, spacing=96, radius=10, tile=64)
