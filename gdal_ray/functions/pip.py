@@ -54,36 +54,53 @@ def edge_csr(r: "_wkb.Rings") -> EdgeCSR:
                    r.row_roff)
 
 
+def csr_ranges(start: np.ndarray, cnt: np.ndarray):
+    """Range expansion: (position in ``start``, child index) for every child
+    of every range ``start[i] .. start[i] + cnt[i]``."""
+    parent = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
+    first = start - (np.cumsum(cnt) - cnt)
+    return parent, np.arange(parent.size, dtype=np.int64) + np.repeat(first, cnt)
+
+
 def csr_expand(off: np.ndarray, idx: np.ndarray):
     """CSR expansion: (position in ``idx``, child index) for every child of
     every ``idx`` entry under offsets ``off``."""
-    cnt = off[idx + 1] - off[idx]
-    parent = np.repeat(np.arange(idx.size, dtype=np.int64), cnt)
-    first = off[idx] - (np.cumsum(cnt) - cnt)
-    return parent, np.arange(parent.size, dtype=np.int64) + np.repeat(first, cnt)
+    return csr_ranges(off[idx], off[idx + 1] - off[idx])
+
+
+def chunk_bounds(cnt: np.ndarray, budget: int) -> list:
+    """``(a, b)`` slices of ``cnt``: slice k holds the items whose running
+    total ends in ``(k * budget, (k + 1) * budget]``, so the items after a
+    slice's first one total less than ``budget``.  Empty slices, and the
+    items of count 0 at the front, are left out."""
+    cum = np.cumsum(cnt)
+    if cum.size == 0 or cum[-1] == 0:
+        return []
+    bounds = np.searchsorted(cum, np.arange(0, cum[-1] + budget, budget), "right")
+    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 def points_in_edges(px: np.ndarray, py: np.ndarray, zone: np.ndarray, e: EdgeCSR) -> np.ndarray:
     """Containment of point i in zone ``zone[i]`` for every candidate pair i,
-    by one crossing-number pass over the pairs' edges (chunked)."""
+    by one crossing-number pass over the pairs' edges (chunked).  Only the
+    edges that straddle the point's horizontal ray can cross it, so the
+    crossing arithmetic and the parity count run on those alone (2 of a
+    convex ring's edges)."""
     px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
     zone = np.asarray(zone, dtype=np.int64)
     out = np.zeros(zone.size, dtype=bool)
     if zone.size == 0:
         return out
     z_eoff = e.ring_eoff[e.z_roff]
-    cum = np.cumsum(z_eoff[zone + 1] - z_eoff[zone])
-    # chunk k holds the pairs whose edges end in (k-1, k] * EDGE_CHUNK; the
-    # leading pairs without edges stay False
-    bounds = np.searchsorted(cum, np.arange(0, cum[-1] + EDGE_CHUNK, EDGE_CHUNK), "right")
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    for a, b in chunk_bounds(z_eoff[zone + 1] - z_eoff[zone], EDGE_CHUNK):
         rp, ring = csr_expand(e.z_roff, zone[a:b])
         ep, edge = csr_expand(e.ring_eoff, ring)
-        qx, qy = px[a:b][rp][ep], py[a:b][rp][ep]
-        y0 = e.y0[edge]
-        straddle = (y0 > qy) != (e.y1[edge] > qy)
+        qy = py[a:b][rp][ep]
+        st = np.flatnonzero((e.y0[edge] > qy) != (e.y1[edge] > qy))
+        ep, edge, qy = ep[st], edge[st], qy[st]
+        qx = px[a:b][rp[ep]]
         with np.errstate(invalid="ignore", over="ignore"):
-            crossed = straddle & (qx < e.x0[edge] + (qy - y0) * e.slope[edge])
+            crossed = qx < e.x0[edge] + (qy - e.y0[edge]) * e.slope[edge]
         odd = np.bincount(ep, weights=crossed, minlength=ring.size) % 2 == 1
         # per (pair, polygon): shell odd scores 1, each odd hole -2, so a sum
         # of exactly 1 means inside the shell and outside every hole

@@ -20,6 +20,16 @@ envelope reject + prepared-geometry pretest, reference ``ogrlayer.cpp:5385``,
    temporaries reuse the previous batch's warm pages instead of faulting in
    fresh ones.
 
+   Interior cells (Raptor's interior/boundary split of raster cells against
+   each polygon): each grid cell lists the rectangle zones that wholly
+   contain it (its *interior* entries) before the zones it only meets (its
+   *boundary* entries).  Every point in an interior cell lies strictly
+   inside the zone, so those pairs need no test at all: the zonal reduce
+   folds a batch's count/sum/min/max once per occupied cell into the cell's
+   interior zones, and runs the envelope and edge tests, pair by pair, only
+   on boundary entries and the always-checked list.  Pair emission skips the
+   envelope test for interior pairs and keeps its (row, zone) order.
+
 2. **Partitioned join** (both sides large): both sides are flat-mapped to
    grid-cell keys (zones duplicated over their bbox cover, points to their
    single containing cell), co-partitioned by one ``relational.cogroup`` on
@@ -46,6 +56,10 @@ from .. import keep_heap_warm
 from ..functions import geo, pip, wkb
 from ..state.session import fetch, map_cached
 
+# (point, zone) pairs the zonal reduce expands at once: a 20k-zone batch of
+# 32,768 points is one chunk, a 1M-zone batch is folded ~1M pairs at a time
+PAIR_CHUNK = 1 << 20
+
 
 class _ZoneIndex:
     """CSR grid-bucket index + flat polygon edge CSR, built once per
@@ -69,6 +83,24 @@ class _ZoneIndex:
     cover exceeds ``MAX_COVER_CELLS * CELL_DIVISOR**2`` cells (the same zones,
     in median-zone units, at any divisor: near-global geometries) go to a
     small always-checked list.
+
+    Cell ``c`` lists its zones in ``csr_val[csr_off[c]:csr_off[c + 1]]``:
+    first its *interior* entries, up to ``csr_mid[c]``, then its *boundary*
+    entries, each part in ascending zone order.  A cell is interior to a
+    rectangle zone when it lies strictly inside the zone's cell cover:
+    ``cx0 < gx < cx1`` and ``cy0 < gy < cy1``.  That needs no epsilon: the
+    point -> cell map (subtract, multiply by a positive constant, truncate,
+    clip) is monotone, so ``cell(px) > cell(minx)`` implies ``px > minx``
+    and ``cell(px) < cell(maxx)`` implies ``px < maxx``; every point of an
+    interior cell meets both ``intersects`` and strict ``within``.  The
+    clipped edge cells, where NaN and out-of-extent points land, are never
+    strictly inside a cover.  (Coordinates are mapped in float64 on both
+    sides, so the comparison is between one and the same map.)  A rectangle
+    of median size has (4 - 1)^2 = 9 of its ~25 entries interior.  General
+    polygons have no interior entries yet: classifying their cells (edge
+    supercover plus a point-in-polygon test at each cell centre) cost about
+    three times the whole index build on 20k octagons.
+
     The build makes no per-zone Python object: :func:`wkb.read_rings` reads
     the rings of the whole WKB column into flat arrays, and the rectangle
     test (:meth:`_rect_like`), the boxes (when the ``minx..maxy`` columns are
@@ -82,10 +114,6 @@ class _ZoneIndex:
     def __init__(self, zones: pa.Table):
         # one string array: emission gathers it with ``take(zidx)``
         self.zone_id = zones["zone_id"].combine_chunks().cast(pa.string())
-        if "zone_key" in zones.column_names:
-            self.zone_key = zones["zone_key"].to_numpy(zero_copy_only=False)
-        else:
-            self.zone_key = np.arange(zones.num_rows, dtype=np.int64)
         rings = wkb.read_rings(zones["wkb"])
         names = ("minx", "miny", "maxx", "maxy")
         if set(names) <= set(zones.column_names):
@@ -108,6 +136,7 @@ class _ZoneIndex:
         if n == 0:
             self.nx = self.ny = 1
             self.csr_off = np.zeros(2, dtype=np.int64)
+            self.csr_mid = np.zeros(1, dtype=np.int64)
             self.csr_val = np.empty(0, dtype=np.int64)
             self.always = np.empty(0, dtype=np.int64)
             self.x0 = self.y0 = 0.0
@@ -122,46 +151,99 @@ class _ZoneIndex:
         self.ny = int(np.clip((y1 - self.y0) / max(h, 1e-9), 1, 4096))
         self.inv_dx = self.nx / max(x1 - self.x0, 1e-9)
         self.inv_dy = self.ny / max(y1 - self.y0, 1e-9)
-        cx0 = np.clip(((b[:, 0] - self.x0) * self.inv_dx).astype(np.int64), 0, self.nx - 1)
-        cx1 = np.clip(((b[:, 2] - self.x0) * self.inv_dx).astype(np.int64), 0, self.nx - 1)
-        cy0 = np.clip(((b[:, 1] - self.y0) * self.inv_dy).astype(np.int64), 0, self.ny - 1)
-        cy1 = np.clip(((b[:, 3] - self.y0) * self.inv_dy).astype(np.int64), 0, self.ny - 1)
-        counts = (cx1 - cx0 + 1) * (cy1 - cy0 + 1)
-        big = counts > self.MAX_COVER_CELLS * self.CELL_DIVISOR**2
-        self.always = np.nonzero(big)[0].astype(np.int64)
-        counts = np.where(big, 0, counts)
-        total = int(counts.sum())
-        zrep = np.repeat(np.arange(n, dtype=np.int64), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        ncx = np.repeat(cx1 - cx0 + 1, counts)
-        gx = np.repeat(cx0, counts) + local % ncx
-        gy = np.repeat(cy0, counts) + local // ncx
-        # one sort of the unique (cell, zone) key: cell-major, zones ascending
-        key = np.sort((gy * self.nx + gx) * n + zrep)
-        cell, self.csr_val = np.divmod(key, n)
+        cx0, cy0 = self._cell_xy(b[:, 0], b[:, 1])
+        cx1, cy1 = self._cell_xy(b[:, 2], b[:, 3])
+        ncx, ncy = cx1 - cx0 + 1, cy1 - cy0 + 1
+        big = ncx * ncy > self.MAX_COVER_CELLS * self.CELL_DIVISOR**2
+        self.always = np.flatnonzero(big).astype(np.int64)
+        # one run of cells per (zone, cell row) of each cover; the (cell,
+        # zone) arrays are built in place and dropped once used, so the
+        # build holds about three of them at a time
+        zone, gy = pip.csr_ranges(cy0, np.where(big, 0, ncy))
+        inner_row = self.is_rect[zone] & (gy > cy0[zone]) & (gy < cy1[zone])
+        run = ncx[zone]
+        first, cell = pip.csr_ranges(gy * self.nx + cx0[zone], run)
+        del gy
+        # boundary flag: every cell of a row that is not inner, and the first
+        # and last cell of every row
+        bound = ~inner_row[first]
+        ends = np.cumsum(run)
+        bound[ends - run] = True
+        bound[ends - 1] = True
+        del ends, run, inner_row
+        # one sort of the unique (cell, boundary, zone) key: cell-major, the
+        # interior entries first, zones ascending within each part
+        key = cell
+        key *= 2
+        key += bound
+        del bound
+        key *= n
+        key += zone[first]
+        del zone, first
+        key.sort()
+        self.csr_val = key % n
+        key //= n  # 2 * cell + boundary
+        per_part = np.bincount(key, minlength=2 * self.nx * self.ny).reshape(-1, 2)
+        del key
         self.csr_off = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cell, minlength=self.nx * self.ny), out=self.csr_off[1:])
+        np.cumsum(per_part.sum(axis=1), out=self.csr_off[1:])
+        self.csr_mid = self.csr_off[:-1] + per_part[:, 0]
 
-    def _candidates(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point_row, zone_index) candidate pairs from the grid (env-tested)."""
-        n = px.size
-        if n == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    def _cell_xy(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid column and row of each point, in float64, clipped to the grid."""
+        px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
         gx = np.clip(((px - self.x0) * self.inv_dx).astype(np.int64), 0, self.nx - 1)
         gy = np.clip(((py - self.y0) * self.inv_dy).astype(np.int64), 0, self.ny - 1)
-        cell = gy * self.nx + gx
-        rows, pos = pip.csr_expand(self.csr_off, cell)
-        zidx = self.csr_val[pos]
-        if self.always.size:
-            rows = np.concatenate([rows, np.repeat(np.arange(n, dtype=np.int64), self.always.size)])
+        return gx, gy
+
+    def _cells(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        gx, gy = self._cell_xy(px, py)
+        gy *= self.nx
+        gy += gx
+        return gy
+
+    def _entries(self, start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, zone index) for every CSR entry in ``start[i]:stop[i]``."""
+        i, pos = pip.csr_ranges(start, stop - start)
+        return i, self.csr_val[pos]
+
+    def _gather(self, px, py, start, stop, strict: bool, always: bool):
+        """(point_row, zone_index) pairs of each point's CSR entries
+        ``start[i]:stop[i]``, and of the always-checked list when ``always``,
+        that pass the envelope test: closed, or open when ``strict``
+        (``within``).  Only the passing pairs outlive the call."""
+        rows, zidx = self._entries(start, stop)
+        if always and self.always.size:
+            n = start.size
+            rows = np.concatenate([rows, np.repeat(np.arange(n), self.always.size)])
             zidx = np.concatenate([zidx, np.tile(self.always, n)])
         qx, qy = px[rows], py[rows]
-        hit = np.flatnonzero(
-            (qx >= self.minx[zidx]) & (qx <= self.maxx[zidx])
-            & (qy >= self.miny[zidx]) & (qy <= self.maxy[zidx])
-        )
+        if strict:
+            hit = ((qx > self.minx[zidx]) & (qx < self.maxx[zidx])
+                   & (qy > self.miny[zidx]) & (qy < self.maxy[zidx]))
+        else:
+            hit = ((qx >= self.minx[zidx]) & (qx <= self.maxx[zidx])
+                   & (qy >= self.miny[zidx]) & (qy <= self.maxy[zidx]))
+        del qx, qy
+        hit = np.flatnonzero(hit)
         return rows[hit], zidx[hit]
+
+    def _candidates(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point_row, zone_index) pairs of the points' full cell lists and
+        the always-checked list that pass the closed envelope test."""
+        cell = self._cells(px, py)
+        return self._gather(px, py, self.csr_off[cell], self.csr_off[cell + 1], False, True)
+
+    def _exact(self, px, py, rows, zidx) -> tuple[np.ndarray, np.ndarray]:
+        """Envelope-passed pairs kept by one crossing-number pass over the
+        pairs of general polygons (rectangles pass as they are)."""
+        if self.is_rect.all():
+            return rows, zidx
+        keep = np.ones(rows.size, dtype=bool)
+        gen = np.flatnonzero(~self.is_rect[zidx])
+        if gen.size:
+            keep[gen] = pip.points_in_edges(px[rows[gen]], py[rows[gen]], zidx[gen], self.edges)
+        return rows[keep], zidx[keep]
 
     @staticmethod
     def _rect_like(rings: "wkb.Rings", boxes: np.ndarray) -> np.ndarray:
@@ -187,25 +269,35 @@ class _ZoneIndex:
     def probe_points(
         self, px: np.ndarray, py: np.ndarray, predicate: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(point_row, zone_index) matching pairs under the predicate."""
-        rows, zidx = self._candidates(px, py)
-        if predicate == "within":
-            # strict interior: envelope candidates on the boundary drop out
-            qx, qy = px[rows], py[rows]
-            keep = (
-                (qx > self.minx[zidx]) & (qx < self.maxx[zidx])
-                & (qy > self.miny[zidx]) & (qy < self.maxy[zidx])
-            )
-        elif self.is_rect.all():
-            # the envelope test has decided every pair
-            return rows, zidx
-        else:
-            keep = np.ones(rows.size, dtype=bool)
-        # general polygons: one crossing-number pass over all their pairs
-        gen = np.nonzero(keep & ~self.is_rect[zidx])[0]
-        if gen.size:
-            keep[gen] = pip.points_in_edges(px[rows[gen]], py[rows[gen]], zidx[gen], self.edges)
-        return rows[keep], zidx[keep]
+        """(point_row, zone_index) matching pairs under the predicate: the
+        grid pairs by row, then zone, then the always-checked pairs."""
+        strict = predicate == "within"
+        cell = self._cells(px, py)
+        lo, mid, hi = self.csr_off[cell], self.csr_mid[cell], self.csr_off[cell + 1]
+        rows, zidx = self._exact(px, py, *self._gather(px, py, mid, hi, strict, False))
+        r_in, z_in = self._entries(lo, mid)  # interior: no test
+        if r_in.size:
+            # both runs are (row, zone)-sorted: a stable sort (timsort) merges them
+            rows, zidx = np.concatenate([r_in, rows]), np.concatenate([z_in, zidx])
+            order = np.argsort(rows * len(self.boxes) + zidx, kind="stable")
+            rows, zidx = rows[order], zidx[order]
+        if self.always.size:
+            # no grid entries (hi:hi), the always-checked pairs alone
+            r_a, z_a = self._exact(px, py, *self._gather(px, py, hi, hi, strict, True))
+            rows, zidx = np.concatenate([rows, r_a]), np.concatenate([zidx, z_a])
+        return rows, zidx
+
+
+def _scatter(acc: list, zidx: np.ndarray, cnt, sm, mn, mx):
+    """Fold per-entry (count, sum, min, max) into the per-zone accumulators
+    ``acc`` at ``zidx``.  Sums are integer-exact int64 and wrap on overflow,
+    as ``np.add.at`` does, so any grouping of the same values folds to the
+    same bits; float64 weights would lose exactness above 2^53.
+    ``ufunc.at`` has a fast path from numpy 1.25."""
+    np.add.at(acc[0], zidx, cnt)
+    np.add.at(acc[1], zidx, sm)
+    np.minimum.at(acc[2], zidx, mn)
+    np.maximum.at(acc[3], zidx, mx)
 
 
 class BroadcastPointJoin:
@@ -250,6 +342,8 @@ class BroadcastPointJoin:
     def __call__(self, batch: pa.Table) -> pa.Table:
         px = batch[self.lon_col].to_numpy(zero_copy_only=False)
         py = batch[self.lat_col].to_numpy(zero_copy_only=False)
+        if self.zonal_reduce_col is not None and not self.anti:
+            return self._zonal_reduce(batch, px, py)
         rows, zidx = self.index.probe_points(px, py, self.predicate)
         if self.anti:
             mask = np.ones(batch.num_rows, dtype=bool)
@@ -258,8 +352,6 @@ class BroadcastPointJoin:
             for c in self.emit_cols:
                 out[c] = batch[c].filter(pa.array(mask))
             return pa.table(out)
-        if self.zonal_reduce_col is not None:
-            return self._zonal_reduce(batch, rows, zidx)
         out = {self.id_col: batch[self.id_col].take(pa.array(rows))}
         if self.emit_zone_index:
             # int index instead of string id: cheaper across downstream
@@ -271,33 +363,49 @@ class BroadcastPointJoin:
             out[c] = batch[c].take(pa.array(rows))
         return pa.table(out)
 
-    def _zonal_reduce(self, batch: pa.Table, rows: np.ndarray, zidx: np.ndarray) -> pa.Table:
-        """Per-zone count/sum/min/max of the batch's matches, scattered in
-        one pass into flat per-zone accumulators (GDAL's zonal pass,
-        alg/zonal.cpp:201-208; Raptor's per-polygon accumulators): no sort
-        of the (zone, row) pairs.  Sums are integer-exact int64 and wrap on
-        overflow, as ``np.add.at`` does; float64 weights would lose
-        exactness above 2^53.  ``ufunc.at`` has a fast path from numpy
-        1.25.  Unhit zones keep count 0 and the int64 max/min sentinels."""
-        n_zones = len(self.index.zone_id)
-        cnt = np.bincount(zidx, minlength=n_zones).astype(np.int64, copy=False)
-        sm = np.zeros(n_zones, dtype=np.int64)
-        mn = np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64)
-        mx = np.full(n_zones, np.iinfo(np.int64).min, dtype=np.int64)
-        if zidx.size:
-            col = batch[self.zonal_reduce_col].to_numpy(zero_copy_only=False)
-            v = col[rows].astype(np.int64)
-            np.add.at(sm, zidx, v)
-            np.minimum.at(mn, zidx, v)
-            np.maximum.at(mx, zidx, v)
-        return pa.table(
-            {
-                "cnt": pa.array([cnt.tobytes()], pa.binary()),
-                "sm": pa.array([sm.tobytes()], pa.binary()),
-                "mn": pa.array([mn.tobytes()], pa.binary()),
-                "mx": pa.array([mx.tobytes()], pa.binary()),
-            }
-        )
+    def _zonal_reduce(self, batch: pa.Table, px: np.ndarray, py: np.ndarray) -> pa.Table:
+        """Per-zone count/sum/min/max of the batch's matches, scattered into
+        flat per-zone accumulators (GDAL's zonal pass, alg/zonal.cpp:201-208;
+        Raptor's per-polygon accumulators), in two parts:
+
+        - interior entries: the points of each occupied cell are reduced
+          once, and the cell's four figures go to every zone the cell lies
+          inside, untested;
+        - boundary entries and the always-checked list: each (point, zone)
+          pair is tested and folded on its own, ``PAIR_CHUNK`` pairs at a
+          time, so a batch against a million zones never holds all its pairs.
+
+        Unhit zones keep count 0 and the int64 max/min sentinels."""
+        ix = self.index
+        n_zones = len(ix.zone_id)
+        acc = [np.zeros(n_zones, dtype=np.int64), np.zeros(n_zones, dtype=np.int64),
+               np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64),
+               np.full(n_zones, np.iinfo(np.int64).min, dtype=np.int64)]
+        v = batch[self.zonal_reduce_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        strict = self.predicate == "within"
+        # points in cell order: one run per occupied cell, and neighbouring
+        # points read neighbouring CSR entries
+        cell = ix._cells(px, py)
+        order = np.argsort(cell)
+        cell, v, px, py = cell[order], v[order], px[order], py[order]
+        lo, mid, hi = ix.csr_off[cell], ix.csr_mid[cell], ix.csr_off[cell + 1]
+        if cell.size:
+            first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+            stats = [np.diff(np.r_[first, cell.size]), np.add.reduceat(v, first),
+                     np.minimum.reduceat(v, first), np.maximum.reduceat(v, first)]
+            # the occupied cells with interior entries fold their four figures
+            inner = mid[first] > lo[first]
+            start, stop, stats = lo[first][inner], mid[first][inner], [s[inner] for s in stats]
+            for a, b in pip.chunk_bounds(stop - start, PAIR_CHUNK):
+                k, zidx = ix._entries(start[a:b], stop[a:b])
+                _scatter(acc, zidx, *(s[a:b][k] for s in stats))
+        for a, b in pip.chunk_bounds(hi - mid + ix.always.size, PAIR_CHUNK):
+            pxs, pys = px[a:b], py[a:b]
+            rows, zidx = ix._exact(pxs, pys, *ix._gather(pxs, pys, mid[a:b], hi[a:b], strict, True))
+            vr = v[a:b][rows]
+            _scatter(acc, zidx, 1, vr, vr, vr)
+        return pa.table({name: pa.array([a.tobytes()], pa.binary())
+                         for name, a in zip(("cnt", "sm", "mn", "mx"), acc)})
 
 
 def broadcast_spatial_join(

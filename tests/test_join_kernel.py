@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from gdal_ray.functions import pip, wkb
 from gdal_ray.sources import synthetic
+from gdal_ray.stages import join
 from gdal_ray.stages.join import BroadcastPointJoin, _ZoneIndex
 
 # --- oracles: the per-zone loop and per-edge loops before the edge CSR -----
@@ -292,11 +293,11 @@ def test_points_in_edges_chunks_match_one_pass(monkeypatch):
     assert np.array_equal(whole, want)
 
 
-def _probe_peak(zi: _ZoneIndex, px, py) -> int:
-    zi.probe_points(px[:64], py[:64], "intersects")
+def _peak(fn, px, py) -> int:
+    fn(px[:64], py[:64])
     tracemalloc.start()
     try:
-        zi.probe_points(px, py, "intersects")
+        fn(px, py)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,8 +305,10 @@ def _probe_peak(zi: _ZoneIndex, px, py) -> int:
 
 def test_probe_peak_bounded_by_candidate_gather():
     """The exact test runs in fixed-size chunks: against 64-gon zones the
-    probe's peak stays within 1.1x of its peak against the same zones'
-    bounding rectangles, which skip the exact test."""
+    probe's peak stays within 1.1x of the peak of the index's own envelope
+    gather (``_candidates``).  Against the same zones' bounding rectangles,
+    which skip the exact test and, in interior cells, the gather too, the
+    probe peaks lower still."""
     rng = np.random.default_rng(11)
     n = 3000
     cx, cy = rng.uniform(0, 100, n), rng.uniform(0, 100, n)
@@ -327,9 +330,11 @@ def test_probe_peak_bounded_by_candidate_gather():
     px, py = rng.uniform(0, 100, 32768), rng.uniform(0, 100, 32768)
     poly_zi, rect_zi = _ZoneIndex(poly_t), _ZoneIndex(rect_t)
     assert rect_zi.is_rect.all() and not poly_zi.is_rect.any()
-    poly_peak = _probe_peak(poly_zi, px, py)
-    rect_peak = _probe_peak(rect_zi, px, py)
-    assert poly_peak <= 1.1 * rect_peak, (poly_peak, rect_peak)
+    gather_peak = _peak(poly_zi._candidates, px, py)
+    poly_peak = _peak(lambda x, y: poly_zi.probe_points(x, y, "intersects"), px, py)
+    rect_peak = _peak(lambda x, y: rect_zi.probe_points(x, y, "intersects"), px, py)
+    assert poly_peak <= 1.1 * gather_peak, (poly_peak, gather_peak)
+    assert rect_peak <= poly_peak, (rect_peak, poly_peak)
 
 
 def test_points_as_zero_length_segments():
@@ -405,25 +410,42 @@ def _reduce_case(draw):
     return np.array(vals, dtype=dtype), np.array(rows, np.int64), np.array(zidx, np.int64)
 
 
-_REDUCE_OP = BroadcastPointJoin(_REDUCE_ZONES, zonal_reduce_col="v")
-
-
 @given(_reduce_case())
 @example((np.array([-5, 2**40, -(2**62)], np.int64), np.array([0, 1, 2, 1]),
           np.array([2, 2, 2, 2])))  # every match in one zone, > 2**32, negative
 @example((np.array([1, 2], np.uint8), np.array([], np.int64), np.array([], np.int64)))  # none
 @settings(max_examples=200, deadline=None)
 def test_zonal_reduce_matches_scatter_oracle(case):
+    """The zonal reduce's pair fold (``join._scatter`` with one count per
+    pair) and its cell fold (counts and reduced values per entry, here one
+    entry per distinct (row, zone) pair) both equal the oracles."""
     col, rows, zidx = case
-    batch = pa.table({"v": col})
-    part = _REDUCE_OP._zonal_reduce(batch, rows, zidx)
-    got = [np.frombuffer(part[c][0].as_py(), np.int64) for c in ("cnt", "sm", "mn", "mx")]
+    n = _REDUCE_ZONES.num_rows
+    v = col.astype(np.int64)[rows]
+
+    def fresh():
+        return [np.zeros(n, np.int64), np.zeros(n, np.int64), np.full(n, I64.max),
+                np.full(n, I64.min)]
+
+    got = fresh()
+    join._scatter(got, zidx, 1, v, v, v)
+    # the same pairs grouped per (row, zone) first, as the cell fold folds
+    # each cell's points before scattering them to the cell's zones
+    key, inv = np.unique(rows * n + zidx, return_inverse=True)
+    grouped = fresh()
+    gcnt = np.bincount(inv, minlength=key.size)
+    gsum = np.zeros(key.size, np.int64)
+    gmin, gmax = np.full(key.size, I64.max), np.full(key.size, I64.min)
+    np.add.at(gsum, inv, v)
+    np.minimum.at(gmin, inv, v)
+    np.maximum.at(gmax, inv, v)
+    join._scatter(grouped, key % n, gcnt, gsum, gmin, gmax)
     for oracle in (_scatter_reduce, _sort_reduce):
-        want = oracle(col, rows, zidx, _REDUCE_ZONES.num_rows)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), oracle.__name__
+        want = oracle(col, rows, zidx, n)
+        for g, h, w in zip(got, grouped, want):
+            assert np.array_equal(g, w) and np.array_equal(h, w), oracle.__name__
     # unhit zones keep count 0 and the min/max sentinels
-    unhit = np.setdiff1d(np.arange(_REDUCE_ZONES.num_rows), zidx)
+    unhit = np.setdiff1d(np.arange(n), zidx)
     assert (got[0][unhit] == 0).all() and (got[2][unhit] == I64.max).all()
     assert (got[3][unhit] == I64.min).all()
 

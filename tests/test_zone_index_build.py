@@ -3,17 +3,23 @@
 
 The reference below is a copy of the previous build: ``wkb.decode`` of every
 zone, a per-zone rectangle test (the four distinct box corners in ring
-order), and the list form of ``pip.edge_csr``.  Every ``_ZoneIndex`` array must equal it bit for bit: on
-both perfbench zone tables, on Hypothesis tables that mix the areal kinds
-with rows the columnar reader hands to ``wkb.decode`` (points, lines, either
-byte order, EWKB SRIDs), and on an empty table.  Malformed rows must fail as
-``wkb.decode`` fails on them, without reading past their end.
+order), and the list form of ``pip.edge_csr``; its grid is a loop over the
+zones and the cells of each zone's cover, which marks a cell interior when
+it lies strictly inside a rectangle's cover.  Every ``_ZoneIndex`` array must
+equal it bit for bit: on both perfbench zone tables, on Hypothesis tables
+that mix the areal kinds with rows the columnar reader hands to
+``wkb.decode`` (points, lines, either byte order, EWKB SRIDs), and on an
+empty table.  Malformed rows must fail as ``wkb.decode`` fails on them,
+without reading past their end.
 """
 
 import os
 import re
+import statistics
 import struct
 import sys
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
@@ -61,8 +67,51 @@ def _ref_edge_csr(zones: list) -> pip.EdgeCSR:
     return pip.EdgeCSR(x0, y0, y1, slope, ring_eoff, np.array(hole, dtype=bool), z_roff)
 
 
+def _ref_grid(boxes: np.ndarray, is_rect: np.ndarray):
+    """(csr_off, csr_mid, csr_val, always) by a loop over the zones and the
+    cells of each zone's box cover.  A cell of a rectangle's cover is
+    interior when it is neither in the cover's first or last column nor in
+    its first or last row; each cell lists its interior zones, then its
+    boundary zones, both ascending.  Zones covering more than
+    ``MAX_COVER_CELLS * CELL_DIVISOR**2`` cells go to the always list."""
+    if len(boxes) == 0:
+        return [0, 0], [0], [], []
+    div, cap = _ZoneIndex.CELL_DIVISOR, _ZoneIndex.MAX_COVER_CELLS
+    minx, miny, maxx, maxy = (boxes[:, j].tolist() for j in range(4))
+    x0, y0, x1, y1 = min(minx), min(miny), max(maxx), max(maxy)
+    w = (statistics.median(b - a for a, b in zip(minx, maxx)) or 1.0) / div
+    h = (statistics.median(b - a for a, b in zip(miny, maxy)) or 1.0) / div
+    nx = int(min(max((x1 - x0) / max(w, 1e-9), 1), 4096))
+    ny = int(min(max((y1 - y0) / max(h, 1e-9), 1), 4096))
+    fx, fy = nx / max(x1 - x0, 1e-9), ny / max(y1 - y0, 1e-9)
+
+    def col(x):
+        return min(max(int((x - x0) * fx), 0), nx - 1)
+
+    def row(y):
+        return min(max(int((y - y0) * fy), 0), ny - 1)
+
+    lists, always = defaultdict(lambda: ([], [])), []
+    for z in range(len(boxes)):
+        cx0, cx1, cy0, cy1 = col(minx[z]), col(maxx[z]), row(miny[z]), row(maxy[z])
+        if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) > cap * div**2:
+            always.append(z)
+            continue
+        for gy in range(cy0, cy1 + 1):
+            for gx in range(cx0, cx1 + 1):
+                inner = is_rect[z] and cx0 < gx < cx1 and cy0 < gy < cy1
+                lists[gy * nx + gx][0 if inner else 1].append(z)
+    off, mid, val = [0], [], []
+    for c in range(nx * ny):
+        inner, bound = lists.get(c, ([], []))
+        mid.append(off[-1] + len(inner))
+        val += inner + bound
+        off.append(len(val))
+    return off, mid, val, always
+
+
 def _reference(zones: pa.Table):
-    """(boxes, is_rect, edges, csr_off, csr_val) of the per-geometry build."""
+    """(boxes, is_rect, edges, grid) of the per-geometry build."""
     wkbs = zones["wkb"].to_pylist()
     geoms = [wkb.decode(w) for w in wkbs]
     if set(BOX) <= set(zones.column_names):
@@ -73,10 +122,8 @@ def _reference(zones: pa.Table):
     is_rect = np.array([_ref_rect_like(g, b) for g, b in zip(geoms, boxes)],
                        dtype=bool).reshape(-1)
     edges = _ref_edge_csr([[] if r else g.shells_and_holes() for g, r in zip(geoms, is_rect)])
-    grid = object.__new__(_ZoneIndex)  # the unchanged grid build, on these boxes
-    grid.boxes = boxes
-    grid._build_grid()
-    return boxes, is_rect, edges, grid.csr_off, grid.csr_val
+    grid = [np.array(a, dtype=np.int64) for a in _ref_grid(boxes, is_rect)]
+    return boxes, is_rect, edges, grid
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -99,7 +146,7 @@ def _decode_calls(fn, *args):
 def _assert_matches_reference(zones: pa.Table):
     """Every index array equals the reference, and only the non-areal rows
     (points, lines) went through ``wkb.decode``."""
-    boxes, is_rect, edges, csr_off, csr_val = _reference(zones)
+    boxes, is_rect, edges, (csr_off, csr_mid, csr_val, always) = _reference(zones)
     non_areal = sum(wkb.decode(w).kind not in AREAL for w in zones["wkb"].to_pylist())
     zi, calls = _decode_calls(_ZoneIndex, zones)
     # boxes absent, ``wkb.bboxes`` reads the column once more
@@ -109,7 +156,8 @@ def _assert_matches_reference(zones: pa.Table):
     assert _same(zi.is_rect, is_rect)
     for f in pip.EdgeCSR._fields:
         assert _same(getattr(zi.edges, f), getattr(edges, f)), f
-    assert _same(zi.csr_off, csr_off) and _same(zi.csr_val, csr_val)
+    assert _same(zi.csr_off, csr_off) and _same(zi.csr_mid, csr_mid)
+    assert _same(zi.csr_val, csr_val) and _same(zi.always, always)
     return zi
 
 
@@ -132,8 +180,28 @@ def test_perfbench_zone_tables_match_reference(perfbench_workloads, tmp_path, na
     zones = perfbench_workloads.WORKLOADS[name](11, False, str(tmp_path)).zones
     zi = _assert_matches_reference(zones)
     assert zi.is_rect.all() if name == "zonal_rect" else not zi.is_rect.any()
+    # interior entries: rectangles only, 9 of a median zone's 25
+    n_in = int((zi.csr_mid - zi.csr_off[:-1]).sum())
+    assert (0.3 < n_in / zi.csr_val.size < 0.4) if name == "zonal_rect" else n_in == 0
     # and without the box columns: boxes from the rings
     _assert_matches_reference(zones.drop_columns(list(BOX)))
+
+
+@pytest.mark.parametrize("name", ["zonal_rect", "pairs_polygon"])
+def test_build_peak_is_a_few_csr_arrays(perfbench_workloads, tmp_path, name):
+    """The grid build holds a few (cell, zone) arrays at once: its
+    tracemalloc peak, ring read and edge CSR included, stays within 7x the
+    finished ``csr_val`` (the build that sorted a separate key per entry
+    peaked at 9.1x and 10.7x on these tables)."""
+    zones = perfbench_workloads.WORKLOADS[name](11, False, str(tmp_path)).zones
+    _ZoneIndex(zones)
+    tracemalloc.start()
+    try:
+        zi = _ZoneIndex(zones)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * zi.csr_val.nbytes, (peak, zi.csr_val.nbytes)
 
 
 # --- Hypothesis tables -------------------------------------------------------
