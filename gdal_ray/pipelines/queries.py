@@ -23,6 +23,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..functions import geo
+from ..functions.tilerow import pixels, tile_row
 from ..sources import synthetic
 from ..sources.io import read_table
 from ..stages import dedup, events, join, knn, relational, sim, textops, tiles, zonal
@@ -1537,42 +1538,20 @@ def gpkg_tiles_roundtrip_q(sf_dir: str):
     import os
     import tempfile
 
-    from ..functions import checksum as cks_f
     from ..sources import gpkg, png as png_mod
 
     path = f"{tempfile.gettempdir()}/gdal_ray_tiles_{os.getpid()}.gpkg"
     tiles = synthetic.make_raster_tiles("checker", 3, 3, size=64)
 
     def blobs():
-        from ..stages.focal import _dtype_of
-
         for i in range(tiles.num_rows):
-            arr = np.frombuffer(
-                tiles["data"][i].as_py(),
-                dtype=_dtype_of(tiles["dtype"][i].as_py())).reshape(
-                tiles["height"][i].as_py(), tiles["width"][i].as_py())
             yield (6, tiles["x"][i].as_py(), tiles["y"][i].as_py(),
-                   png_mod.encode_png(arr.astype(np.uint8)))
+                   png_mod.encode_png(pixels(tiles, i).astype(np.uint8)))
 
     gpkg.write_gpkg_tiles(path, "checker", blobs(), tile_size=64)
     out = gpkg.read_raster_tiles(path, "checker")
 
-    def verify(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
-        xs, ys, cs = [], [], []
-        for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
-            xs.append(t["x"][i].as_py())
-            ys.append(t["y"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
-        return pa.table({"x": pa.array(xs, pa.int64()),
-                         "y": pa.array(ys, pa.int64()),
-                         "checksum": pa.array(cs, pa.int64())})
-
-    return out.map_batches(verify, batch_format="pyarrow")
+    return _tile_checksum_rows(out)
 
 
 def explode_geometrycollection_q(sf_dir: str):
@@ -1841,7 +1820,6 @@ def asc_roundtrip_q(sf_dir: str):
     the format layer must be transparent to every downstream stage."""
     import tempfile
 
-    from ..functions import checksum as cks_f
     from ..sources import aaigrid
 
     import os
@@ -1852,21 +1830,7 @@ def asc_roundtrip_q(sf_dir: str):
     aaigrid.write_asc(path, arr, nodata=-9999.0)
     tiles = aaigrid.read_asc_tiles(path, tile_size=64)
 
-    def sums(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
-        xs, ys, cs = [], [], []
-        for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
-            xs.append(t["x"][i].as_py())
-            ys.append(t["y"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
-        return pa.table({"x": pa.array(xs, pa.int64()), "y": pa.array(ys, pa.int64()),
-                         "checksum": pa.array(cs, pa.int64())})
-
-    return tiles.map_batches(sums, batch_format="pyarrow")
+    return _tile_checksum_rows(tiles)
 
 
 def envi_roundtrip_q(sf_dir: str):
@@ -1876,7 +1840,6 @@ def envi_roundtrip_q(sf_dir: str):
     hump oracle as the AAIGrid driver, proving format transparency."""
     import tempfile
 
-    from ..functions import checksum as cks_f
     from ..sources import envi
 
     import os
@@ -1887,21 +1850,7 @@ def envi_roundtrip_q(sf_dir: str):
     envi.write_envi(base, np.stack([band1, band1 + 1.0]), interleave="bil")
     tiles = envi.read_envi_tiles(base, tile_size=64, band=1)
 
-    def sums(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
-        xs, ys, cs = [], [], []
-        for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
-            xs.append(t["x"][i].as_py())
-            ys.append(t["y"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
-        return pa.table({"x": pa.array(xs, pa.int64()), "y": pa.array(ys, pa.int64()),
-                         "checksum": pa.array(cs, pa.int64())})
-
-    return tiles.map_batches(sums, batch_format="pyarrow")
+    return _tile_checksum_rows(tiles)
 
 
 def vector_partition_q(sf_dir: str):
@@ -2078,7 +2027,6 @@ def nodata_to_alpha_q(sf_dir: str):
     checksums pin both the untouched data band and the mask."""
     from ..functions import checksum as cks_f
     from ..stages import rastermap
-    from ..stages.focal import _dtype_of
 
     tiles = rd.from_arrow(synthetic.make_raster_tiles("hump", 4, 4, size=64))
     out = rastermap.nodata_to_alpha(tiles)
@@ -2086,13 +2034,10 @@ def nodata_to_alpha_q(sf_dir: str):
     def sums(t: pa.Table) -> pa.Table:
         xs, ys, bs, cs = [], [], [], []
         for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
             xs.append(t["x"][i].as_py())
             ys.append(t["y"][i].as_py())
             bs.append(t["band"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
+            cs.append(cks_f.tile_checksum(pixels(t, i)))
         return pa.table({"x": pa.array(xs, pa.int64()),
                          "y": pa.array(ys, pa.int64()),
                          "band": pa.array(bs, pa.int64()),
@@ -2499,7 +2444,6 @@ def netcdf_roundtrip_q(sf_dir: str):
     shared hump oracle — format transparency through a third container."""
     import tempfile
 
-    from ..functions import checksum as cks_f
     from ..sources import netcdf3
 
     import os
@@ -2513,38 +2457,20 @@ def netcdf_roundtrip_q(sf_dir: str):
         var_attrs={"hump": {"units": "1"}})
     tiles = netcdf3.read_netcdf3_tiles(path, "hump", tile_size=64)
 
-    def sums(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
-        xs, ys, cs = [], [], []
-        for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
-            xs.append(t["x"][i].as_py())
-            ys.append(t["y"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
-        return pa.table({"x": pa.array(xs, pa.int64()), "y": pa.array(ys, pa.int64()),
-                         "checksum": pa.array(cs, pa.int64())})
-
-    return tiles.map_batches(sums, batch_format="pyarrow")
+    return _tile_checksum_rows(tiles)
 
 
 def _tile_checksum_rows(tiles):
-    """Shared roundtrip tail: tile Dataset -> (x, y, checksum) rows."""
+    """Shared roundtrip tail: tile Dataset -> (x, y, checksum) rows, one
+    GDALChecksumImage per tile."""
     from ..functions import checksum as cks_f
 
     def sums(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
         xs, ys, cs = [], [], []
         for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
             xs.append(t["x"][i].as_py())
             ys.append(t["y"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
+            cs.append(cks_f.tile_checksum(pixels(t, i)))
         return pa.table({"x": pa.array(xs, pa.int64()),
                          "y": pa.array(ys, pa.int64()),
                          "checksum": pa.array(cs, pa.int64())})
@@ -2706,7 +2632,6 @@ def gtiff_roundtrip_q(sf_dir: str):
     import os
     import tempfile
 
-    from ..functions import checksum as cks_f
     from ..sources import gtiff
 
     gy, gx = np.mgrid[0:160, 0:160]
@@ -2715,21 +2640,7 @@ def gtiff_roundtrip_q(sf_dir: str):
     gtiff.write_gtiff(path, arr, tile_size=64, nodata=-9999.0)
     tiles = gtiff.read_gtiff_tiles(path)
 
-    def sums(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
-        xs, ys, cs = [], [], []
-        for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
-            xs.append(t["x"][i].as_py())
-            ys.append(t["y"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
-        return pa.table({"x": pa.array(xs, pa.int64()), "y": pa.array(ys, pa.int64()),
-                         "checksum": pa.array(cs, pa.int64())})
-
-    return tiles.map_batches(sums, batch_format="pyarrow")
+    return _tile_checksum_rows(tiles)
 
 
 def gtiff_stream_roundtrip_q(sf_dir: str):
@@ -2742,7 +2653,6 @@ def gtiff_stream_roundtrip_q(sf_dir: str):
     import os
     import tempfile
 
-    from ..functions import checksum as cks_f
     from ..sources import gtiff
 
     ts, n = 64, 3
@@ -2768,21 +2678,7 @@ def gtiff_stream_roundtrip_q(sf_dir: str):
                                       nodata=-9999.0)
     tiles = gtiff.read_gtiff_tiles(path)
 
-    def sums(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
-        xs, ys, cs = [], [], []
-        for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
-            xs.append(t["x"][i].as_py())
-            ys.append(t["y"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
-        return pa.table({"x": pa.array(xs, pa.int64()), "y": pa.array(ys, pa.int64()),
-                         "checksum": pa.array(cs, pa.int64())})
-
-    return tiles.map_batches(sums, batch_format="pyarrow")
+    return _tile_checksum_rows(tiles)
 
 
 def warp_affine_q(sf_dir: str):
@@ -2802,28 +2698,6 @@ def warp_affine_q(sf_dir: str):
     return out.select_columns(["x", "y", "checksum"])
 
 
-def _hump_tile_checksums(tiles):
-    """Per-tile GDALChecksumImage rows shared by the gtiff codec queries."""
-    from ..functions import checksum as cks_f
-
-    def sums(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
-        xs, ys, cs = [], [], []
-        for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
-            xs.append(t["x"][i].as_py())
-            ys.append(t["y"][i].as_py())
-            cs.append(cks_f.tile_checksum(a))
-        return pa.table({"x": pa.array(xs, pa.int64()),
-                         "y": pa.array(ys, pa.int64()),
-                         "checksum": pa.array(cs, pa.int64())})
-
-    return tiles.map_batches(sums, batch_format="pyarrow")
-
-
 def gtiff_lzw_roundtrip_q(sf_dir: str):
     """Round-5 GTiff compression breadth: the 160x160 hump as uint16,
     written TILED with Compression=5 (TIFF 6.0 LZW, early-change) +
@@ -2841,7 +2715,7 @@ def gtiff_lzw_roundtrip_q(sf_dir: str):
     path = f"{tempfile.gettempdir()}/gdal_ray_lzw_{os.getpid()}.tif"
     gtiff.write_gtiff(path, arr, tile_size=64, nodata=-9999.0,
                       compress="lzw", predictor=2)
-    return _hump_tile_checksums(gtiff.read_gtiff_tiles(path))
+    return _tile_checksum_rows(gtiff.read_gtiff_tiles(path))
 
 
 def cog_roundtrip_q(sf_dir: str):
@@ -2864,7 +2738,7 @@ def cog_roundtrip_q(sf_dir: str):
     v = gtiff.validate_cog(path)
     if not v["valid"]:
         raise AssertionError(f"COG layout invalid: {v['errors']}")
-    return _hump_tile_checksums(gtiff.read_gtiff_tiles(path))
+    return _tile_checksum_rows(gtiff.read_gtiff_tiles(path))
 
 
 def gtiff_overviews_q(sf_dir: str):
@@ -3613,15 +3487,11 @@ def sieve_q(sf_dir: str):
     cleaned = poly.sieve_global(bg, threshold=SIEVE_THRESHOLD, nodata=255.0)
 
     def sums(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
         xs, ys, cs = [], [], []
         for i in range(t.num_rows):
-            dt = _dtype_of(t["dtype"][i].as_py())
-            arr = np.frombuffer(t["data"][i].as_py(), dtype=dt).reshape(64, 64)
             xs.append(t["x"][i].as_py())
             ys.append(t["y"][i].as_py())
-            cs.append(cks.tile_checksum(arr))
+            cs.append(cks.tile_checksum(pixels(t, i)))
         return pa.table({"x": pa.array(xs, pa.int32()), "y": pa.array(ys, pa.int32()),
                          "checksum": pa.array(cs, pa.int64())})
 
@@ -3923,18 +3793,9 @@ def dither_fs_q(sf_dir: str):
     tiles_tbl = synthetic.make_raster_tiles("ramp", 3, 2, size=64)
 
     def to_u8(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
-        rows = []
-        for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              _dtype_of(t["dtype"][i].as_py())).reshape(
-                t["height"][i].as_py(), t["width"][i].as_py())
-            rows.append({**{c: t[c][i].as_py() for c in t.column_names
-                            if c not in ("data", "dtype")},
-                         "dtype": "uint8",
-                         "data": np.clip(a, 0, 255).astype(np.uint8).tobytes()})
-        return pa.Table.from_pylist(rows)
+        return pa.Table.from_pylist(
+            [tile_row(t, i, np.clip(pixels(t, i), 0, 255).astype(np.uint8))
+             for i in range(t.num_rows)])
 
     tiles = rd.from_arrow(tiles_tbl).map_batches(to_u8, batch_format="pyarrow")
     return fp.dither_floyd_steinberg(
@@ -5984,13 +5845,9 @@ def gdal_translate_chain_q(sf_dir: str):
     pid = os.getpid()
 
     def roundtrip(t: pa.Table) -> pa.Table:
-        from ..stages.focal import _dtype_of
-
         xs, ys, cs = [], [], []
         for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            a = a.reshape(t["height"][i].as_py(), t["width"][i].as_py())
+            a = pixels(t, i)
             x, y = t["x"][i].as_py(), t["y"][i].as_py()
             p = f"{tmp}/gdal_ray_chain_{pid}_{x}_{y}.asc"
             aaigrid.write_asc(p, a.astype(np.float64))

@@ -26,6 +26,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from ..functions.tilerow import pixels
+
 # (BitsPerSample, SampleFormat) <-> numpy dtype.  SampleFormat: 1=unsigned
 # int, 2=signed int, 3=IEEE float (TIFF 6.0 §19 + TIFF/EP).
 _FMT_TO_DTYPE = {
@@ -417,10 +419,8 @@ def write_gtiff_tiles_streaming(tiles_ds, path: str, *, width: int,
             for i in range(t.num_rows):
                 tx = t["x"][i].as_py()
                 ty = t["y"][i].as_py()
-                h_ = t["height"][i].as_py()
-                w_ = t["width"][i].as_py()
-                arr = np.frombuffer(t["data"][i].as_py(),
-                                    dtype=dtype).reshape(h_, w_)
+                arr = pixels(t, i)
+                h_, w_ = arr.shape
                 if not (0 <= tx < ntx and 0 <= ty < nty):
                     raise ValueError(f"tile ({tx},{ty}) outside {ntx}x{nty}")
                 pad = np.zeros((ts, ts), dtype=np.dtype(dtype).newbyteorder("<"))
@@ -932,9 +932,7 @@ def gtiff_build_overviews(path: str, levels=(2, 4), kernel: str = "average"):
     def frags(t: pa.Table) -> pa.Table:
         rows = []
         for i in range(t.num_rows):
-            h_, w_ = t["height"][i].as_py(), t["width"][i].as_py()
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=dname).reshape(h_, w_)
+            a = pixels(t, i)
             tx, ty = t["x"][i].as_py(), t["y"][i].as_py()
             for L in levels:
                 d = _decimate_int(a, L, kernel)

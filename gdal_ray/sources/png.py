@@ -22,6 +22,8 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+from ..functions.tilerow import pixels
+
 _SIG = b"\x89PNG\r\n\x1a\n"
 
 
@@ -191,8 +193,6 @@ def write_image_tiles(tiles_ds, root: str, codec: str = "png",
     JFIF tiles (sources/jpeg.py) at ``quality`` — the reference's
     --tile-format choice.  Returns a Dataset of
     (z, x, y, path, n_bytes, skipped) receipts — consume it to execute."""
-    from ..stages.focal import _dtype_of
-
     if codec not in ("png", "jpeg"):
         raise ValueError(f"unknown tile codec {codec!r}")
     ext = ".png" if codec == "png" else ".jpg"
@@ -210,11 +210,7 @@ def write_image_tiles(tiles_ds, root: str, codec: str = "png",
             skipped = resume and os.path.exists(path)
             n_bytes = 0
             if not skipped:
-                arr = np.frombuffer(
-                    batch["data"][i].as_py(),
-                    dtype=_dtype_of(batch["dtype"][i].as_py()),
-                ).reshape(batch["height"][i].as_py(), batch["width"][i].as_py())
-                u8 = np.clip(arr, 0, 255).astype(np.uint8)
+                u8 = np.clip(pixels(batch, i), 0, 255).astype(np.uint8)
                 png = (encode_png(u8) if codec == "png"
                        else encode_baseline(u8, quality=quality))
                 os.makedirs(os.path.dirname(path), exist_ok=True)

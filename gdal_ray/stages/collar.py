@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .focal import _tile_of
+from ..functions.tilerow import pixels, tile_row
 from .polygonize import (_SEAM_COLS, _attach_component, _ckey,
                          _component_labels, _rows, _seam_pairs,
                          _tile_components, label_tile, polygonize)
@@ -35,12 +35,8 @@ def footprint(tiles_ds, nodata: float = 0.0, tile_size: int = 64):
     def to_mask(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            arr = _tile_of(batch, i)[2]
-            mask = (arr != nodata).astype(np.uint8)
-            rows.append(
-                {**{c: batch[c][i].as_py() for c in batch.column_names if c not in ("data", "dtype")},
-                 "dtype": "uint8", "data": mask.tobytes()}
-            )
+            mask = (pixels(batch, i) != nodata).astype(np.uint8)
+            rows.append(tile_row(batch, i, mask))
         return pa.Table.from_pylist(rows)
 
     masks = tiles_ds.map_batches(to_mask, batch_format="pyarrow")
@@ -112,8 +108,8 @@ def nearblack(tiles_ds, threshold: float = 10.0, nodata: float = 255.0,
         collars = ray.get(collar_ref)
         rows = []
         for i in range(batch.num_rows):
-            x, y, arr = _tile_of(batch, i)
-            arr = arr.copy()
+            x, y = batch["x"][i].as_py(), batch["y"][i].as_py()
+            arr = pixels(batch, i).copy()
             mask = _near_black_mask(arr, threshold)
             labels, n = label_tile(mask, 0)
             # one lookup-table gather over labels; pixels outside the mask
@@ -121,10 +117,7 @@ def nearblack(tiles_ds, threshold: float = 10.0, nodata: float = 255.0,
             collar = np.zeros(n + 1, bool)
             collar[:n] = [_ckey(x, y, lbl) in collars for lbl in range(n)]
             arr[collar[labels]] = nodata
-            rows.append(
-                {**{c: batch[c][i].as_py() for c in batch.column_names if c != "data"},
-                 "data": arr.tobytes()}
-            )
+            rows.append(tile_row(batch, i, arr))
         return pa.Table.from_pylist(rows)
 
     return tiles_ds.map_batches(pass2, batch_format="pyarrow")

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .focal import _assemble_padded, _dtype_of, _halo_exchange
+from ..functions.tilerow import pixels, tile_row
+from .focal import _assemble_padded, _halo_exchange
 from .polygonize import label_tile
 
 _EPS = 1e-9
@@ -533,17 +534,11 @@ def contour_polygons_interp(tiles_ds, levels, nx: int, ny: int,
     # shell (border entirely above-level with no iso-chain touching it —
     # e.g. a below-level basin in an above-level plain).  One tiny filtered
     # read; the level loop below handles per-level parity.
-    from .focal import _dtype_of
-
     def corner(t: pa.Table) -> pa.Table:
         m = pa.compute.and_(pa.compute.equal(t["x"], 0),
                             pa.compute.equal(t["y"], 0))
         f = t.filter(m)
-        vals = []
-        for i in range(f.num_rows):
-            arr = np.frombuffer(f["data"][i].as_py(),
-                                dtype=_dtype_of(f["dtype"][i].as_py()))
-            vals.append(float(arr[0]))
+        vals = [float(pixels(f, i)[0, 0]) for i in range(f.num_rows)]
         return pa.table({"v": pa.array(vals, pa.float64())})
 
     cv = tiles_ds.map_batches(corner, batch_format="pyarrow").take_all()
@@ -647,21 +642,11 @@ def contour_polygons(tiles_ds, levels, tile_size: int = 64):
     lv = np.asarray(levels, dtype=np.float64)
 
     def band(batch: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         rows = []
         for i in range(batch.num_rows):
-            h = batch["height"][i].as_py()
-            w = batch["width"][i].as_py()
-            arr = np.frombuffer(
-                batch["data"][i].as_py(), dtype=_dtype_of(batch["dtype"][i].as_py())
-            ).reshape(h, w)
-            b = np.searchsorted(lv, arr.astype(np.float64), side="right").astype(np.uint8)
-            rows.append(
-                {**{c: batch[c][i].as_py() for c in batch.column_names
-                    if c not in ("data", "dtype")},
-                 "dtype": "uint8", "data": b.tobytes()}
-            )
+            arr = pixels(batch, i).astype(np.float64)
+            b = np.searchsorted(lv, arr, side="right").astype(np.uint8)
+            rows.append(tile_row(batch, i, b))
         return pa.Table.from_pylist(rows)
 
     banded = tiles_ds.map_batches(band, batch_format="pyarrow")
@@ -675,10 +660,7 @@ def sieve(tiles_ds, threshold: int, nodata: float = 0.0, connect8: bool = False)
     def per_tile(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            dt = _dtype_of(batch["dtype"][i].as_py())
-            h = batch["height"][i].as_py()
-            w = batch["width"][i].as_py()
-            arr = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(h, w).copy()
+            arr = pixels(batch, i).copy()
             labels, n = label_tile(arr, nodata, connect8)
             if n:
                 counts = np.bincount(labels[labels >= 0], minlength=n)
@@ -703,12 +685,7 @@ def sieve(tiles_ds, threshold: int, nodata: float = 0.0, connect8: bool = False)
                     vals, vc = np.unique(arr[ring], return_counts=True)
                     if len(vals):
                         arr[m] = vals[np.argmax(vc)]
-            rows.append(
-                {
-                    **{c: batch[c][i].as_py() for c in batch.column_names if c != "data"},
-                    "data": arr.tobytes(),
-                }
-            )
+            rows.append(tile_row(batch, i, arr))
         return pa.Table.from_pylist(rows)
 
     return tiles_ds.map_batches(per_tile, batch_format="pyarrow")

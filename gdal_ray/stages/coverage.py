@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import wkb as _wkb
+from ..functions.tilerow import decode
 from ..state.session import fetch, map_cached
 
 
@@ -221,7 +222,7 @@ class FractionalZonalStage:
                               & (self.bbox[:, 3] > oy))[0]
             if len(cand) == 0:
                 continue
-            v = np.frombuffer(datas[r], dtype=np.dtype(dts[r])).reshape(S, S)
+            v = decode(datas[r], dts[r], (S, S))
             rings, signs, owners = [], [], []
             for slot, zi in enumerate(cand):
                 for ring, sg in zip(self.rings[zi], self.signs[zi]):

@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.tilerow import pixels
+
 
 def fill_nodata(tiles_ds, nodata: float = 0.0, max_dist: int = 8):
     """IDW fill of nodata pixels from valid pixels within max_dist (chebyshev
@@ -24,14 +26,9 @@ def fill_nodata(tiles_ds, nodata: float = 0.0, max_dist: int = 8):
     K = max_dist
 
     def expand(batch: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         rows = []
         for i in range(batch.num_rows):
-            dt = _dtype_of(batch["dtype"][i].as_py())
-            h = batch["height"][i].as_py()
-            w = batch["width"][i].as_py()
-            arr = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(h, w)
+            arr = pixels(batch, i)
             x = batch["x"][i].as_py()
             y = batch["y"][i].as_py()
 
@@ -296,8 +293,6 @@ def dither_ordered(tiles_ds, palette, spread: int = 24,
     pal = np.asarray(palette, dtype=np.int64)
 
     def fn(batch: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         exp_w, exp_h = tile_w, tile_h
         rows = []
         for i in range(batch.num_rows):
@@ -312,9 +307,7 @@ def dither_ordered(tiles_ds, palette, spread: int = 24,
                     f"{w}x{h}, expected {exp_w}x{exp_h} — the Bayer phase "
                     f"gy+ty*h would be wrong on a ragged mosaic"
                 )
-            dt = _dtype_of(batch["dtype"][i].as_py())
-            v = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(h, w)
-            v = v.astype(np.int64)
+            v = pixels(batch, i).astype(np.int64)
             tx = batch["x"][i].as_py()
             ty = batch["y"][i].as_py()
             gy, gx = np.mgrid[0:h, 0:w]
@@ -389,8 +382,6 @@ def dither_floyd_steinberg(tiles_ds, palette, nx: int, ny: int,
     golden shape as ``dither_ordered``."""
     import ray
 
-    from .focal import _dtype_of
-
     pal = np.asarray(palette, dtype=np.int64)
 
     def assemble(g: pa.Table) -> pa.Table:
@@ -404,9 +395,7 @@ def dither_floyd_steinberg(tiles_ds, palette, nx: int, ny: int,
         widths = []
         for i in order:
             w_ = int(g["width"][int(i)].as_py())
-            dt = _dtype_of(g["dtype"][int(i)].as_py())
-            band[:, x0:x0 + w_] = np.frombuffer(
-                g["data"][int(i)].as_py(), dtype=dt).reshape(h, w_)
+            band[:, x0:x0 + w_] = pixels(g, int(i))
             x0 += w_
             widths.append(w_)
         return pa.table({

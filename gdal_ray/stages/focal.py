@@ -6,9 +6,10 @@ Reference: generic 3x3 engine ``GDALGeneric3x3Processing``
 aspect); ``raster neighbors`` ``apps/gdalalg_raster_neighbors.h:29``.
 
 Ray-Data shape (SURVEY §2.10): tiles need a 1-pixel halo — each tile
-flat_maps itself plus 8 border strips keyed by the neighbor that needs them;
-``groupby(tile).map_groups`` assembles the padded array and runs the numpy
-stencil.  Edge pixels of the mosaic use edge-replication (GDAL's
+flat_maps itself plus 8 border strips keyed by the neighbor that needs them
+(each strip a tile row in the tile's own dtype, read back through
+``functions.tilerow``); ``groupby(tile).map_groups`` assembles the padded
+array and runs the numpy stencil.  Edge pixels of the mosaic use edge-replication (GDAL's
 ``-compute_edges`` behavior).
 """
 
@@ -18,31 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import checksum as cks
-
-
-_DTYPES = {"uint8": np.uint8, "float32": np.float32, "float64": np.float64,
-           "int16": np.int16, "int32": np.int32,
-           # GDT_UInt16/GDT_UInt32 are first-class reference pixel types
-           # (gcore/gdal.h:49-66)
-           "uint16": np.uint16, "uint32": np.uint32,
-           # GDT_Int64/GDT_UInt64 (gcore/gdal.h GDAL 3.5+) — also the
-           # natural dtype of exact multidim axis-reduce sums (stages/mdim)
-           "int64": np.int64, "uint64": np.uint64}
-
-
-def _dtype_of(s: str):
-    if s not in _DTYPES:
-        raise ValueError(f"unsupported tile dtype {s!r}; known: {sorted(_DTYPES)}")
-    return _DTYPES[s]
-
-
-def _tile_of(batch: pa.Table, i: int):
-    """(x, y, read-only (height, width) pixel array) of tile row ``i``."""
-    dt = _dtype_of(batch["dtype"][i].as_py())
-    h = batch["height"][i].as_py()
-    w = batch["width"][i].as_py()
-    arr = np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(h, w)
-    return batch["x"][i].as_py(), batch["y"][i].as_py(), arr
+from ..functions import tilerow
 
 
 def _halo_exchange(tiles_ds):
@@ -50,14 +27,12 @@ def _halo_exchange(tiles_ds):
     strips each neighbor needs.  Returns the grouped dataset keyed by dest."""
 
     def expand(batch: pa.Table) -> pa.Table:
-        rows = {"dest": [], "role": [], "x": [], "y": [], "data": [], "dtype": [], "w": [], "h": []}
+        rows = {"dest": [], "role": [], "x": [], "y": [], "data": [], "dtype": [],
+                "width": [], "height": []}
         for i in range(batch.num_rows):
             x = batch["x"][i].as_py()
             y = batch["y"][i].as_py()
-            wd = batch["width"][i].as_py()
-            ht = batch["height"][i].as_py()
-            dt = batch["dtype"][i].as_py()
-            arr = np.frombuffer(batch["data"][i].as_py(), dtype=_dtype_of(dt)).reshape(ht, wd)
+            arr = tilerow.pixels(batch, i)
             def emit(dx, dy, role, part):
                 if x + dx < 0 or y + dy < 0:
                     return  # no tile there; avoids dest-key collapse at -1
@@ -66,9 +41,9 @@ def _halo_exchange(tiles_ds):
                 rows["x"].append(x)
                 rows["y"].append(y)
                 rows["data"].append(np.ascontiguousarray(part).tobytes())
-                rows["dtype"].append(dt)
-                rows["w"].append(part.shape[1])
-                rows["h"].append(part.shape[0])
+                rows["dtype"].append(arr.dtype.name)
+                rows["width"].append(part.shape[1])
+                rows["height"].append(part.shape[0])
             emit(0, 0, "body", arr)
             emit(1, 0, "L", arr[:, -1:]);  emit(-1, 0, "R", arr[:, :1])
             emit(0, 1, "T", arr[-1:, :]);  emit(0, -1, "B", arr[:1, :])
@@ -82,8 +57,8 @@ def _halo_exchange(tiles_ds):
                 "y": pa.array(rows["y"], pa.int32()),
                 "data": pa.array(rows["data"], pa.binary()),
                 "dtype": pa.array(rows["dtype"]),
-                "w": pa.array(rows["w"], pa.int32()),
-                "h": pa.array(rows["h"], pa.int32()),
+                "width": pa.array(rows["width"], pa.int32()),
+                "height": pa.array(rows["height"], pa.int32()),
             }
         )
 
@@ -96,19 +71,15 @@ def _assemble_padded(group: pa.Table):
     if "body" not in roles:
         return None, None, None
     i = roles.index("body")
-    w = group["w"][i].as_py()
-    h = group["h"][i].as_py()
-    dt = _dtype_of(group["dtype"][i].as_py())
-    body = np.frombuffer(group["data"][i].as_py(), dtype=dt).reshape(h, w).astype(np.float64)
+    body = tilerow.pixels(group, i).astype(np.float64)
+    h, w = body.shape
     x = group["x"][i].as_py()
     y = group["y"][i].as_py()
     pad = np.pad(body, 1, mode="edge")
     for j, role in enumerate(roles):
         if role == "body":
             continue
-        pw = group["w"][j].as_py()
-        ph = group["h"][j].as_py()
-        part = np.frombuffer(group["data"][j].as_py(), dtype=_dtype_of(group["dtype"][j].as_py())).reshape(ph, pw)
+        part = tilerow.pixels(group, j)
         if role == "L":
             pad[1:-1, 0] = part[:, 0]
         elif role == "R":

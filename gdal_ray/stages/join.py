@@ -192,8 +192,11 @@ class _ZoneIndex:
     def _cell_xy(self, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid column and row of each point, in float64, clipped to the grid."""
         px, py = np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64)
-        gx = np.clip(((px - self.x0) * self.inv_dx).astype(np.int64), 0, self.nx - 1)
-        gy = np.clip(((py - self.y0) * self.inv_dy).astype(np.int64), 0, self.ny - 1)
+        # NaN and +-inf cast to an out-of-range int that the clip takes to an
+        # edge cell; numpy warns on that cast for every batch holding one
+        with np.errstate(invalid="ignore"):
+            gx = np.clip(((px - self.x0) * self.inv_dx).astype(np.int64), 0, self.nx - 1)
+            gy = np.clip(((py - self.y0) * self.inv_dy).astype(np.int64), 0, self.ny - 1)
         return gx, gy
 
     def _cells(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:

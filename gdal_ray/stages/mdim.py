@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.tilerow import decode
 from .relational import cogroup
 
 
@@ -120,8 +121,7 @@ def _rows(batch: pa.Table):
     dts = batch["dtype"].to_pylist()
     datas = batch["data"].to_pylist()
     for i in range(batch.num_rows):
-        a = np.frombuffer(datas[i], dtype=np.dtype(dts[i]))
-        yield tuple(idxs[i]), a.reshape(shapes[i])
+        yield tuple(idxs[i]), decode(datas[i], dts[i], shapes[i])
 
 
 def _mdim_backend(path: str):
@@ -552,9 +552,7 @@ def mdim_reproject(ds, md: MDim, src_gt, dst_gt, width: int, height: int,
         full = np.zeros((src_h, src_w))
         for i in range(group.num_rows):
             sh = group["shape"][i].as_py()
-            sub = np.frombuffer(group["data"][i].as_py(),
-                                dtype=np.dtype(group["dtype"][i].as_py())
-                                ).reshape(sh)
+            sub = decode(group["data"][i].as_py(), group["dtype"][i].as_py(), sh)
             y0 = group["y0"][i].as_py()
             x0 = group["x0"][i].as_py()
             full[y0:y0 + sh[0], x0:x0 + sh[1]] = sub

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .focal import _tile_of
+from ..functions.tilerow import pixels, tile_row
 from .relational import BUCKETS, bucket_groups
 
 DRIVER_MERGE_MAX_PAIRS = 1_000_000
@@ -442,7 +442,8 @@ def _tile_components(tiles_ds, emit, fields, *, nodata, connect8: bool,
     def per_tile(batch: pa.Table) -> pa.Table:
         groups: dict = {}
         for i in range(batch.num_rows):
-            tx, ty, arr = _tile_of(batch, i)
+            tx, ty = batch["x"][i].as_py(), batch["y"][i].as_py()
+            arr = pixels(batch, i)
             if prep is not None:
                 arr = prep(arr)
             labels, n = label_tile(arr, nodata, connect8)
@@ -883,7 +884,8 @@ def sieve_global(tiles_ds, threshold: int, nodata: float = 0.0,
         fv = ray.get(ref)
         rows = []
         for i in range(batch.num_rows):
-            tx, ty, arr = _tile_of(batch, i)
+            tx, ty = batch["x"][i].as_py(), batch["y"][i].as_py()
+            arr = pixels(batch, i)
             labels, n = label_tile(arr, nodata, connect8)
             # one lookup-table gather over labels; nodata (-1) indexes the
             # extra last slot, which is never repainted
@@ -892,8 +894,7 @@ def sieve_global(tiles_ds, threshold: int, nodata: float = 0.0,
             lut = np.zeros(n + 1, arr.dtype)
             lut[hit] = np.asarray([v for v in vals if v is not None]).astype(arr.dtype)
             arr = np.where(hit[labels], lut[labels], arr)
-            rows.append({**{c: batch[c][i].as_py() for c in batch.column_names if c != "data"},
-                         "data": arr.tobytes()})
+            rows.append(tile_row(batch, i, arr))
         return pa.Table.from_pylist(rows)
 
     return tiles_ds.map_batches(repaint, batch_format="pyarrow")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .focal import _dtype_of
+from ..functions.tilerow import pixels
 
 INF = 1e18
 
@@ -83,12 +83,6 @@ def proximity(tiles_ds, target_value: float | None = None, nodata: float = 0.0):
     """Distance (pixels) to the nearest target pixel.  Targets are pixels
     == target_value (or != nodata when target_value is None)."""
 
-    def _arr(b, i):
-        dt = _dtype_of(b["dtype"][i].as_py())
-        h = b["height"][i].as_py()
-        w = b["width"][i].as_py()
-        return np.frombuffer(b["data"][i].as_py(), dtype=dt).reshape(h, w)
-
     def tag_col(batch: pa.Table) -> pa.Table:
         return batch.append_column("col_key", batch["x"])
 
@@ -96,7 +90,7 @@ def proximity(tiles_ds, target_value: float | None = None, nodata: float = 0.0):
 
     def column_pass(group: pa.Table) -> pa.Table:
         order = np.argsort(group["y"].to_numpy(zero_copy_only=False), kind="stable")
-        arrs = [_arr(group, int(i)) for i in order]
+        arrs = [pixels(group, int(i)) for i in order]
         ys = [group["y"][int(i)].as_py() for i in order]
         x = group["x"][0].as_py()
         # the vstack below treats tiles as vertically adjacent: a sparse mosaic

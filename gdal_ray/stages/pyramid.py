@@ -29,6 +29,7 @@ import pyarrow as pa
 
 from ..functions import checksum as cks
 from ..functions import geo
+from ..functions.tilerow import pixels
 from ..state.session import fetch, map_cached
 
 
@@ -488,8 +489,6 @@ def warp_tiles_join(
     inv_gt = geo.inv_geotransform(src_gt)
 
     def expand(batch: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         rows = []
         for i in range(batch.num_rows):
             sx = batch["x"][i].as_py()
@@ -512,11 +511,12 @@ def warp_tiles_join(
                         continue
                     rows.append(
                         {"dst": (dtx << 32) | dty, "sx": sx, "sy": sy,
-                         "w": w, "h": h, "dtype": batch["dtype"][i].as_py(),
+                         "width": w, "height": h, "dtype": batch["dtype"][i].as_py(),
                          "data": batch["data"][i].as_py()}
                     )
         return pa.Table.from_pylist(rows) if rows else pa.Table.from_pylist(
-            [{"dst": -1, "sx": 0, "sy": 0, "w": 0, "h": 0, "dtype": "uint8", "data": b""}]
+            [{"dst": -1, "sx": 0, "sy": 0, "width": 0, "height": 0, "dtype": "uint8",
+              "data": b""}]
         )
 
     _EMPTY = pa.table(
@@ -529,8 +529,6 @@ def warp_tiles_join(
     )
 
     def warp_group(group: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         dst = int(group["dst"][0].as_py())
         if dst < 0:
             return _EMPTY  # placeholder group — same schema as real tiles
@@ -553,11 +551,8 @@ def warp_tiles_join(
         canvas = np.full((y_hi - y_lo, x_hi - x_lo), nodata, dtype=np.float64)
         covered = np.zeros(canvas.shape, dtype=bool)
         for i in range(group.num_rows):
-            w = group["w"][i].as_py()
-            h = group["h"][i].as_py()
-            arr = np.frombuffer(
-                group["data"][i].as_py(), dtype=_dtype_of(group["dtype"][i].as_py())
-            ).reshape(h, w)
+            arr = pixels(group, i)
+            h, w = arr.shape
             ox = group["sx"][i].as_py() * src_tile_size - x_lo
             oy = group["sy"][i].as_py() * src_tile_size - y_lo
             cx0, cy0 = max(0, ox), max(0, oy)
@@ -618,8 +613,7 @@ def build_overview(tiles_ds, tile_px: int = 256, kernel: str = "average"):
         for i in range(group.num_rows):
             cx = group["x"][i].as_py()
             cy = group["y"][i].as_py()
-            arr = np.frombuffer(group["data"][i].as_py(), dtype=np.float64).reshape(t, t)
-            small = _overview_reduce(arr, kernel)
+            small = _overview_reduce(pixels(group, i), kernel)
             ox = (cx % 2) * (t // 2)
             oy = (cy % 2) * (t // 2)
             out[oy : oy + t // 2, ox : ox + t // 2] = small
@@ -735,8 +729,6 @@ def refresh_overviews(tiles_ds, dirty_xy, kernel: str = "average"):
     Accepts any tile dtype (the general tile schema, unlike
     ``build_overview``'s float64 pyramid rows); output parents are
     float64 with the same (z-1, x//2, y//2) keying."""
-    from .focal import _dtype_of
-
     parents = {(int(x) // 2, int(y) // 2) for x, y in dirty_xy}
     if not parents:
         raise ValueError("refresh_overviews: empty dirty set")
@@ -766,11 +758,7 @@ def refresh_overviews(tiles_ds, dirty_xy, kernel: str = "average"):
         for i in range(group.num_rows):
             cx = group["x"][i].as_py()
             cy = group["y"][i].as_py()
-            arr = np.frombuffer(
-                group["data"][i].as_py(),
-                dtype=_dtype_of(group["dtype"][i].as_py())
-            ).reshape(t, t).astype(np.float64)
-            small = _overview_reduce(arr, kernel)
+            small = _overview_reduce(pixels(group, i).astype(np.float64), kernel)
             ox = (cx % 2) * (t // 2)
             oy = (cy % 2) * (t // 2)
             out[oy:oy + t // 2, ox:ox + t // 2] = small

@@ -11,6 +11,7 @@ approx via subsampling when bApproxOK), histogram ``GetHistogram``
 
 All stateless vectorized ``map_batches`` except the final stat merges, which
 are exact partial+final reductions (Welford-free: integer-safe n/sum/sumsq).
+Tiles are read and written through ``functions.tilerow`` (FIXTURES.md F3).
 """
 
 from __future__ import annotations
@@ -19,16 +20,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import checksum as cks
+from ..functions.tilerow import bands, dtype_of, pixels, tile_row
 from .relational import cogroup
-
-
-def _arr_of(batch: pa.Table, i: int) -> np.ndarray:
-    from .focal import _dtype_of  # shared strict dtype map (raises on unknown)
-
-    dt = _dtype_of(batch["dtype"][i].as_py())
-    h = batch["height"][i].as_py()
-    w = batch["width"][i].as_py()
-    return np.frombuffer(batch["data"][i].as_py(), dtype=dt).reshape(h, w)
 
 
 def _tile_sides(layers: list) -> list:
@@ -42,31 +35,12 @@ def _tile_rows(tables) -> list:
     return [(t, i) for t in tables for i in range(t.num_rows)]
 
 
-def _tile_out(batch: pa.Table, i: int, arr: np.ndarray, dtype_name: str) -> dict:
-    return {
-        "z": batch["z"][i].as_py(),
-        "x": batch["x"][i].as_py(),
-        "y": batch["y"][i].as_py(),
-        "band": batch["band"][i].as_py(),
-        "width": arr.shape[1],
-        "height": arr.shape[0],
-        "crs": batch["crs"][i].as_py(),
-        "nodata": batch["nodata"][i].as_py(),
-        "dtype": dtype_name,
-        "data": arr.tobytes(),
-    }
-
-
-def _tile_map(fn, out_dtype: str | None = None):
+def _tile_map(fn):
     """Wrap an array->array fn as a per-tile map_batches body."""
 
     def body(batch: pa.Table) -> pa.Table:
-        rows = []
-        for i in range(batch.num_rows):
-            arr = fn(_arr_of(batch, i))
-            dname = out_dtype or str(arr.dtype)
-            rows.append(_tile_out(batch, i, arr, dname))
-        return pa.Table.from_pylist(rows)
+        return pa.Table.from_pylist(
+            [tile_row(batch, i, fn(pixels(batch, i))) for i in range(batch.num_rows)])
 
     return body
 
@@ -86,7 +60,7 @@ def reclassify(tiles_ds, mapping: dict, default=None):
         out[hit] = vals[pos_c[hit]]
         return out.astype(np.float32)
 
-    return tiles_ds.map_batches(_tile_map(fn, "float32"), batch_format="pyarrow")
+    return tiles_ds.map_batches(_tile_map(fn), batch_format="pyarrow")
 
 
 _CALC_NS = {
@@ -96,11 +70,6 @@ _CALC_NS = {
     "clip": np.clip, "floor": np.floor, "ceil": np.ceil, "round": np.round,
     "pi": np.pi, "e": np.e,
 }
-
-
-# byte widths of the multiband stack payload dtypes (shared by select_band /
-# calc_multi — keep in ONE place so new dtypes extend both)
-_DTYPE_SIZES = {"uint8": 1, "int16": 2, "int32": 4, "float32": 4, "float64": 8}
 
 
 def _validate_calc_expr(expr: str, extra_names: set):
@@ -138,26 +107,19 @@ def calc_multi(stacked_ds, expr: str):
     used = sorted(n for n in code.co_names if n in letters)
 
     def fn(batch: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         rows = []
         for i in range(batch.num_rows):
-            dtypes = batch["dtypes"][i].as_py().split(",")
-            w = batch["width"][i].as_py()
-            h = batch["height"][i].as_py()
-            data = batch["data"][i].as_py()
-            offs = np.cumsum([0] + [w * h * _DTYPE_SIZES[d] for d in dtypes])
+            arrs = bands(batch, i)
             env = dict(_CALC_NS)
             for letter in used:
                 bi = ord(letter) - ord("A")
-                if bi >= len(dtypes):
+                if bi >= len(arrs):
                     raise ValueError(
                         f"band variable {letter} needs band {bi + 1}, "
-                        f"stack has {len(dtypes)}")
-                env[letter] = np.frombuffer(
-                    data[offs[bi]:offs[bi + 1]], dtype=_dtype_of(dtypes[bi])
-                ).reshape(h, w).astype(np.float64)
+                        f"stack has {len(arrs)}")
+                env[letter] = arrs[bi].astype(np.float64)
             out = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=np.float64)
+            h, w = arrs[0].shape
             rows.append({
                 "z": batch["z"][i].as_py(), "x": batch["x"][i].as_py(),
                 "y": batch["y"][i].as_py(), "width": w, "height": h,
@@ -179,7 +141,7 @@ def calc(tiles_ds, expr):
     def fn(arr, _e=expr):
         return np.asarray(_e(arr.astype(np.float64)), dtype=np.float32)
 
-    return tiles_ds.map_batches(_tile_map(fn, "float32"), batch_format="pyarrow")
+    return tiles_ds.map_batches(_tile_map(fn), batch_format="pyarrow")
 
 
 def scale(tiles_ds, src_min, src_max, dst_min, dst_max):
@@ -188,16 +150,16 @@ def scale(tiles_ds, src_min, src_max, dst_min, dst_max):
     def fn(arr):
         return ((arr.astype(np.float64) - src_min) * k + dst_min).astype(np.float32)
 
-    return tiles_ds.map_batches(_tile_map(fn, "float32"), batch_format="pyarrow")
+    return tiles_ds.map_batches(_tile_map(fn), batch_format="pyarrow")
 
 
 def set_type(tiles_ds, dtype_name: str):
-    np_dt = {"uint8": np.uint8, "float32": np.float32}[dtype_name]
+    np_dt = dtype_of(dtype_name)
 
     def fn(arr):
         return arr.astype(np_dt)
 
-    return tiles_ds.map_batches(_tile_map(fn, dtype_name), batch_format="pyarrow")
+    return tiles_ds.map_batches(_tile_map(fn), batch_format="pyarrow")
 
 
 def band_stats(tiles_ds, sample_fraction: float = 1.0, seed: int = 42) -> dict:
@@ -207,7 +169,7 @@ def band_stats(tiles_ds, sample_fraction: float = 1.0, seed: int = 42) -> dict:
     def partial(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            arr = _arr_of(batch, i).astype(np.float64).ravel()
+            arr = pixels(batch, i).astype(np.float64).ravel()
             if sample_fraction < 1.0:
                 rng = np.random.default_rng(seed + batch["x"][i].as_py() * 7 + batch["y"][i].as_py())
                 arr = arr[rng.random(arr.size) < sample_fraction]
@@ -251,7 +213,7 @@ def histogram(tiles_ds, bins: int, lo: float, hi: float) -> np.ndarray:
     def partial(batch: pa.Table) -> pa.Table:
         acc = np.zeros(bins, dtype=np.int64)
         for i in range(batch.num_rows):
-            h, _ = np.histogram(_arr_of(batch, i).astype(np.float64), bins=bins, range=(lo, hi))
+            h, _ = np.histogram(pixels(batch, i).astype(np.float64), bins=bins, range=(lo, hi))
             acc += h
         return pa.table({"hist": pa.array([acc.tobytes()], pa.binary())})
 
@@ -271,7 +233,7 @@ def resize(tiles_ds, out_w: int, out_h: int, resample: str = "nearest"):
     def fn(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            arr = _arr_of(batch, i).astype(np.float64)
+            arr = pixels(batch, i).astype(np.float64)
             h, w = arr.shape
             px = (np.arange(out_w) + 0.5) * (w / out_w)
             py = (np.arange(out_h) + 0.5) * (h / out_h)
@@ -298,7 +260,7 @@ def clip_window(tiles_ds, x0: int, y0: int, x1: int, y1: int, tile_size: int = 6
     def fn(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            arr = _arr_of(batch, i)
+            arr = pixels(batch, i)
             h, w = arr.shape
             tx = batch["x"][i].as_py()
             ty = batch["y"][i].as_py()
@@ -348,7 +310,7 @@ def retile(tiles_ds, tile_size: int, out_size: int, overlap: int,
     def scatter(batch: pa.Table) -> pa.Table:
         rows = []
         for r in range(batch.num_rows):
-            arr = _arr_of(batch, r)
+            arr = pixels(batch, r)
             h, w = arr.shape
             gx0 = batch["x"][r].as_py() * tile_size
             gy0 = batch["y"][r].as_py() * tile_size
@@ -371,24 +333,19 @@ def retile(tiles_ds, tile_size: int, out_size: int, overlap: int,
                         "dest": (i << 32) | j, "i": i, "j": j,
                         "ow": ow, "oh": oh,
                         "px": sx0 - ox0, "py": sy0 - oy0,
-                        "pw": sx1 - sx0, "ph": sy1 - sy0,
-                        "dtype": batch["dtype"][r].as_py(),
+                        "width": sx1 - sx0, "height": sy1 - sy0,
+                        "dtype": piece.dtype.name,
                         "data": piece.tobytes(),
                     })
         return pa.Table.from_pylist(rows) if rows else pa.table(
             {"dest": pa.array([], pa.int64())})
 
     def assemble(group: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         ow = group["ow"][0].as_py()
         oh = group["oh"][0].as_py()
         out = np.zeros((oh, ow), dtype=np.float64)
         for r in range(group.num_rows):
-            piece = np.frombuffer(
-                group["data"][r].as_py(),
-                dtype=_dtype_of(group["dtype"][r].as_py()),
-            ).reshape(group["ph"][r].as_py(), group["pw"][r].as_py())
+            piece = pixels(group, r)
             px, py = group["px"][r].as_py(), group["py"][r].as_py()
             out[py:py + piece.shape[0], px:px + piece.shape[1]] = piece
         return pa.Table.from_pylist([{
@@ -409,7 +366,7 @@ def as_features(tiles_ds, nodata: float | None = None, tile_size: int = 64):
     def fn(batch: pa.Table) -> pa.Table:
         gxs, gys, vals = [], [], []
         for i in range(batch.num_rows):
-            arr = _arr_of(batch, i).astype(np.float64)
+            arr = pixels(batch, i).astype(np.float64)
             h, w = arr.shape
             x = batch["x"][i].as_py()
             y = batch["y"][i].as_py()
@@ -442,7 +399,7 @@ def color_relief(tiles_ds, stops):
     def fn(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            arr = _arr_of(batch, i)
+            arr = pixels(batch, i)
             v = arr.astype(np.int64)
             h, w = v.shape
             vc = np.clip(v, sv[0], sv[-1])
@@ -454,9 +411,7 @@ def color_relief(tiles_ds, stops):
                 c0 = sc[seg, ch]
                 c1 = sc[seg + 1, ch]
                 rgb[:, :, ch] = ((c0 * (v1 - vc) + c1 * (vc - v0)) // span).astype(np.uint8)
-            out = {c: batch[c][i].as_py() for c in batch.column_names if c not in ("data", "dtype")}
-            out["dtype"] = "uint8"
-            out["data"] = rgb.tobytes()
+            out = tile_row(batch, i, rgb)
             for ch, name in enumerate("rgb"):
                 out[f"checksum_{name}"] = cks.tile_checksum(rgb[:, :, ch])
             rows.append(out)
@@ -474,7 +429,7 @@ def stack_bands(layers: list):
 
     def stack(*tables) -> pa.Table:
         rows = _tile_rows(tables)
-        wsum = sum((bi + 1) * cks.tile_checksum(_arr_of(t, i))
+        wsum = sum((bi + 1) * cks.tile_checksum(pixels(t, i))
                    for bi, (t, i) in enumerate(rows))
         t0 = rows[0][0]
         return pa.Table.from_pylist([{
@@ -494,28 +449,19 @@ def stack_bands(layers: list):
 def select_band(stacked_ds, band: int):
     """gdal_translate -b N over stack_bands output: slice one band back out
     of the multiband payload (band is 1-based, GDAL convention)."""
-    _SIZES = _DTYPE_SIZES
-
     def fn(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            dtypes = batch["dtypes"][i].as_py().split(",")
-            if not (1 <= band <= len(dtypes)):
-                raise ValueError(f"band {band} out of range 1..{len(dtypes)}")
-            w = batch["width"][i].as_py()
-            h = batch["height"][i].as_py()
-            data = batch["data"][i].as_py()
-            off = sum(w * h * _SIZES[d] for d in dtypes[: band - 1])
-            n = w * h * _SIZES[dtypes[band - 1]]
-            payload = data[off:off + n]
-            from .focal import _dtype_of
-
-            arr = np.frombuffer(payload, dtype=_dtype_of(dtypes[band - 1])).reshape(h, w)
+            arrs = bands(batch, i)
+            if not (1 <= band <= len(arrs)):
+                raise ValueError(f"band {band} out of range 1..{len(arrs)}")
+            arr = arrs[band - 1]
             rows.append({
                 "z": batch["z"][i].as_py(), "x": batch["x"][i].as_py(),
                 "y": batch["y"][i].as_py(), "band": band,
-                "width": w, "height": h, "dtype": dtypes[band - 1],
-                "data": payload, "checksum": cks.tile_checksum(arr),
+                "width": arr.shape[1], "height": arr.shape[0],
+                "dtype": arr.dtype.name,
+                "data": arr.tobytes(), "checksum": cks.tile_checksum(arr),
             })
         return pa.Table.from_pylist(rows)
 
@@ -528,12 +474,12 @@ def mosaic(layers: list, nodata: float = 0.0):
 
     def compose(*tables) -> pa.Table:
         (t0, i0), *rest = _tile_rows(tables)
-        base = _arr_of(t0, i0).astype(np.float64)
+        base = pixels(t0, i0).astype(np.float64)
         for t, i in rest:
-            arr = _arr_of(t, i).astype(np.float64)
+            arr = pixels(t, i).astype(np.float64)
             m = arr != nodata
             base[m] = arr[m]
-        out = _tile_out(t0, i0, base.astype(np.float32), "float32")
+        out = tile_row(t0, i0, base.astype(np.float32))
         out["checksum"] = cks.tile_checksum(base)
         return pa.Table.from_pylist([out])
 
@@ -576,7 +522,7 @@ def mosaic_blend(layers: list, feather: int = 16, nodata: float = 0.0):
         den = np.zeros((h, w), dtype=np.int64)
         for (x0, y0, x1, y1), t in zip(rects, tables):
             for i in range(t.num_rows):
-                arr = _arr_of(t, i)
+                arr = pixels(t, i)
                 if arr.dtype.kind not in "iu":
                     raise ValueError("mosaic_blend requires integer sources")
                 v = arr.astype(np.int64)
@@ -587,7 +533,7 @@ def mosaic_blend(layers: list, feather: int = 16, nodata: float = 0.0):
                 den += d
         safe = np.maximum(den, 1)
         out = np.where(den > 0, (2 * num + den) // (2 * safe), np.int64(nodata))
-        row = _tile_out(t0, 0, out.astype(np.int32), "int32")
+        row = tile_row(t0, 0, out.astype(np.int32))
         row["checksum"] = cks.tile_checksum(out)
         return pa.Table.from_pylist([row])
 
@@ -612,7 +558,7 @@ def band_stats_lazy(tiles_ds, stride: int = 1):
     def partial(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            arr = _arr_of(batch, i).astype(np.int64)[::stride, ::stride].ravel()
+            arr = pixels(batch, i).astype(np.int64)[::stride, ::stride].ravel()
             rows.append({"band": int(batch["band"][i].as_py()),
                          "n": int(arr.size), "s": int(arr.sum()),
                          "ss": int((arr * arr).sum()),
@@ -651,7 +597,7 @@ def tile_index(tiles_ds, tile_size: int = 64, global_width: int = 0):
     def fn(batch: pa.Table) -> pa.Table:
         rows = []
         for i in range(batch.num_rows):
-            arr = _arr_of(batch, i)
+            arr = pixels(batch, i)
             h, w = arr.shape
             tx = batch["x"][i].as_py()
             ty = batch["y"][i].as_py()
@@ -682,12 +628,12 @@ def compare(tiles_a, tiles_b, scale_x100: bool = True):
             t = a if a.num_rows else b
             return pa.table({
                 "z": t["z"][:1], "x": t["x"][:1], "y": t["y"][:1],
-                "n_diff": pa.array([_arr_of(t, 0).size], pa.int64()),
+                "n_diff": pa.array([pixels(t, 0).size], pa.int64()),
                 "max_abs_x100": pa.array([-1], pa.int64()),
                 "checksum_delta": pa.array([0], pa.int64()),
             })
-        av = _arr_of(a, 0).astype(np.float64)
-        bv = _arr_of(b, 0).astype(np.float64)
+        av = pixels(a, 0).astype(np.float64)
+        bv = pixels(b, 0).astype(np.float64)
         d = bv - av
         n_diff = int(np.count_nonzero(d))
         mx = float(np.abs(d).max()) if d.size else 0.0
@@ -723,7 +669,7 @@ def equalize(tiles_ds, levels: int = 256):
     def partial(batch: pa.Table) -> pa.Table:
         vals_all, cnts_all = [], []
         for i in range(batch.num_rows):
-            v, c = np.unique(_arr_of(batch, i).astype(np.int64), return_counts=True)
+            v, c = np.unique(pixels(batch, i).astype(np.int64), return_counts=True)
             vals_all.append(v)
             cnts_all.append(c)
         if not vals_all:
@@ -748,7 +694,7 @@ def equalize(tiles_ds, levels: int = 256):
     def remap(batch: pa.Table) -> pa.Table:
         out_rows = []
         for i in range(batch.num_rows):
-            arr = _arr_of(batch, i).astype(np.int64)
+            arr = pixels(batch, i).astype(np.int64)
             idx = np.searchsorted(vals, arr)
             out = out_lut[idx]
             out_rows.append({
@@ -776,7 +722,7 @@ def compare_rasters(tiles_a, tiles_b):
             raise ValueError(
                 f"compare_rasters: tile ({t['x'][0].as_py()}, "
                 f"{t['y'][0].as_py()}) present on one side only")
-        av, bv = _arr_of(a, 0), _arr_of(b, 0)
+        av, bv = pixels(a, 0), pixels(b, 0)
         if av.shape != bv.shape:
             raise ValueError(f"compare_rasters: shape mismatch {av.shape} "
                              f"vs {bv.shape}")
@@ -812,7 +758,7 @@ def composite_reduce(layers: list, method: str = "median",
 
     def reduce_tile(*tables) -> pa.Table:
         rows = _tile_rows(tables)
-        stack = np.stack([_arr_of(t, i).astype(np.float64) for t, i in rows])
+        stack = np.stack([pixels(t, i).astype(np.float64) for t, i in rows])
         h, w = stack.shape[1:]
         if nodata is not None:
             valid = stack != nodata
@@ -866,7 +812,7 @@ def raster_update(dst_tiles, src_tiles, src_nodata: float | None = None):
                 f"raster_update: tile ({dst['x'][0].as_py()}, "
                 f"{dst['y'][0].as_py()}) has {dst.num_rows + src.num_rows} "
                 "rows; expected one per side")
-        d, s = _arr_of(dst, 0), _arr_of(src, 0)
+        d, s = pixels(dst, 0), pixels(src, 0)
         if d.shape != s.shape:
             raise ValueError(f"raster_update: shape mismatch {d.shape} vs "
                              f"{s.shape}")
@@ -891,33 +837,21 @@ def nodata_to_alpha(tiles_ds, nodata: float | None = None,
     elsewhere — and clear the data band's nodata marker (the mask now
     carries validity).  Tiles with no nodata value pass through unchanged
     (the reference's all-valid-mask short-circuit)."""
-    from .focal import _dtype_of
-
     def per_batch(t: pa.Table) -> pa.Table:
-        out = {c: [] for c in t.column_names}
+        rows = []
         for i in range(t.num_rows):
             nod = nodata if nodata is not None else t["nodata"][i].as_py()
             row = {c: t[c][i].as_py() for c in t.column_names}
             if nod is None:
-                for c in t.column_names:
-                    out[c].append(row[c])
+                rows.append(row)
                 continue
-            a = np.frombuffer(row["data"],
-                              dtype=_dtype_of(row["dtype"])).reshape(
-                row["height"], row["width"])
+            a = pixels(t, i)
             alpha = np.where(a == np.asarray(nod, dtype=a.dtype),
                              np.uint8(0), np.uint8(255))
-            row["nodata"] = None
-            for c in t.column_names:
-                out[c].append(row[c])
-            arow = dict(row)
-            arow["band"] = alpha_band
-            arow["dtype"] = "uint8"
-            arow["data"] = alpha.tobytes()
-            for c in t.column_names:
-                out[c].append(arow[c])
+            rows.append({**row, "nodata": None})
+            rows.append({**tile_row(t, i, alpha), "band": alpha_band, "nodata": None})
         return pa.table(
-            {c: pa.array(out[c], t.schema.field(c).type)
+            {c: pa.array([r[c] for r in rows], t.schema.field(c).type)
              for c in t.column_names})
 
     return tiles_ds.map_batches(per_batch, batch_format="pyarrow")
@@ -934,15 +868,12 @@ def raster_attribute_table(tiles_ds, pixel_area: float = 1.0,
     rows move, never pixels.  ``pixel_area``: world area per pixel;
     emitted as an exact scaled int64 (``area_scale``) so the fold is
     order-independent."""
-    from .focal import _dtype_of
     from .relational import partial_aggregate
 
     def partial(t: pa.Table) -> pa.Table:
         vals, cnts = [], []
         for i in range(t.num_rows):
-            a = np.frombuffer(t["data"][i].as_py(),
-                              dtype=_dtype_of(t["dtype"][i].as_py()))
-            v, c = np.unique(a, return_counts=True)
+            v, c = np.unique(pixels(t, i), return_counts=True)
             vals.append(v.astype(np.int64))
             cnts.append(c.astype(np.int64))
         if not vals:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.tilerow import pixels
 from ..state.session import fetch, map_cached
 
 
@@ -120,8 +121,6 @@ def viewshed_radius(tiles_ds, observer_x: int, observer_y: int,
     picked = tiles_ds.map_batches(pick, batch_format="pyarrow")
 
     def run(group: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         W = x_hi - x_lo
         H = y_hi - y_lo
         dem = np.full((H, W), nodata, dtype=np.float64)
@@ -130,9 +129,7 @@ def viewshed_radius(tiles_ds, observer_x: int, observer_y: int,
             h = group["height"][i].as_py()
             gx0 = group["x"][i].as_py() * tile_size
             gy0 = group["y"][i].as_py() * tile_size
-            arr = np.frombuffer(
-                group["data"][i].as_py(), dtype=_dtype_of(group["dtype"][i].as_py())
-            ).reshape(h, w)
+            arr = pixels(group, i)
             sx0, sy0 = max(x_lo, gx0), max(y_lo, gy0)
             sx1, sy1 = min(x_hi, gx0 + w), min(y_hi, gy0 + h)
             dem[sy0 - y_lo : sy1 - y_lo, sx0 - x_lo : sx1 - x_lo] = (
@@ -167,8 +164,6 @@ def viewshed(tiles_ds, observer_x: int, observer_y: int, observer_height: float 
     for the float modes)."""
 
     def per_tile(batch: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         rows = []
         for i in range(batch.num_rows):
             h = batch["height"][i].as_py()
@@ -179,9 +174,7 @@ def viewshed(tiles_ds, observer_x: int, observer_y: int, observer_height: float 
             ly = observer_y - ty * (tile_size or h)
             if not (0 <= lx < w and 0 <= ly < h):
                 continue
-            dem = np.frombuffer(
-                batch["data"][i].as_py(), dtype=_dtype_of(batch["dtype"][i].as_py())
-            ).reshape(h, w).astype(np.float64)
+            dem = pixels(batch, i).astype(np.float64)
             res = viewshed_array(dem, lx, ly, observer_height, mode=mode)
             if mode == "normal":
                 n_stat = int(res.sum())
@@ -276,8 +269,6 @@ def viewshed_sectors(tiles_ds, observer_x: int, observer_y: int, radius: int,
     shipped = tiles_ds.map_batches(ship, batch_format="pyarrow")
 
     def run(group: pa.Table) -> pa.Table:
-        from .focal import _dtype_of
-
         k = group["sector"][0].as_py()
         x0, x1, y0, y1 = boxes[k]
         W = x1 - x0 + 1
@@ -288,9 +279,7 @@ def viewshed_sectors(tiles_ds, observer_x: int, observer_y: int, radius: int,
             h = group["height"][i].as_py()
             gx0 = group["x"][i].as_py() * tile_size
             gy0 = group["y"][i].as_py() * tile_size
-            arr = np.frombuffer(
-                group["data"][i].as_py(), dtype=_dtype_of(group["dtype"][i].as_py())
-            ).reshape(h, w)
+            arr = pixels(group, i)
             sx0, sy0 = max(x0, gx0), max(y0, gy0)
             sx1, sy1 = min(x1 + 1, gx0 + w), min(y1 + 1, gy0 + h)
             if sx1 <= sx0 or sy1 <= sy0:

@@ -46,6 +46,32 @@ def zonal_stats(
     )
 
 
+_PARTIAL = pa.schema([(c, pa.binary()) for c in ("cnt", "sm", "mn", "mx")])
+
+
+def _vectors(col: pa.ChunkedArray, n: int) -> np.ndarray:
+    """(rows, n) int64 array over the value buffer of a binary column whose
+    every value holds ``n`` int64s, with no Python object per row."""
+    col = col.combine_chunks()
+    if len(col) * n == 0:
+        return np.zeros((len(col), n), dtype=np.int64)
+    offsets = np.frombuffer(col.buffers()[1], np.int32, len(col) + 1, col.offset * 4)
+    if (np.diff(offsets) != 8 * n).any():
+        raise ValueError(f"zonal partials are not {n} int64 values each")
+    return np.frombuffer(col.buffers()[2], np.int64, len(col) * n,
+                         int(offsets[0])).reshape(len(col), n)
+
+
+def _fold_partials(t: pa.Table, n_zones: int) -> list:
+    """count / sum / min / max vectors folded over the partial rows of ``t``
+    (the ``_PARTIAL`` columns), at both tree levels and on the driver; int64
+    sums wrap as a row-by-row fold does."""
+    cnt, sm, mn, mx = (_vectors(t[c], n_zones) for c in _PARTIAL.names)
+    i64 = np.iinfo(np.int64)
+    return [cnt.sum(axis=0), sm.sum(axis=0),
+            mn.min(axis=0, initial=i64.max), mx.max(axis=0, initial=i64.min)]
+
+
 def zonal_stats_dense(
     points_ds,
     zones: pa.Table,
@@ -84,19 +110,8 @@ def zonal_stats_dense(
     # of one per batch — at 1M+ zones x thousands of batches the flat fold
     # would move GBs through the driver
     def merge_block(t: pa.Table) -> pa.Table:
-        c = np.zeros(n_zones, dtype=np.int64)
-        s = np.zeros(n_zones, dtype=np.int64)
-        lo = np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64)
-        hi = np.full(n_zones, np.iinfo(np.int64).min, dtype=np.int64)
-        for i in range(t.num_rows):
-            c += np.frombuffer(t["cnt"][i].as_py(), dtype=np.int64)
-            s += np.frombuffer(t["sm"][i].as_py(), dtype=np.int64)
-            lo = np.minimum(lo, np.frombuffer(t["mn"][i].as_py(), dtype=np.int64))
-            hi = np.maximum(hi, np.frombuffer(t["mx"][i].as_py(), dtype=np.int64))
-        return pa.table({"cnt": pa.array([c.tobytes()], pa.binary()),
-                         "sm": pa.array([s.tobytes()], pa.binary()),
-                         "mn": pa.array([lo.tobytes()], pa.binary()),
-                         "mx": pa.array([hi.tobytes()], pa.binary())})
+        return pa.table({c: pa.array([v.tobytes()], pa.binary())
+                         for c, v in zip(_PARTIAL.names, _fold_partials(t, n_zones))})
 
     # two tree levels (64^2 partials collapse to one row) so the driver-side
     # fold below touches O(1) vectors even at thousands of batches — the
@@ -106,15 +121,8 @@ def zonal_stats_dense(
     ).map_batches(
         merge_block, batch_format="pyarrow", batch_size=64
     ).take_all()
-    cnt = np.zeros(n_zones, dtype=np.int64)
-    sm = np.zeros(n_zones, dtype=np.int64)
-    mn = np.full(n_zones, np.iinfo(np.int64).max, dtype=np.int64)
-    mx = np.full(n_zones, np.iinfo(np.int64).min, dtype=np.int64)
-    for r in partial_rows:
-        cnt += np.frombuffer(r["cnt"], dtype=np.int64)
-        sm += np.frombuffer(r["sm"], dtype=np.int64)
-        mn = np.minimum(mn, np.frombuffer(r["mn"], dtype=np.int64))
-        mx = np.maximum(mx, np.frombuffer(r["mx"], dtype=np.int64))
+    cnt, sm, mn, mx = _fold_partials(
+        pa.Table.from_pylist(partial_rows, schema=_PARTIAL), n_zones)
     hit = cnt > 0
     idx = np.nonzero(hit)[0]
     zone_ids = zones["zone_id"].take(pa.array(idx))

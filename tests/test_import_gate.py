@@ -21,7 +21,7 @@ KERNELS = (
     "gdal_ray.stages.join", "gdal_ray.stages.pyramid", "gdal_ray.stages.tiles",
     "gdal_ray.sources.gtiff", "gdal_ray.sources.synthetic", "gdal_ray.sources.tiffcodec",
     "gdal_ray.functions.geo", "gdal_ray.functions.pip", "gdal_ray.functions.wkb",
-    "gdal_ray.functions.checksum",
+    "gdal_ray.functions.checksum", "gdal_ray.functions.tilerow",
 )
 
 

@@ -127,6 +127,25 @@ def test_join_over_a_parquet_read_finishes_in_a_4_cpu_session(docs, rect_zones, 
     assert out["pairs"] == brute_pairs(docs, rect_zones, "intersects")
 
 
+@pytest.mark.parametrize("predicate", ["intersects", "within"])
+def test_zonal_stats_dense_matches_zonal_stats(docs, rect_zones, predicate):
+    """The dense zonal aggregate (the join's in-operator reduce, a two-level
+    ``merge_block`` tree and the driver fold) gives the table of the
+    pair-and-groupby plan on the same points and zones.  Batches of 8 points
+    make 125 partials, so each tree level folds more than one of them."""
+    from gdal_ray.stages import zonal
+
+    vals = (np.arange(docs.num_rows) * 37) % 1001 - 300
+    pts = rd.from_arrow(docs.select(["doc_id", "lon", "lat"]).append_column(
+        "n_chars", pa.array(vals.astype(np.int64)))).repartition(4)
+    got = zonal.zonal_stats_dense(pts, rect_zones, predicate=predicate, batch_size=8)
+    exp = sorted(zonal.zonal_stats(pts, rect_zones, predicate=predicate).take_all(),
+                 key=lambda r: r["zone_id"])
+    assert len(exp) > 20
+    assert got.sort_by("zone_id").to_pylist() == [
+        {c: r[c] for c in got.column_names} for r in exp]
+
+
 @pytest.mark.parametrize("salts", [None, {"_probe": 0}])
 def test_partitioned_join_matches_broadcast(docs, rect_zones, salts):
     ds = rd.from_arrow(docs)
