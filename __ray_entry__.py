@@ -4538,7 +4538,7 @@ def oracle_sql() -> dict[str, str]:
                          CASE WHEN gx + gy >= 200 THEN 5.0 ELSE 0.0 END AS delta
                   FROM px)
             SELECT CAST(4 AS BIGINT) AS z, CAST(x AS BIGINT) AS x,
-                   CAST(y AS BIGINT) AS y,
+                   CAST(y AS BIGINT) AS y, CAST(1 AS BIGINT) AS band,
                    CAST(sum(CASE WHEN delta <> 0 THEN 1 ELSE 0 END) AS BIGINT) AS n_diff,
                    CAST(floor(max(delta) * 100 + 0.5) AS BIGINT) AS max_abs_x100,
                    CAST(((sum(CAST(trunc(v + delta) AS BIGINT)

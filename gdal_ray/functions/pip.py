@@ -59,7 +59,9 @@ def csr_ranges(start: np.ndarray, cnt: np.ndarray):
     of every range ``start[i] .. start[i] + cnt[i]``."""
     parent = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
     first = start - (np.cumsum(cnt) - cnt)
-    return parent, np.arange(parent.size, dtype=np.int64) + np.repeat(first, cnt)
+    child = np.arange(parent.size, dtype=np.int64)
+    child += np.repeat(first, cnt)
+    return parent, child
 
 
 def csr_expand(off: np.ndarray, idx: np.ndarray):

@@ -17,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .checksum import tile_checksum
+
 # the GDT_* pixel types of gcore/gdal.h:49-66 that have a numpy twin:
 # Byte, Int8, UInt16, Int16, UInt32, Int32, UInt64, Int64, Float32, Float64
 # (64-bit ints are also the natural dtype of exact multidim axis sums)
@@ -60,10 +62,14 @@ def bands(batch: pa.Table, i: int) -> list:
 def tile_row(batch: pa.Table, i: int, arr: np.ndarray) -> dict:
     """Tile row ``i`` as a dict holding ``arr`` as its pixels: ``data``,
     ``dtype``, ``height`` and ``width`` come from ``arr`` (a ``(height,
-    width)`` array, or ``(height, width, bands)`` interleaved); every other
-    column is carried over in place."""
+    width)`` array, or ``(height, width, bands)`` interleaved); a
+    ``checksum`` column is recomputed from a 2-D ``arr``, so a stage that
+    rewrites pixels never carries a stale one; every other column is carried
+    over in place."""
     row = {c: batch[c][i].as_py() for c in batch.column_names}
     row["height"], row["width"] = arr.shape[0], arr.shape[1]
     row["dtype"] = arr.dtype.name
     row["data"] = arr.tobytes()
+    if "checksum" in row and arr.ndim == 2:
+        row["checksum"] = tile_checksum(arr)
     return row

@@ -366,6 +366,8 @@ class Rings(NamedTuple):
     def only(self, rows: np.ndarray) -> "Rings":
         """The same rows, keeping the rings of the rows where ``rows`` is
         True only."""
+        if rows.all():
+            return self
         nr = np.diff(self.row_roff)
         keep = np.repeat(rows, nr)
         nv = np.diff(self.ring_voff)
@@ -405,12 +407,11 @@ class _Bytes:
         self._f8 = view("<f8"), view(">f8")
 
     def _read(self, views, p: np.ndarray, le: np.ndarray, dtype) -> np.ndarray:
-        out = np.empty(p.size, dtype=dtype)
         if le.all():
-            out[:] = views[0][p]
-        else:
-            out[le] = views[0][p[le]]
-            out[~le] = views[1][p[~le]]
+            return views[0][p].astype(dtype, copy=False)
+        out = np.empty(p.size, dtype=dtype)
+        out[le] = views[0][p[le]]
+        out[~le] = views[1][p[~le]]
         return out
 
     def u4(self, p: np.ndarray, le: np.ndarray) -> np.ndarray:
@@ -499,9 +500,12 @@ def _chunk_rings(arr, large: bool):
         (np.empty(0, np.int64),) * 3 + (np.empty(0, bool),) * 2
     keep = ~bad[rrow]
     rrow, vpos, nv, rle, hole = (a[keep] for a in (rrow, vpos, nv, rle, hole))
-    first = np.repeat(offsets(nv)[:-1], nv)
-    pos = np.repeat(vpos, nv) + 16 * (np.arange(first.size) - first)
-    vle = np.repeat(rle, nv)
+    # vertex k of the column is 16 bytes on from the one before, within a ring
+    pos = np.arange(int(nv.sum()), dtype=np.int64)
+    pos *= 16
+    pos += np.repeat(vpos - 16 * offsets(nv)[:-1], nv)
+    # little-endian rings only: one flag stands for every vertex
+    vle = rle[:1] if rle.all() else np.repeat(rle, nv)
     x, y = b.f8(pos, vle), b.f8(pos + 8, vle)
     slow = np.flatnonzero(bad)
     decoded = {int(i): decode(arr[int(i)].as_py()) for i in slow}

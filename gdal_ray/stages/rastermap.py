@@ -617,9 +617,9 @@ def tile_index(tiles_ds, tile_size: int = 64, global_width: int = 0):
 
 def compare(tiles_a, tiles_b, scale_x100: bool = True):
     """gdalcompare-style raster diff (reference ``swig/python/gdal-utils/
-    osgeo_utils/gdalcompare.py`` surface): per aligned tile, the number of
-    differing pixels, the max |delta| (x100 fixed point), and the signed
-    checksum delta.  Tiles pair by a keyed (z, x, y, band) shuffle — neither
+    osgeo_utils/gdalcompare.py`` surface): per aligned tile and band
+    (``z``, ``x``, ``y``, ``band``), the number of differing pixels, the max
+    |delta| (x100 fixed point), and the signed checksum delta.  Tiles pair by a keyed (z, x, y, band) shuffle — neither
     raster is broadcast, so both sides stream at 100 TB.
     """
 
@@ -627,7 +627,7 @@ def compare(tiles_a, tiles_b, scale_x100: bool = True):
         if a.num_rows != 1 or b.num_rows != 1:  # unmatched tile: report full difference
             t = a if a.num_rows else b
             return pa.table({
-                "z": t["z"][:1], "x": t["x"][:1], "y": t["y"][:1],
+                "z": t["z"][:1], "x": t["x"][:1], "y": t["y"][:1], "band": t["band"][:1],
                 "n_diff": pa.array([pixels(t, 0).size], pa.int64()),
                 "max_abs_x100": pa.array([-1], pa.int64()),
                 "checksum_delta": pa.array([0], pa.int64()),
@@ -639,7 +639,7 @@ def compare(tiles_a, tiles_b, scale_x100: bool = True):
         mx = float(np.abs(d).max()) if d.size else 0.0
         ca, cb = cks.tile_checksum(av), cks.tile_checksum(bv)
         return pa.table({
-            "z": a["z"][:1], "x": a["x"][:1], "y": a["y"][:1],
+            "z": a["z"][:1], "x": a["x"][:1], "y": a["y"][:1], "band": a["band"][:1],
             "n_diff": pa.array([n_diff], pa.int64()),
             "max_abs_x100": pa.array(
                 [int(np.floor(mx * 100.0 + 0.5)) if scale_x100 else int(mx)],

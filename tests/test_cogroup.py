@@ -223,10 +223,10 @@ DIGESTS = {
     "attach_blob": "349544259793890f940f9e98a480ceb2966093d6abf3ffc6bd84170b4538f8de",
     "check_coverage": "bc96c85420666a653ad7f4e6d012674753632e936018b5f0a9469435fd7ef17a",
     "cluster_keep_best": "6815f4523377638174ce635fdf1e0e0b97baad9c3f24be3c22c8d52010faaf0b",
-    "compare_narrow": "2bc28f267eeb19bde02ac5aae02985060f19a28aaedaa1274baf6424ff8d72a0",
+    "compare_narrow": "bc03a83eaa80390ccd016832545ca3fa5cf484bfc0b4f5fcf08f4cc4658c2fcf",
     "compare_rasters_narrow": "24c7a3b1e60485ee0d300f8923c54f436e44a5c189a2ba7cec0f8c745c96102b",
     "compare_rasters_wide": "24c7a3b1e60485ee0d300f8923c54f436e44a5c189a2ba7cec0f8c745c96102b",
-    "compare_wide": "d6a358739fce24a9d415c3c5407276642cc7cf049b5b9f335ae3326b2995bde0",
+    "compare_wide": "76ba072011d1433b529f861a43e609bb42a82eaaf971d972e6c4d7e2e83d6f8b",
     "composite_count_valid_narrow": "269cfb18cc228504df2d8533cd5177dff2d28e24e04c8c6d4ca7940322aa6daf",
     "composite_count_valid_wide": "269cfb18cc228504df2d8533cd5177dff2d28e24e04c8c6d4ca7940322aa6daf",
     "composite_mean_narrow": "98ab5d6529c816cf49355ae9686d21c42d682730c4b44b65f43e0c40bbbf08e8",

@@ -258,6 +258,8 @@ def test_gdalcompare_pairs_tiles_band_by_band(ray_session):
     assert len(out) == 2
     assert all(r["n_diff"] == 0 and r["max_abs_x100"] == 0
                and r["checksum_delta"] == 0 for r in out)
+    # the band column tells the two rows of one tile address apart
+    assert sorted((r["z"], r["x"], r["y"], r["band"]) for r in out) == [(4, 0, 0, 1), (4, 0, 0, 2)]
 
 
 def test_neighbors_tiled_equals_monolithic(ray_session):
@@ -346,3 +348,18 @@ def test_zonal_modes_and_extended(ray_session):
     assert (got_m["minority_val"].to_numpy() == exp["mino"].to_numpy()).all()
     assert (got_e["n_docs"].to_numpy() == exp["n"].to_numpy()).all()
     assert (got_e["var_num"].to_numpy() == exp["var_num"].to_numpy()).all()
+
+
+def test_pixel_rewrite_recomputes_a_carried_checksum():
+    """A stage that rewrites pixels through ``tilerow.tile_row`` recomputes
+    an upstream ``checksum`` column instead of carrying it stale."""
+    from gdal_ray.functions import checksum as cks
+    from gdal_ray.functions import tilerow
+
+    t = synthetic.make_raster_tiles("ramp", 1, 1, 8)
+    t = t.append_column("checksum", pa.array([cks.tile_checksum(tilerow.pixels(t, 0))], pa.int64()))
+    assert t["checksum"][0].as_py() == 1806
+    out = rastermap._tile_map(lambda a: a * 2)(t)
+    assert out["checksum"][0].as_py() == 3612
+    keep = [c for c in t.column_names if c not in ("checksum", "data")]
+    assert out.select(keep).to_pylist() == t.select(keep).to_pylist()

@@ -6,11 +6,18 @@ zone, a per-zone rectangle test (the four distinct box corners in ring
 order), and the list form of ``pip.edge_csr``; its grid is a loop over the
 zones and the cells of each zone's cover, which marks a cell interior when
 it lies strictly inside a rectangle's cover.  Every ``_ZoneIndex`` array must
-equal it bit for bit: on both perfbench zone tables, on Hypothesis tables
-that mix the areal kinds with rows the columnar reader hands to
-``wkb.decode`` (points, lines, either byte order, EWKB SRIDs), and on an
-empty table.  Malformed rows must fail as ``wkb.decode`` fails on them,
-without reading past their end.
+equal it bit for bit, except the cells of the general polygons the index
+classifies (one closed ring, finite): each of their cover cells is a
+boundary entry, an interior entry or dropped, and a pure-Python check per
+cell (a segment-vs-cell test of every edge against the cell shrunk by a
+hair, and the even-odd parity of the cell's centre) must confirm every
+interior entry (inside the cover's border, untouched, centre inside) and
+every dropped cell (untouched, centre outside).  This holds on both
+perfbench zone tables (a sample of the octagons), on Hypothesis tables that
+mix the areal kinds with rows the columnar reader hands to ``wkb.decode``
+(points, lines, either byte order, EWKB SRIDs), and on an empty table.
+Malformed rows must fail as ``wkb.decode`` fails on them, without reading
+past their end.
 """
 
 import os
@@ -110,6 +117,72 @@ def _ref_grid(boxes: np.ndarray, is_rect: np.ndarray):
     return off, mid, val, always
 
 
+def _classified(g, rect: bool) -> bool:
+    """Whether the index classifies a zone's cells: not a rectangle, one
+    closed ring of four or more vertices, every coordinate finite."""
+    rings = g.shells_and_holes()
+    if rect or len(rings) != 1 or len(rings[0]) != 1:
+        return False
+    ring = np.asarray(rings[0][0], dtype=np.float64)
+    return (len(ring) >= 4 and bool(np.isfinite(ring).all())
+            and tuple(ring[0]) == tuple(ring[-1]))
+
+
+def _segment_meets_box(p, q, x0, y0, x1, y1) -> bool:
+    """Liang-Barsky: does the closed segment p-q meet the closed box?"""
+    t0, t1 = 0.0, 1.0
+    for d, lo, hi, a in ((q[0] - p[0], x0, x1, p[0]), (q[1] - p[1], y0, y1, p[1])):
+        if d == 0:
+            if a < lo or a > hi:
+                return False
+            continue
+        ta, tb = (lo - a) / d, (hi - a) / d
+        t0, t1 = max(t0, min(ta, tb)), min(t1, max(ta, tb))
+        if t0 > t1:
+            return False
+    return True
+
+
+def _inside(ring, x, y) -> bool:
+    """Even-odd crossing test of one point against one ring, in Python."""
+    odd = False
+    for (xa, ya), (xb, yb) in zip(ring[:-1], ring[1:]):
+        if (ya > y) != (yb > y) and x < xa + (y - ya) * (xb - xa) / (yb - ya):
+            odd = not odd
+    return odd
+
+
+def _check_cells(zi, z: int, ring, cells: dict):
+    """Each cover cell of classified zone ``z``: its part in the index
+    (``cells[c]``: 0 interior, 1 boundary, absent = dropped) against a
+    segment-vs-cell test of every edge and the parity of the cell centre."""
+    ring = [tuple(map(float, v)) for v in ring]
+    cx0, cy0 = (int(v) for v in zi._cell_xy(zi.boxes[z, 0], zi.boxes[z, 1]))
+    cx1, cy1 = (int(v) for v in zi._cell_xy(zi.boxes[z, 2], zi.boxes[z, 3]))
+    wx, wy = 1.0 / zi.inv_dx, 1.0 / zi.inv_dy
+    for gy in range(cy0, cy1 + 1):
+        for gx in range(cx0, cx1 + 1):
+            part = cells.get(gy * zi.nx + gx)
+            if part == 1:
+                continue
+            # the cell shrunk by a hair: its points map to it whatever the rounding
+            bx0, by0 = zi.x0 + gx * wx, zi.y0 + gy * wy
+            e = 1e-9 * (wx + wy)
+            box = (bx0 + e, by0 + e, bx0 + wx - e, by0 + wy - e)
+            centre = (bx0 + wx / 2, by0 + wy / 2)
+            if gx in (0, zi.nx - 1) or gy in (0, zi.ny - 1):
+                # a grid-border cell also takes every point beyond the grid,
+                # and is never interior
+                assert part is None, (z, gx, gy)
+                box = (-np.inf if gx == 0 else box[0], -np.inf if gy == 0 else box[1],
+                       np.inf if gx == zi.nx - 1 else box[2], np.inf if gy == zi.ny - 1 else box[3])
+            assert not any(_segment_meets_box(p, q, *box) for p, q in zip(ring[:-1], ring[1:])), \
+                (z, gx, gy, part)
+            if part == 0:
+                assert cx0 < gx < cx1 and cy0 < gy < cy1
+            assert _inside(ring, *centre) == (part == 0), (z, gx, gy, part)
+
+
 def _reference(zones: pa.Table):
     """(boxes, is_rect, edges, grid) of the per-geometry build."""
     wkbs = zones["wkb"].to_pylist()
@@ -123,7 +196,8 @@ def _reference(zones: pa.Table):
                        dtype=bool).reshape(-1)
     edges = _ref_edge_csr([[] if r else g.shells_and_holes() for g, r in zip(geoms, is_rect)])
     grid = [np.array(a, dtype=np.int64) for a in _ref_grid(boxes, is_rect)]
-    return boxes, is_rect, edges, grid
+    general = [_classified(g, r) for g, r in zip(geoms, is_rect)]
+    return boxes, is_rect, edges, grid, geoms, np.array(general, dtype=bool).reshape(-1)
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -143,10 +217,25 @@ def _decode_calls(fn, *args):
         wkb.decode = decode
 
 
-def _assert_matches_reference(zones: pa.Table):
-    """Every index array equals the reference, and only the non-areal rows
-    (points, lines) went through ``wkb.decode``."""
-    boxes, is_rect, edges, (csr_off, csr_mid, csr_val, always) = _reference(zones)
+def _parts(off, mid, val) -> dict:
+    """{(cell, zone): 0 interior / 1 boundary} of a CSR grid, checking that
+    each part of each cell lists its zones ascending."""
+    out = {}
+    for c in range(len(off) - 1):
+        for part, (a, b) in enumerate(((off[c], mid[c]), (mid[c], off[c + 1]))):
+            zs = [int(z) for z in val[a:b]]
+            assert zs == sorted(set(zs)), c
+            out.update(((c, z), part) for z in zs)
+    return out
+
+
+def _assert_matches_reference(zones: pa.Table, sample: int | None = None):
+    """Every index array equals the reference, but for the cells of the
+    classified zones, which are checked cell by cell (on ``sample`` of them
+    when given); only the non-areal rows (points, lines) went through
+    ``wkb.decode``."""
+    (boxes, is_rect, edges, (csr_off, csr_mid, csr_val, always), geoms,
+     general) = _reference(zones)
     non_areal = sum(wkb.decode(w).kind not in AREAL for w in zones["wkb"].to_pylist())
     zi, calls = _decode_calls(_ZoneIndex, zones)
     # boxes absent, ``wkb.bboxes`` reads the column once more
@@ -156,8 +245,27 @@ def _assert_matches_reference(zones: pa.Table):
     assert _same(zi.is_rect, is_rect)
     for f in pip.EdgeCSR._fields:
         assert _same(getattr(zi.edges, f), getattr(edges, f)), f
-    assert _same(zi.csr_off, csr_off) and _same(zi.csr_mid, csr_mid)
-    assert _same(zi.csr_val, csr_val) and _same(zi.always, always)
+    assert _same(zi.always, always)
+    for a in (zi.csr_off, zi.csr_mid, zi.csr_val):
+        assert a.dtype == np.int64
+    assert (zi.csr_off.size, zi.csr_mid.size) == (csr_off.size, csr_mid.size)
+    got, want = _parts(zi.csr_off, zi.csr_mid, zi.csr_val), _parts(csr_off, csr_mid, csr_val)
+    general[always] = False
+    mine = general[[z for _, z in want]] if want else np.zeros(0, bool)
+    # the other zones' entries are the reference's, and a classified zone's
+    # entries are cells of its cover
+    assert {k: v for k, v in got.items() if not general[k[1]]} == \
+        {k: v for (k, v), m in zip(want.items(), mine) if not m}
+    assert {k for k in got if general[k[1]]} <= {k for k, m in zip(want, mine) if m}
+    per_zone: dict = {}
+    for (c, z), part in got.items():
+        if general[z]:
+            per_zone.setdefault(z, {})[c] = part
+    zs = np.flatnonzero(general)
+    if sample is not None and zs.size > sample:
+        zs = np.random.default_rng(0).choice(zs, sample, replace=False)
+    for z in zs:
+        _check_cells(zi, int(z), np.asarray(geoms[z].shells_and_holes()[0][0]), per_zone.get(z, {}))
     return zi
 
 
@@ -178,13 +286,17 @@ def perfbench_workloads():
 @pytest.mark.parametrize("name", ["zonal_rect", "pairs_polygon"])
 def test_perfbench_zone_tables_match_reference(perfbench_workloads, tmp_path, name):
     zones = perfbench_workloads.WORKLOADS[name](11, False, str(tmp_path)).zones
-    zi = _assert_matches_reference(zones)
+    zi = _assert_matches_reference(zones, sample=300)
     assert zi.is_rect.all() if name == "zonal_rect" else not zi.is_rect.any()
-    # interior entries: rectangles only, 9 of a median zone's 25
+    # interior entries: 9 of a median rectangle's 25; 135,640 of the 498,917
+    # cover cells of the octagons, whose corners drop 44,424 exterior cells
     n_in = int((zi.csr_mid - zi.csr_off[:-1]).sum())
-    assert (0.3 < n_in / zi.csr_val.size < 0.4) if name == "zonal_rect" else n_in == 0
+    if name == "zonal_rect":
+        assert 0.3 < n_in / zi.csr_val.size < 0.4
+    else:
+        assert (n_in, zi.csr_val.size) == (135_640, 498_917 - 44_424)
     # and without the box columns: boxes from the rings
-    _assert_matches_reference(zones.drop_columns(list(BOX)))
+    _assert_matches_reference(zones.drop_columns(list(BOX)), sample=300)
 
 
 @pytest.mark.parametrize("name", ["zonal_rect", "pairs_polygon"])
