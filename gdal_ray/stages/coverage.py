@@ -35,7 +35,7 @@ import pyarrow as pa
 
 from ..functions import wkb as _wkb
 from ..functions.tilerow import decode
-from ..state.session import fetch, map_cached
+from ..state.session import broadcast_ref, fetch, map_cached
 
 
 def _ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,11 +275,9 @@ def zonal_stats_fractional(tiles_ds, zones: pa.Table, size: int = 64,
     pixels, the exact coverage sum (zone area in pixel units) and the
     coverage-weighted value sum, plus value min/max over touched pixels —
     all as exact scaled int64s so the keyed fold is order-independent."""
-    import ray
-
     from .relational import partial_aggregate
 
-    partials = map_cached(tiles_ds, FractionalZonalStage, ray.put(zones), size,
+    partials = map_cached(tiles_ds, FractionalZonalStage, broadcast_ref(zones), size,
                           cov_scale, val_scale, val_minmax_scale, batch_format="pyarrow")
     return partial_aggregate(partials, ["zone_key"],
                              sums=["n_pix", "cov", "wsum"],

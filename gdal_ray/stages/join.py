@@ -50,14 +50,12 @@ Predicate semantics (GEOS/OGC, ``ogr/ogrgeometry.cpp:6009-6362``):
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 import pyarrow as pa
 
 from .. import keep_heap_warm
 from ..functions import geo, pip, wkb
-from ..state.session import CACHED_OPERATORS, fetch, map_cached
+from ..state.session import broadcast_ref, fetch, map_cached
 
 # (point, zone) pairs the zonal reduce expands at once: a 20k-zone batch of
 # 32,768 points is one chunk, a 1M-zone batch is folded ~1M pairs at a time
@@ -643,28 +641,6 @@ class BroadcastPointJoin:
                          for name, a in zip(("cnt", "sm", "mn", "mx"), acc)})
 
 
-# driver side: the broadcast ref of each recent zone table, so that a query
-# over a table already joined in this Ray session ships the same ref and the
-# workers' cached operator (keyed by the ref) serves it without a rebuild
-_zone_refs: OrderedDict = OrderedDict()
-
-
-def _zones_ref(zones: pa.Table):
-    """The object ref of ``zones``: one ``ray.put`` per table object and
-    driver connection, the ``CACHED_OPERATORS`` most recent kept (each entry
-    holds its table, so the object, and its ``id``, stay alive)."""
-    import ray
-
-    key = (id(zones), ray.get_runtime_context().get_worker_id())
-    hit = _zone_refs.get(key)
-    if hit is None or hit[0] is not zones:
-        hit = _zone_refs[key] = (zones, ray.put(zones))
-        while len(_zone_refs) > CACHED_OPERATORS:
-            _zone_refs.popitem(last=False)
-    _zone_refs.move_to_end(key)
-    return hit[1]
-
-
 def broadcast_spatial_join(
     points_ds,
     zones: pa.Table,
@@ -678,7 +654,7 @@ def broadcast_spatial_join(
 ):
     """Plan 1: broadcast the zone table, stream the points.  Zero shuffle."""
     return map_cached(
-        points_ds, BroadcastPointJoin, _zones_ref(zones), predicate, id_col, "lon", "lat",
+        points_ds, BroadcastPointJoin, broadcast_ref(zones), predicate, id_col, "lon", "lat",
         emit_cols, emit_zone_index, zonal_reduce_col, anti,
         batch_format="pyarrow", batch_size=batch_size)
 

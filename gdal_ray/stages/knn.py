@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..state.session import fetch, map_cached
+from ..state.session import broadcast_ref, fetch, map_cached
 
 
 class BroadcastKNN:
@@ -196,9 +196,7 @@ def knn_join(
     batch_size: int = 32768,
 ):
     """targets: table with (zone_id, zone_key, cx, cy)."""
-    import ray
-
-    return map_cached(points_ds, BroadcastKNN, ray.put(targets), k, id_col, tree,
+    return map_cached(points_ds, BroadcastKNN, broadcast_ref(targets), k, id_col, tree,
                       batch_format="pyarrow", batch_size=batch_size)
 
 
@@ -264,7 +262,5 @@ class BroadcastDWithin:
 def dwithin_join(points_ds, targets: pa.Table, radius: float,
                  id_col: str = "doc_id", batch_size: int = 32768):
     """targets: table with (zone_key, cx, cy)."""
-    import ray
-
-    return map_cached(points_ds, BroadcastDWithin, ray.put(targets), radius, id_col,
+    return map_cached(points_ds, BroadcastDWithin, broadcast_ref(targets), radius, id_col,
                       batch_format="pyarrow", batch_size=batch_size)

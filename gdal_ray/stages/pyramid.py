@@ -57,41 +57,47 @@ def _grid_sample(a: np.ndarray, px: np.ndarray, py: np.ndarray, resample: str,
     """Shared nearest/bilinear tap math for BOTH warp plans (broadcast
     TileWarper and the tile-join canvas) — one copy keeps the two plans
     bit-identical.  Out-of-bounds taps (or taps on unpopulated canvas cells
-    when ``valid`` is given) yield ``nodata``."""
-    h, w = a.shape
-    if resample == "nearest":
-        cx = np.floor(px).astype(np.int64)
-        cy = np.floor(py).astype(np.int64)
-        ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        if valid is not None:
-            okc = ok.copy()
-            okc[ok] = valid[cy[ok], cx[ok]]
-            ok = okc
-        out = np.full(px.shape, nodata)
-        out[ok] = a[cy[ok], cx[ok]]
-        return out
-    if resample != "bilinear":
+    when ``valid`` is given) yield ``nodata``, as do NaN and ±inf
+    coordinates.  Every pixel gathers its taps at its flat index, clipped
+    where it falls outside, with no compaction: ``ok`` picks the result."""
+    if resample not in ("nearest", "bilinear"):
         raise ValueError(resample)
-    fx = px - 0.5
-    fy = py - 0.5
-    x0 = np.floor(fx).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
-    tx = fx - x0
-    ty = fy - y0
-    ok = (x0 >= 0) & (x0 + 1 < w) & (y0 >= 0) & (y0 + 1 < h)
-    if valid is not None:
-        okc = ok.copy()
-        okc[ok] = (valid[y0[ok], x0[ok]] & valid[y0[ok], x0[ok] + 1]
-                   & valid[y0[ok] + 1, x0[ok]] & valid[y0[ok] + 1, x0[ok] + 1])
-        ok = okc
-    out = np.full(px.shape, nodata)
-    out[ok] = (
-        a[y0[ok], x0[ok]] * (1 - tx[ok]) * (1 - ty[ok])
-        + a[y0[ok], x0[ok] + 1] * tx[ok] * (1 - ty[ok])
-        + a[y0[ok] + 1, x0[ok]] * (1 - tx[ok]) * ty[ok]
-        + a[y0[ok] + 1, x0[ok] + 1] * tx[ok] * ty[ok]
-    )
-    return out
+    h, w = a.shape
+    if min(h, w) < (1 if resample == "nearest" else 2):  # no pixel has its taps
+        return np.full(px.shape, float(nodata))
+    flat = a.ravel()
+    vf = None if valid is None else valid.ravel()
+    # NaN/±inf floor to a garbage int64 that ``ok`` rejects; viewed as
+    # uint64, a negative index is too large, so one compare bounds it
+    with np.errstate(invalid="ignore"):
+        if resample == "nearest":
+            cx = np.floor(px).astype(np.int64)
+            cy = np.floor(py).astype(np.int64)
+            ok = (cx.view(np.uint64) < w) & (cy.view(np.uint64) < h)
+            i = cy * w + cx
+            if vf is not None:
+                ok &= vf.take(i, mode="clip")
+            return np.where(ok, flat.take(i, mode="clip"), nodata)
+        fx = px - 0.5
+        fy = py - 0.5
+        flx = np.floor(fx)
+        fly = np.floor(fy)
+        x0 = flx.astype(np.int64)
+        y0 = fly.astype(np.int64)
+        tx = fx - flx  # == fx - x0 wherever ok holds
+        ty = fy - fly
+        ok = (x0.view(np.uint64) < w - 1) & (y0.view(np.uint64) < h - 1)
+        i = y0 * w + x0
+        # the four taps: flat[i], flat[i + 1], flat[i + w], flat[i + w + 1]
+        shifts = (0, 1, w, w + 1)
+        if vf is not None:
+            for s in shifts:
+                ok &= vf[s:].take(i, mode="clip")
+        v00, v01, v10, v11 = (flat[s:].take(i, mode="clip") for s in shifts)
+        ux = 1 - tx
+        uy = 1 - ty
+        v = v00 * ux * uy + v01 * tx * uy + v10 * ux * ty + v11 * tx * ty
+        return np.where(ok, v, nodata)
 
 
 class SourceRaster:
@@ -150,7 +156,7 @@ class TileWarper:
 
     def _src_pixels(self, lon: np.ndarray, lat: np.ndarray):
         if self.geoloc is not None:
-            px, py = self.geoloc.inverse(lon, lat)
+            px, py = self.geoloc.inverse(*np.broadcast_arrays(lon, lat))
             # outside-every-quad points -> far-out-of-bounds taps (nodata);
             # a finite sentinel keeps block-cache window math NaN-free
             bad = ~(np.isfinite(px) & np.isfinite(py))
@@ -340,32 +346,27 @@ class TileWarper:
                 z, np.array([x]), np.array([y])
             )
             res = (maxx[0] - minx[0]) / t
+            # pixel centres: a row of columns against a column of rows
+            mx = minx[0] + (np.arange(t) + 0.5) * res
+            my = maxy[0] - (np.arange(t) + 0.5) * res
+            lon, lat = geo.mercator_to_lonlat(mx[None, :], my[:, None])
             if self.resample in self._AREA_KERNELS:
                 # corner grid (t+1 x t+1) -> per-pixel source footprints
                 cmx = minx[0] + np.arange(t + 1) * res
                 cmy = maxy[0] - np.arange(t + 1) * res
-                gmx, gmy = np.meshgrid(cmx, cmy)
-                lon, lat = geo.mercator_to_lonlat(gmx, gmy)
-                cpx, cpy = geo.apply_geotransform(self.inv_gt, lon, lat)
+                clon, clat = geo.mercator_to_lonlat(cmx[None, :], cmy[:, None])
+                cpx, cpy = geo.apply_geotransform(self.inv_gt, clon, clat)
                 arr = self._sample_area(cpx, cpy)
             else:
-                mx = minx[0] + (np.arange(t) + 0.5) * res
-                my = maxy[0] - (np.arange(t) + 0.5) * res
-                gmx, gmy = np.meshgrid(mx, my)
-                lon, lat = geo.mercator_to_lonlat(gmx, gmy)
                 arr = self._sample(lon, lat)
             if self.cutline is not None or self.dst_alpha:
                 from ..functions import pip as _pip
 
-                mx_c = minx[0] + (np.arange(t) + 0.5) * res
-                my_c = maxy[0] - (np.arange(t) + 0.5) * res
-                gcx, gcy = np.meshgrid(mx_c, my_c)
-                lon_c, lat_c = geo.mercator_to_lonlat(gcx, gcy)
                 valid = arr != self.src.nodata
                 if self.cutline is not None:
                     inside = _pip.points_in_geom(
-                        lon_c.ravel(), lat_c.ravel(), self.cutline
-                    ).reshape(t, t)
+                        *(g.ravel() for g in np.broadcast_arrays(lon, lat)),
+                        self.cutline).reshape(t, t)
                     arr = np.where(inside, arr, self.src.nodata)
                     valid &= inside
                 if self.dst_alpha:

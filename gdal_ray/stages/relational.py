@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.session import fetch, map_cached
+from ..state.session import broadcast_ref, fetch, map_cached
 
 _AGG_FIELD = {"sum": "sum", "min": "min", "max": "max", "count": "count"}
 
@@ -173,9 +173,7 @@ def hash_join_broadcast(ds, small: pa.Table, key: str, small_key: str,
     """Equi-join with a broadcast small side (OGR SQL JOIN,
     ogr_gensql.cpp:1334-1530, re-expressed as ray.put + per-batch hash lookup
     instead of the reference's per-row secondary-layer filter pushdown)."""
-    import ray
-
-    return map_cached(ds, _BroadcastHashJoin, ray.put(small), small_key, key, emit,
+    return map_cached(ds, _BroadcastHashJoin, broadcast_ref(small), small_key, key, emit,
                       False, batch_format="pyarrow")
 
 
@@ -185,9 +183,7 @@ def hash_join_broadcast_left(ds, small: pa.Table, key: str, small_key: str,
     ogr_gensql.cpp secondary-table semantics: unmatched probe rows survive
     with NULL build columns).  Duplicate build keys keep the FIRST occurrence
     (matching the sorted-probe inner join's stable tie-break)."""
-    import ray
-
-    return map_cached(ds, _BroadcastHashJoin, ray.put(small), small_key, key, emit,
+    return map_cached(ds, _BroadcastHashJoin, broadcast_ref(small), small_key, key, emit,
                       True, batch_format="pyarrow")
 
 
@@ -677,9 +673,7 @@ def range_join_broadcast(probe_ds, intervals: pa.Table, value_col: str,
     asof_join_partitioned shape).
     Output: probe id/value columns + the interval's ``emit`` columns.
     """
-    import ray
-
-    return map_cached(probe_ds, _RangeJoiner, ray.put(intervals), value_col, lo_col,
+    return map_cached(probe_ds, _RangeJoiner, broadcast_ref(intervals), value_col, lo_col,
                       hi_col, emit, batch_format="pyarrow")
 
 

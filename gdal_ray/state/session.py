@@ -6,8 +6,9 @@ dashboard and Ray logging at ERROR, Ray Data progress bars off, Ray Data
 logging at WARNING (no per-Dataset "Starting execution" / "Execution plan"
 INFO lines), and two known-cosmetic Ray Data driver warnings kept out of
 the log.  ``fetch`` resolves a stage argument that may be an ``ObjectRef``
-without importing Ray, and ``map_cached`` runs a stage whose operator is
-built once per worker process as a plain task-based ``map_batches``.
+without importing Ray, ``map_cached`` runs a stage whose operator is
+built once per worker process as a plain task-based ``map_batches``, and
+``broadcast_ref`` ships a table a stage broadcasts once per Ray session.
 """
 from __future__ import annotations
 
@@ -91,6 +92,29 @@ def map_cached(ds, build, *args, **map_batches_kwargs):
 
     run.__name__ = build.__name__
     return ds.map_batches(run, **map_batches_kwargs)
+
+
+# driver side: the broadcast ref of each recent table, so that a query over
+# a table already broadcast in this Ray session ships the same ref and the
+# workers' cached operator (keyed by the ref) serves it without a rebuild
+_broadcast_refs: OrderedDict = OrderedDict()
+
+
+def broadcast_ref(table):
+    """The object ref of ``table``: one ``ray.put`` per table object and
+    driver connection, the ``CACHED_OPERATORS`` most recent kept (each entry
+    holds its table, so the object, and its ``id``, stay alive).  Only for
+    objects nothing mutates, such as a ``pa.Table``."""
+    import ray
+
+    key = (id(table), ray.get_runtime_context().get_worker_id())
+    hit = _broadcast_refs.get(key)
+    if hit is None or hit[0] is not table:
+        hit = _broadcast_refs[key] = (table, ray.put(table))
+        while len(_broadcast_refs) > CACHED_OPERATORS:
+            _broadcast_refs.popitem(last=False)
+    _broadcast_refs.move_to_end(key)
+    return hit[1]
 
 
 def _known_ray_noise(record: logging.LogRecord) -> bool:

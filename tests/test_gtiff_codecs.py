@@ -152,10 +152,10 @@ def _pair_distinct(n: int) -> bytes:
     return seq[:n].astype(np.uint8).tobytes()
 
 
-def _smooth_noise(n: int = 256) -> bytes:
+def _smooth_noise(n: int = 256, amp: int = 4) -> bytes:
     rng = np.random.default_rng(7)
     yy, xx = np.mgrid[0:n, 0:n]
-    field = 128 + (xx * 3 + yy * 2) // 8 % 64 + rng.integers(-4, 5, (n, n))
+    field = 128 + (xx * 3 + yy * 2) // 8 % 64 + rng.integers(-amp, amp + 1, (n, n))
     return np.clip(field, 1, 255).astype(np.uint8).tobytes()
 
 
@@ -304,6 +304,79 @@ class TestLZW:
         assert peak(tc.lzw_decode, const) <= 3 * (4 << 20)
         # max_out stops the decode within a batch of codes
         assert peak(lambda e: tc.lzw_decode(e, 1000), const) <= 1 << 20
+
+    # --- streams of several CLEAR segments ---------------------------------
+
+    @pytest.mark.parametrize("group", [None, 1])
+    def test_multi_segment_streams_match_reference(self, group, monkeypatch):
+        # group=1 puts every CLEAR segment in a group of its own
+        if group is not None:
+            monkeypatch.setattr(tc, "_GROUP", group)
+        rng = np.random.default_rng(13)
+        for data in (bytes(rng.integers(0, 3, 150_000, dtype=np.uint8)),
+                     bytes(rng.integers(0, 256, 70_000, dtype=np.uint8))):
+            enc = tc.lzw_encode(data)
+            assert tc.lzw_decode(enc) == data == _ref_lzw_decode(enc)
+            for cut in (1, 4095, 70_000 - 1):
+                _same_decode(enc, cut)
+
+    def test_constant_runs_and_noise_take_both_paths(self, monkeypatch):
+        """A group of long runs joins bytes entries, a group of noise
+        resolves by pointer doubling; one stream holds both."""
+        rng = np.random.default_rng(17)
+        data = (bytes(300_000)
+                + bytes(rng.integers(0, 256, 40_000, dtype=np.uint8))
+                + b"\x07" * 1_000_000)
+        enc = tc.lzw_encode(data)
+        calls = []
+        for name in ("_join_entries", "_resolve"):
+            fn = getattr(tc, name)
+            monkeypatch.setattr(tc, name, lambda *a, _f=fn, _n=name: calls.append(_n) or _f(*a))
+        assert tc.lzw_decode(enc) == data == _ref_lzw_decode(enc)
+        assert set(calls) == {"_join_entries", "_resolve"}
+        for cut in (1, 299_999, 300_001, 340_000, len(data) - 1):
+            assert tc.lzw_decode(enc, cut) == data[:cut]
+
+    def test_corrupt_code_in_third_segment(self):
+        seg1 = list(range(40, 90))
+        seg2 = [1, 2, 259, 260, 258, 3]  # KwKwK twice, then a back-reference
+        seg3 = [5, 6, 7, 258, 259, 300, 8]  # 300 > next 262
+        codes = [256, *seg1, 256, *seg2, 256, *seg3, 257]
+        enc = _pack_codes(codes)
+        with pytest.raises(ValueError, match="corrupt LZW stream: code 300 > next 262"):
+            tc.lzw_decode(enc)
+        prefix = _ref_lzw_decode(_pack_codes([256, *seg1, 256, *seg2, 256, *seg3[:5], 257]))
+        assert prefix == _ref_lzw_decode(enc, len(prefix))
+        # a max_out that ends before the corrupt code returns the prefix ...
+        assert tc.lzw_decode(enc, len(prefix)) == prefix
+        assert tc.lzw_decode(enc, len(prefix) - 3) == prefix[:-3]
+        # ... and one byte more reaches it
+        with pytest.raises(ValueError, match="corrupt LZW stream"):
+            tc.lzw_decode(enc, len(prefix) + 1)
+        # a corrupt first code of the third segment
+        enc = _pack_codes([256, *seg1, 256, *seg2, 256, 300, 257])
+        with pytest.raises(ValueError, match="code 300 opens a segment"):
+            tc.lzw_decode(enc)
+        assert tc.lzw_decode(enc, 50) == bytes(seg1)
+
+    def test_kwkwk_opens_a_later_segment(self):
+        # the second code of the second segment is the entry being defined
+        enc = _pack_codes([256, 97, 98, 256, 99, 258, 259, 257])
+        assert tc.lzw_decode(enc) == _ref_lzw_decode(enc) == b"ab" + b"c" * 6
+
+    def test_memory_bound_of_grouped_decode(self):
+        def peak(fn, arg):
+            tracemalloc.start()
+            try:
+                fn(arg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        noise = np.random.default_rng(3).integers(0, 256, 1 << 20, np.uint8).tobytes()
+        for data in (noise, _smooth_noise(1024, amp=6)):
+            enc = tc.lzw_encode(data)
+            assert peak(tc.lzw_decode, enc) <= 12 << 20
 
 
 class TestPackBits:

@@ -1,10 +1,14 @@
 """The one Ray session set-up of the entry points (gdal_ray.state.session)."""
 
 import logging
+from collections import OrderedDict
 
+import numpy as np
 import ray
 import ray.data as rd
 
+from gdal_ray.sources import synthetic
+from gdal_ray.stages import join, knn, relational
 from gdal_ray.state import session
 
 
@@ -55,3 +59,29 @@ def test_init_ray_silences_ray_data_info(ray_session):
         log.removeHandler(handler)
     assert log.level == logging.WARNING
     assert seen == []
+
+
+def test_broadcasts_over_one_table_ship_one_ref(monkeypatch):
+    """Broadcast stages over the same table pass ``map_cached`` the same
+    object ref, so the workers' cached operator serves the second query: two
+    spatial joins, and a k-NN join and a broadcast hash join after them;
+    another table gets its own ref, and the driver keeps the
+    ``CACHED_OPERATORS`` most recent."""
+    monkeypatch.setattr(session, "_broadcast_refs", OrderedDict())
+    seen = []
+    for stage in (join, knn, relational):
+        monkeypatch.setattr(stage, "map_cached",
+                            lambda ds, build, ref, *a, **k: seen.append(ref))
+    zones = synthetic.make_rect_zones(np.arange(1, 20))
+    other = synthetic.make_rect_zones(np.arange(1, 20))
+    join.broadcast_spatial_join(None, zones)
+    join.broadcast_spatial_join(None, zones, predicate="within")
+    join.broadcast_spatial_join(None, other)
+    assert seen[0] is seen[1] and seen[2] is not seen[0]
+    assert ray.get(seen[0]).equals(zones)
+    knn.knn_join(None, other, k=2)
+    relational.hash_join_broadcast(None, zones, "zone_id", "zone_id", [])
+    assert seen[3] is seen[2] and seen[4] is seen[0]
+    for k in range(session.CACHED_OPERATORS + 1):
+        join.broadcast_spatial_join(None, synthetic.make_rect_zones(np.arange(1, 3 + k)))
+    assert len(session._broadcast_refs) == session.CACHED_OPERATORS

@@ -92,25 +92,3 @@ def test_no_worker_builds_a_join_twice_across_executions(tmp_path):
     with open(log) as f:
         pids = f.read().split()
     assert pids and len(pids) == len(set(pids)), pids
-
-
-def test_joins_over_one_table_ship_one_ref(monkeypatch):
-    """Two broadcast joins over the same zone table pass ``map_cached`` the
-    same object ref, so the workers' cached index serves the second query;
-    another table gets its own ref, and the driver keeps the
-    ``CACHED_OPERATORS`` most recent."""
-    monkeypatch.setattr(join_stage, "_zone_refs", OrderedDict())
-    seen = []
-    monkeypatch.setattr(join_stage, "map_cached", lambda ds, build, ref, *a, **k: seen.append(ref))
-    if not ray.is_initialized():
-        ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
-    zones = synthetic.make_rect_zones(np.arange(1, 20))
-    other = synthetic.make_rect_zones(np.arange(1, 20))
-    join_stage.broadcast_spatial_join(None, zones)
-    join_stage.broadcast_spatial_join(None, zones, predicate="within")
-    join_stage.broadcast_spatial_join(None, other)
-    assert seen[0] is seen[1] and seen[2] is not seen[0]
-    assert ray.get(seen[0]).equals(zones)
-    for k in range(session.CACHED_OPERATORS + 1):
-        join_stage.broadcast_spatial_join(None, synthetic.make_rect_zones(np.arange(1, 3 + k)))
-    assert len(join_stage._zone_refs) == session.CACHED_OPERATORS
