@@ -101,31 +101,46 @@ def encode_circularstring(pts: np.ndarray) -> bytes:
     return b"\x01" + struct.pack("<II", CIRCULARSTRING, len(pts)) + pts.tobytes()
 
 
+def encode_collection(kind: int, members: list[bytes]) -> bytes:
+    """A geometry of ``kind`` whose body is its member WKBs: the Multi*
+    kinds, GeometryCollection, CompoundCurve, CurvePolygon, MultiCurve,
+    MultiSurface, PolyhedralSurface, TIN."""
+    return (b"\x01" + struct.pack("<II", kind, len(members))
+            + b"".join(members))
+
+
 def encode_geometrycollection(members: list[bytes]) -> bytes:
     """Members are full WKBs of any supported geometry."""
-    return (b"\x01" + struct.pack("<II", GEOMETRYCOLLECTION, len(members))
-            + b"".join(members))
+    return encode_collection(GEOMETRYCOLLECTION, members)
 
 
 def encode_compoundcurve(members: list[bytes]) -> bytes:
     """Members are full WKBs of LineString / CircularString segments whose
     endpoints chain (ISO SQL/MM CompoundCurve)."""
-    return (b"\x01" + struct.pack("<II", COMPOUNDCURVE, len(members))
-            + b"".join(members))
+    return encode_collection(COMPOUNDCURVE, members)
 
 
 def encode_curvepolygon(rings: list[bytes]) -> bytes:
     """Rings are full WKBs of closed LineString / CircularString /
     CompoundCurve geometries (ISO SQL/MM CurvePolygon)."""
-    return (b"\x01" + struct.pack("<II", CURVEPOLYGON, len(rings))
-            + b"".join(rings))
+    return encode_collection(CURVEPOLYGON, rings)
+
+
+def encode_multipoint(pts) -> bytes:
+    """(N, 2) points -> MULTIPOINT of N POINT members."""
+    pts = np.asarray(pts, dtype="<f8").reshape(len(pts), 2)
+    return encode_collection(MULTIPOINT, encode_points(pts[:, 0], pts[:, 1]))
+
+
+def encode_multilinestring(lines: list[np.ndarray]) -> bytes:
+    """(N_i, 2) vertex arrays -> MULTILINESTRING of LINESTRING members."""
+    return encode_collection(MULTILINESTRING,
+                             [encode_linestring(p) for p in lines])
 
 
 def encode_multipolygon(polys: list[list[np.ndarray]]) -> bytes:
-    out = [b"\x01", struct.pack("<II", MULTIPOLYGON, len(polys))]
-    for rings in polys:
-        out.append(encode_polygon(rings))
-    return b"".join(out)
+    return encode_collection(MULTIPOLYGON,
+                             [encode_polygon(rings) for rings in polys])
 
 
 def encode_triangle(rings: list[np.ndarray]) -> bytes:
@@ -141,11 +156,8 @@ def encode_surface(polys: list[list[np.ndarray]], kind: int) -> bytes:
     patches)."""
     if kind not in (POLYHEDRALSURFACE, TIN):
         raise ValueError(f"kind must be PolyhedralSurface or TIN, got {kind}")
-    out = [b"\x01", struct.pack("<II", kind, len(polys))]
-    for rings in polys:
-        out.append(encode_triangle(rings) if kind == TIN
-                   else encode_polygon(rings))
-    return b"".join(out)
+    patch = encode_triangle if kind == TIN else encode_polygon
+    return encode_collection(kind, [patch(rings) for rings in polys])
 
 
 def encode_geom(g: "Geom") -> bytes:
@@ -160,22 +172,13 @@ def encode_geom(g: "Geom") -> bytes:
         return encode_polygon(g.parts[0])
     if g.kind == MULTIPOLYGON:
         return encode_multipolygon(g.parts)
-    if g.kind in (MULTIPOINT, MULTILINESTRING):
-        member = POINT if g.kind == MULTIPOINT else LINESTRING
-        out = [b"\x01", struct.pack("<II", g.kind, len(g.parts))]
-        for pts in g.parts:
-            out.append(encode_points(pts[:, 0], pts[:, 1])[0]
-                       if member == POINT else encode_linestring(pts))
-        return b"".join(out)
-    if g.kind == COMPOUNDCURVE:
-        return encode_compoundcurve([encode_geom(m) for m in g.parts])
-    if g.kind == CURVEPOLYGON:
-        return encode_curvepolygon([encode_geom(m) for m in g.parts])
-    if g.kind == GEOMETRYCOLLECTION:
-        return encode_geometrycollection([encode_geom(m) for m in g.parts])
-    if g.kind in (MULTICURVE, MULTISURFACE):
-        return (b"\x01" + struct.pack("<II", g.kind, len(g.parts))
-                + b"".join(encode_geom(m) for m in g.parts))
+    if g.kind == MULTIPOINT:
+        return encode_multipoint([pts[0] for pts in g.parts])
+    if g.kind == MULTILINESTRING:
+        return encode_multilinestring(g.parts)
+    if g.kind in (COMPOUNDCURVE, CURVEPOLYGON, GEOMETRYCOLLECTION,
+                  MULTICURVE, MULTISURFACE):
+        return encode_collection(g.kind, [encode_geom(m) for m in g.parts])
     if g.kind == TRIANGLE:
         return encode_triangle(g.parts[0])
     if g.kind in (POLYHEDRALSURFACE, TIN):

@@ -157,8 +157,6 @@ def _parse_ring_list(p: _P) -> list[np.ndarray]:
 
 def parse_wkt(text: str) -> bytes | None:
     """WKT -> WKB; EMPTY geometries return None."""
-    import struct
-
     p = _P(text)
     kind = p.word()
     save = p.i
@@ -185,13 +183,9 @@ def parse_wkt(text: str) -> bytes | None:
                 continue
             break
         p.expect(")")
-        head = struct.pack("<BII", 1, wkb_f.MULTIPOINT, len(pts))
-        return head + b"".join(
-            struct.pack("<BI2d", 1, wkb_f.POINT, x, y) for x, y in pts)
+        return wkb_f.encode_multipoint(pts)
     if kind == "MULTILINESTRING":
-        parts = _parse_ring_list(p)
-        head = struct.pack("<BII", 1, wkb_f.MULTILINESTRING, len(parts))
-        return head + b"".join(wkb_f.encode_linestring(q) for q in parts)
+        return wkb_f.encode_multilinestring(_parse_ring_list(p))
     if kind == "MULTIPOLYGON":
         p.expect("(")
         polys = [_parse_ring_list(p)]
@@ -249,10 +243,7 @@ def parse_wkt(text: str) -> bytes | None:
             p.expect(",")
             members.append(_parse_curve_member(p, rings_ok=True))
         p.expect(")")
-        import struct
-
-        return (b"\x01" + struct.pack("<II", wkb_f.MULTICURVE, len(members))
-                + b"".join(members))
+        return wkb_f.encode_collection(wkb_f.MULTICURVE, members)
     if kind == "MULTISURFACE":
         p.expect("(")
         members = []
@@ -275,10 +266,7 @@ def parse_wkt(text: str) -> bytes | None:
                 continue
             break
         p.expect(")")
-        import struct
-
-        return (b"\x01" + struct.pack("<II", wkb_f.MULTISURFACE, len(members))
-                + b"".join(members))
+        return wkb_f.encode_collection(wkb_f.MULTISURFACE, members)
     if kind == "CIRCULARSTRING":
         return wkb_f.encode_circularstring(_parse_point_seq(p))
     if kind == "COMPOUNDCURVE":

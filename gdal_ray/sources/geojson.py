@@ -52,19 +52,11 @@ def _json_to_wkb(geom: dict | None) -> bytes | None:
     if t == "Point":
         return wkb_f.encode_points(np.array([c[0]]), np.array([c[1]]))[0]
     if t == "MultiPoint":
-        import struct
-
-        head = struct.pack("<BII", 1, wkb_f.MULTIPOINT, len(c))
-        return head + b"".join(
-            struct.pack("<BI2d", 1, wkb_f.POINT, x, y) for x, y in c)
+        return wkb_f.encode_multipoint(c)
     if t == "LineString":
         return wkb_f.encode_linestring(np.asarray(c, dtype=np.float64))
     if t == "MultiLineString":
-        import struct
-
-        head = struct.pack("<BII", 1, wkb_f.MULTILINESTRING, len(c))
-        return head + b"".join(
-            wkb_f.encode_linestring(np.asarray(p, dtype=np.float64)) for p in c)
+        return wkb_f.encode_multilinestring(c)
     if t == "Polygon":
         return wkb_f.encode_polygon([np.asarray(r, dtype=np.float64) for r in c])
     if t == "MultiPolygon":

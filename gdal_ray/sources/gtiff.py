@@ -1,14 +1,27 @@
-"""GeoTIFF raster format — dependency-free reader + writer (classic TIFF).
+"""GeoTIFF raster format — dependency-free reader + writer.
 
 Re-answers the reference's GTiff driver surface (``frmts/gtiff/geotiff.cpp``,
-GeoTIFF keys per ``frmts/gtiff/gt_wkt_srs.cpp``) from the public TIFF 6.0 and
-GeoTIFF 1.1 specs — an independent implementation, not a port: classic
-(32-bit) TIFF, little- or big-endian read / little-endian write, single-band
-uncompressed, BOTH tiled (TileWidth/TileLength/TileOffsets/TileByteCounts)
-and stripped layouts, dtypes uint8/uint16/uint32/int16/int32/float32/float64
-via BitsPerSample + SampleFormat, georeferencing via ModelPixelScaleTag +
-ModelTiepointTag + GeoKeyDirectoryTag (GTModelType / GTRasterType /
-ProjectedCSType), nodata via the GDAL_NODATA ASCII tag (42113).
+GeoTIFF keys per ``frmts/gtiff/gt_wkt_srs.cpp``) from the public TIFF 6.0,
+BigTIFF and GeoTIFF 1.1 specs — an independent implementation, not a port:
+classic (32-bit) and BigTIFF (64-bit offsets), little- or big-endian, tiled
+(TileWidth/TileLength/TileOffsets/TileByteCounts) and stripped layouts,
+single-band or chunky multi-band, dtypes via BitsPerSample + SampleFormat,
+uncompressed / DEFLATE / LZW / PackBits with Predictor 2 (JPEG on read),
+georeferencing via ModelPixelScaleTag + ModelTiepointTag +
+GeoKeyDirectoryTag (GTModelType / GTRasterType / ProjectedCSType), nodata
+via the GDAL_NODATA ASCII tag (42113), internal overviews as chained
+reduced-resolution IFDs, and Cloud-Optimized GeoTIFF layout.
+
+One writer: every image (``write_gtiff``, ``append_gtiff_images``, the
+streaming sink's header, each ``write_cog`` level) gets its tags from
+``_image_tags``, its pixel chunks from ``_encode_chunks`` (pad, predict,
+compress) and its IFD from ``_pack_ifd`` (classic or BigTIFF); an IFD's
+size follows from its tags (``_ifd_size``), so a layout is known before a
+byte is packed.  One reader: ``_parse_ifd`` reads an IFD through
+``read(offset, n)`` — a buffer slice or a file seek — and returns its tags,
+the next IFD's offset and where that pointer sits; ``_read_ifds`` walks the
+chain for ``read_gtiff``, ``read_gtiff_manifest``, ``append_gtiff_images``
+and ``validate_cog``.
 
 Ray-Data shape: ``read_gtiff_tiles`` parses ONLY the IFD driver-side (a few
 hundred bytes) and emits a tile MANIFEST Dataset (one row per TIFF tile with
@@ -18,10 +31,10 @@ through the driver.  Edge-tile padding (TIFF pads tiles to full tile size) is
 trimmed in the worker so downstream stages see the engine's standard
 clipped-edge tile rows.
 """
-
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -47,13 +60,14 @@ _TYPE_SIZE = {1: 1, 2: 1, 3: 2, 4: 4, 11: 4, 12: 8, 16: 8, 17: 8, 18: 8}
 _TYPE_FMT = {1: "B", 3: "H", 4: "I", 11: "f", 12: "d", 16: "Q", 17: "q",
              18: "Q"}  # 16-18: BigTIFF LONG8/SLONG8/IFD8
 
+TAG_SUBFILE_TYPE = 254  # NewSubfileType: 1 = reduced-resolution (overview)
 TAG_WIDTH, TAG_HEIGHT = 256, 257
 TAG_BITS, TAG_COMPRESSION, TAG_PHOTOMETRIC = 258, 259, 262
 TAG_STRIP_OFFSETS, TAG_SAMPLES_PER_PIXEL = 273, 277
 TAG_ROWS_PER_STRIP, TAG_STRIP_COUNTS = 278, 279
 TAG_PLANAR = 284
 TAG_TILE_W, TAG_TILE_H, TAG_TILE_OFFSETS, TAG_TILE_COUNTS = 322, 323, 324, 325
-TAG_SAMPLE_FORMAT = 339
+TAG_EXTRA_SAMPLES, TAG_SAMPLE_FORMAT = 338, 339
 TAG_PREDICTOR = 317
 _COMPRESS_TAG = {None: 1, "deflate": 8, "lzw": 5, "packbits": 32773}
 TAG_PIXEL_SCALE, TAG_TIEPOINT = 33550, 33922
@@ -63,187 +77,213 @@ TAG_GDAL_NODATA = 42113
 _KEY_MODEL_TYPE, _KEY_RASTER_TYPE = 1024, 1025
 _KEY_GEOGRAPHIC_CS, _KEY_PROJECTED_CS = 2048, 3072
 
-
-def _entry(tag: int, typ: int, values, en: str = "<") -> tuple[int, int, int, bytes]:
-    """One IFD entry as (tag, type, count, payload-bytes, unpadded)."""
-    if typ == 2:  # ASCII, NUL-terminated
-        payload = values.encode() + b"\x00"
-        return tag, typ, len(payload), payload
-    if not isinstance(values, (list, tuple, np.ndarray)):
-        values = [values]
-    payload = struct.pack(en + "%d%s" % (len(values), _TYPE_FMT[typ]), *values)
-    return tag, typ, len(values), payload
+# (entry-count format, offset format) per layout: an entry is tag (u16),
+# type (u16), count and a value slot, the last two in the offset format
+_IFD_FORMATS = {False: ("H", "I"), True: ("Q", "Q")}  # classic, BigTIFF
 
 
-TAG_SUBFILE_TYPE = 254  # NewSubfileType: 1 = reduced-resolution (overview)
+def _sample_format(dtype) -> tuple[int, int]:
+    """(BitsPerSample, SampleFormat) of a dtype the writers support."""
+    if str(dtype) not in _DTYPE_TO_FMT:
+        raise ValueError(f"unsupported dtype {dtype}")
+    return _DTYPE_TO_FMT[str(dtype)]
 
 
-def _serialize_image(arr: np.ndarray, *, ifd_off: int, next_ifd: int = 0,
-                     tile_size: int | None = None, rows_per_strip: int = 64,
-                     origin=(0.0, 0.0), pixel_size=(1.0, 1.0), epsg: int = 3857,
-                     nodata: float | None = None, endian: str = "<",
-                     subfile_type: int | None = None,
-                     compress: str | None = None,
-                     predictor: int = 1) -> bytes:
-    """One complete image unit (IFD + out-of-line payloads + pixel chunks)
-    laid out starting at absolute file offset ``ifd_off``.  ``next_ifd`` is
-    written into the IFD's next-pointer slot (0 terminates the chain).
-    ``subfile_type=1`` marks a reduced-resolution overview image (gdaladdo's
-    internal-overview convention, frmts/gtiff surface)."""
-    arr = np.ascontiguousarray(arr)
-    if arr.ndim == 3:
-        ns = arr.shape[2]       # chunky multi-band (PlanarConfiguration=1)
-    elif arr.ndim == 2:
-        ns = 1
+def _image_tags(shape, dtype, *, counts, tile_size: int | None = None,
+                rows_per_strip: int = 64, origin=(0.0, 0.0),
+                pixel_size=(1.0, 1.0), epsg: int = 3857,
+                nodata: float | None = None, subfile_type: int | None = None,
+                compress: str | None = None, predictor: int = 1) -> dict:
+    """{tag: (type, values)} of one image whose pixel chunks hold
+    ``counts`` bytes each; the chunk offsets stay zero until the caller
+    knows where the chunks go.  ``shape`` is (h, w) or chunky
+    (h, w, samples); ``subfile_type=1`` marks a reduced-resolution
+    overview (gdaladdo's internal-overview convention)."""
+    bits, sfmt = _sample_format(dtype)
+    h, w = shape[:2]
+    ns = shape[2] if len(shape) == 3 else 1
+    projected = 3000 <= epsg
+    tags = {
+        TAG_WIDTH: (4, [w]), TAG_HEIGHT: (4, [h]),
+        TAG_BITS: (3, [bits] * ns),
+        TAG_COMPRESSION: (3, [_COMPRESS_TAG.get(compress, 1)]),
+        TAG_PHOTOMETRIC: (3, [2 if ns >= 3 and str(dtype) == "uint8" else 1]),
+        TAG_SAMPLES_PER_PIXEL: (3, [ns]),
+        TAG_PLANAR: (3, [1]),
+        TAG_SAMPLE_FORMAT: (3, [sfmt] * ns),
+        TAG_PIXEL_SCALE: (12, [float(pixel_size[0]), float(pixel_size[1]),
+                               0.0]),
+        TAG_TIEPOINT: (12, [0.0, 0.0, 0.0, float(origin[0]),
+                            float(origin[1]), 0.0]),
+        TAG_GEO_KEYS: (3, [1, 1, 0, 3,
+                           _KEY_MODEL_TYPE, 0, 1, 1 if projected else 2,
+                           _KEY_RASTER_TYPE, 0, 1, 1,
+                           _KEY_PROJECTED_CS if projected
+                           else _KEY_GEOGRAPHIC_CS, 0, 1, epsg]),
+    }
+    if ns == 4:
+        tags[TAG_EXTRA_SAMPLES] = (3, [2])  # unassociated alpha
+    if nodata is not None:
+        tags[TAG_GDAL_NODATA] = (2, repr(float(nodata)))
+    if subfile_type is not None:
+        tags[TAG_SUBFILE_TYPE] = (4, [subfile_type])
+    if predictor != 1:
+        tags[TAG_PREDICTOR] = (3, [predictor])
+    if tile_size:
+        tags[TAG_TILE_W] = tags[TAG_TILE_H] = (3, [tile_size])
+        tags[TAG_TILE_COUNTS] = (4, list(counts))
+        tags[TAG_TILE_OFFSETS] = (4, [0] * len(counts))
     else:
-        raise ValueError("expected a 2-D (single-band) or "
-                         "(h, w, samples) 3-D array")
-    if str(arr.dtype) not in _DTYPE_TO_FMT:
-        raise ValueError(f"unsupported dtype {arr.dtype}")
-    if endian not in ("<", ">"):
-        raise ValueError("endian must be '<' (II) or '>' (MM)")
-    en = endian
-    bits, sfmt = _DTYPE_TO_FMT[str(arr.dtype)]
-    h, w = arr.shape[:2]
-    le = arr.astype(arr.dtype.newbyteorder(en), copy=False)
+        tags[TAG_ROWS_PER_STRIP] = (4, [rows_per_strip])
+        tags[TAG_STRIP_COUNTS] = (4, list(counts))
+        tags[TAG_STRIP_OFFSETS] = (4, [0] * len(counts))
+    return tags
 
-    chunks: list[bytes] = []
+
+def _set_offsets(tags: dict, offsets, typ: int = 4) -> None:
+    """Fill in the chunk offsets (``typ`` 16 = BigTIFF LONG8)."""
+    key = TAG_TILE_OFFSETS if TAG_TILE_OFFSETS in tags else TAG_STRIP_OFFSETS
+    tags[key] = (typ, [int(o) for o in offsets])
+
+
+def _nbytes(typ: int, values) -> int:
+    """Payload size of one entry (ASCII values carry a NUL terminator)."""
+    if typ == 2:
+        return len(values.encode()) + 1
+    return len(values) * _TYPE_SIZE[typ]
+
+
+def _ifd_head(n: int, big: bool = False) -> int:
+    """Bytes of an IFD's entry count, ``n`` entries and next pointer."""
+    nfmt, ofmt = _IFD_FORMATS[big]
+    slot = struct.calcsize(ofmt)
+    return struct.calcsize(nfmt) + (4 + 2 * slot) * n + slot
+
+
+def _ifd_size(tags: dict, big: bool = False) -> int:
+    """Bytes of the IFD that packs ``tags``, out-of-line payloads included;
+    it follows from the entry list alone, so a layout needs no packing."""
+    slot = struct.calcsize(_IFD_FORMATS[big][1])
+    size = _ifd_head(len(tags), big)
+    for typ, values in tags.values():
+        n = _nbytes(typ, values)
+        if n > slot:
+            size += n + n % 2
+    return size
+
+
+def _pack_ifd(tags: dict, *, ifd_off: int, next_ifd: int = 0,
+              en: str = "<", big: bool = False) -> bytes:
+    """The IFD of ``tags`` at file offset ``ifd_off``: entries in tag order,
+    ``next_ifd`` in the next-IFD pointer, then every payload longer than a
+    value slot, in tag order, each padded to an even length (TIFF 6.0
+    word alignment).  Classic TIFF has a u16 entry count, 12-byte entries
+    and a u32 pointer; BigTIFF a u64 count, 20-byte entries and a u64
+    pointer."""
+    nfmt, ofmt = _IFD_FORMATS[big]
+    slot = struct.calcsize(ofmt)
+    ext = ifd_off + _ifd_head(len(tags), big)
+    head, tail = [struct.pack(en + nfmt, len(tags))], []
+    for tag in sorted(tags):
+        typ, values = tags[tag]
+        if typ == 2:
+            payload = values.encode() + b"\x00"
+        else:
+            payload = struct.pack(en + "%d%s" % (len(values), _TYPE_FMT[typ]),
+                                  *values)
+        count = len(payload) // _TYPE_SIZE[typ]
+        if len(payload) > slot:
+            head.append(struct.pack(en + "HH" + ofmt * 2, tag, typ, count, ext))
+            tail.append(payload + b"\x00" * (len(payload) % 2))
+            ext += len(tail[-1])
+        else:
+            head.append(struct.pack(en + "HH" + ofmt, tag, typ, count)
+                        + payload.ljust(slot, b"\x00"))
+    head.append(struct.pack(en + ofmt, next_ifd))
+    return b"".join(head + tail)
+
+
+def _file_header(en: str, ifd_off: int, big: bool = False) -> bytes:
+    """The 8-byte classic (version 42) or 16-byte BigTIFF (version 43)
+    header pointing at the first IFD."""
+    if en not in ("<", ">"):
+        raise ValueError("endian must be '<' (II) or '>' (MM)")
+    mark = b"II" if en == "<" else b"MM"
+    if big:  # u16 offset size 8, u16 zero, u64 first IFD
+        return struct.pack(en + "2sHHHQ", mark, 43, 8, 0, ifd_off)
+    return struct.pack(en + "2sHI", mark, 42, ifd_off)
+
+
+def _encode_chunks(arr: np.ndarray, *, tile_size: int | None = None,
+                   rows_per_strip: int = 64, compress: str | None = None,
+                   predictor: int = 1, en: str = "<") -> list[bytes]:
+    """The pixel chunks of one image in file order, in byte order ``en``:
+    row-major tiles zero-padded to the full tile size (per spec), or strips
+    of ``rows_per_strip`` rows (the last one short, unpadded); each is
+    differenced (``predictor=2``) and compressed — 'deflate'
+    (Compression=8, one zlib stream per chunk so workers still range-read
+    and decode chunks independently), 'lzw' (5, TIFF 6.0 §13 early-change)
+    or 'packbits' (32773)."""
+    from . import tiffcodec as _tc
+
+    if predictor == 2 and _sample_format(arr.dtype)[1] == 3:
+        raise ValueError("Predictor=2 is integer-only (TIFF 6.0 §14)")
+    if compress not in _COMPRESS_TAG:
+        raise ValueError(f"unsupported compression {compress!r} "
+                         "(supported: deflate, lzw, packbits)")
+    le = arr.astype(arr.dtype.newbyteorder(en), copy=False)
+    h, w = arr.shape[:2]
+    ns = arr.shape[2] if arr.ndim == 3 else 1
     if tile_size:
         ts = int(tile_size)
-        ntx, nty = (w + ts - 1) // ts, (h + ts - 1) // ts
-        pad_shape = (ts, ts) if ns == 1 else (ts, ts, ns)
-        for ty in range(nty):
-            for tx in range(ntx):
-                pad = np.zeros(pad_shape, dtype=le.dtype)
-                sub = le[ty * ts:(ty + 1) * ts, tx * ts:(tx + 1) * ts]
+        pieces = []
+        for y0 in range(0, h, ts):
+            for x0 in range(0, w, ts):
+                pad = np.zeros((ts, ts) + le.shape[2:], dtype=le.dtype)
+                sub = le[y0:y0 + ts, x0:x0 + ts]
                 pad[: sub.shape[0], : sub.shape[1]] = sub
-                chunks.append(pad.tobytes())
+                pieces.append(pad)
     else:
-        for y0 in range(0, h, rows_per_strip):
-            chunks.append(le[y0:y0 + rows_per_strip].tobytes())
-    chunk_dims = []  # (width, height) per chunk, for the predictor
-    if tile_size:
-        ts_ = int(tile_size)
-        chunk_dims = [(ts_, ts_)] * len(chunks)
-    else:
-        for y0 in range(0, h, rows_per_strip):
-            chunk_dims.append((w, min(rows_per_strip, h - y0)))
-    if predictor == 2:
-        from . import tiffcodec as _tc
-
-        if sfmt == 3:
-            raise ValueError("Predictor=2 is integer-only (TIFF 6.0 §14)")
-        chunks = [_tc.predictor2_encode(c, cw * ns, chh, le.dtype.base
-                                        if hasattr(le.dtype, "base")
-                                        else le.dtype, en, samples=ns)
-                  for c, (cw, chh) in zip(chunks, chunk_dims)]
-    if compress is not None:
+        pieces = [le[y0:y0 + rows_per_strip]
+                  for y0 in range(0, h, rows_per_strip)]
+    chunks = []
+    for p in pieces:
+        raw = p.tobytes()
+        if predictor == 2:
+            raw = _tc.predictor2_encode(raw, p.shape[1] * ns, p.shape[0],
+                                        le.dtype, en, samples=ns)
         if compress == "deflate":
-            import zlib
-
-            # Compression=8 (Adobe DEFLATE, frmts/gtiff COMPRESS=DEFLATE):
-            # independent zlib streams per chunk so workers still
-            # range-read and decode tiles independently
-            chunks = [zlib.compress(c, 6) for c in chunks]
+            raw = zlib.compress(raw, 6)
         elif compress == "lzw":
-            from . import tiffcodec as _tc
-
-            # Compression=5 (TIFF 6.0 §13 LZW, early-change)
-            chunks = [_tc.lzw_encode(c) for c in chunks]
+            raw = _tc.lzw_encode(raw)
         elif compress == "packbits":
-            from . import tiffcodec as _tc
+            raw = _tc.packbits_encode(raw)
+        chunks.append(raw)
+    return chunks
 
-            chunks = [_tc.packbits_encode(c) for c in chunks]
-        else:
-            raise ValueError(f"unsupported compression {compress!r} "
-                             "(supported: deflate, lzw, packbits)")
 
-    geo_keys = [1, 1, 0, 3,
-                _KEY_MODEL_TYPE, 0, 1, 1 if 3000 <= epsg else 2,
-                _KEY_RASTER_TYPE, 0, 1, 1,
-                (_KEY_PROJECTED_CS if 3000 <= epsg else _KEY_GEOGRAPHIC_CS),
-                0, 1, epsg]
-
-    entries = [
-        _entry(TAG_WIDTH, 4, w, en=en),
-        _entry(TAG_HEIGHT, 4, h, en=en),
-        _entry(TAG_BITS, 3, bits, en=en),
-        _entry(TAG_COMPRESSION, 3, _COMPRESS_TAG.get(compress, 1), en=en),
-        _entry(TAG_PHOTOMETRIC, 3,
-               2 if (ns >= 3 and str(arr.dtype) == "uint8") else 1, en=en),
-        _entry(TAG_SAMPLES_PER_PIXEL, 3, ns, en=en),
-        _entry(TAG_PLANAR, 3, 1, en=en),
-        _entry(TAG_SAMPLE_FORMAT, 3, [sfmt] * ns, en=en),
-        _entry(TAG_PIXEL_SCALE, 12,
-               [float(pixel_size[0]), float(pixel_size[1]), 0.0], en=en),
-        _entry(TAG_TIEPOINT, 12,
-               [0.0, 0.0, 0.0, float(origin[0]), float(origin[1]), 0.0], en=en),
-        _entry(TAG_GEO_KEYS, 3, geo_keys, en=en),
-    ]
-    # BitsPerSample is per sample for multi-band
-    entries[2] = _entry(TAG_BITS, 3, [bits] * ns, en=en)
-    if ns == 4:
-        entries.append(_entry(338, 3, 2, en=en))  # ExtraSamples: unassoc alpha
-    if nodata is not None:
-        entries.append(_entry(TAG_GDAL_NODATA, 2, repr(float(nodata)), en=en))
-    if subfile_type is not None:
-        entries.append(_entry(TAG_SUBFILE_TYPE, 4, subfile_type, en=en))
-    if predictor != 1:
-        entries.append(_entry(TAG_PREDICTOR, 3, predictor, en=en))
+def _serialize_image(arr: np.ndarray, *, ifd_off: int, en: str = "<",
+                     tile_size: int | None = None, rows_per_strip: int = 64,
+                     compress: str | None = None, predictor: int = 1,
+                     **geo) -> bytes:
+    """One complete image unit laid out from file offset ``ifd_off``: the
+    IFD (its next pointer 0), its out-of-line payloads, then its pixel
+    chunks.  ``geo``: ``_image_tags``' origin / pixel_size / epsg /
+    nodata / subfile_type."""
+    arr = np.ascontiguousarray(arr)
+    if arr.ndim not in (2, 3):
+        raise ValueError("expected a 2-D (single-band) or "
+                         "(h, w, samples) 3-D array")
+    chunks = _encode_chunks(arr, tile_size=tile_size,
+                            rows_per_strip=rows_per_strip, compress=compress,
+                            predictor=predictor, en=en)
     counts = [len(c) for c in chunks]
-    if tile_size:
-        entries.append(_entry(TAG_TILE_W, 3, tile_size, en=en))
-        entries.append(_entry(TAG_TILE_H, 3, tile_size, en=en))
-        off_tag, cnt_tag = TAG_TILE_OFFSETS, TAG_TILE_COUNTS
-    else:
-        entries.append(_entry(TAG_ROWS_PER_STRIP, 4, rows_per_strip, en=en))
-        off_tag, cnt_tag = TAG_STRIP_OFFSETS, TAG_STRIP_COUNTS
-    entries.append(_entry(cnt_tag, 4, counts, en=en))
-    # offsets filled once the layout is known; reserve the entry now
-    entries.append(_entry(off_tag, 4, [0] * len(chunks), en=en))
-    entries.sort(key=lambda e: e[0])
-
-    ifd_size = 2 + 12 * len(entries) + 4
-    ext_off = ifd_off + ifd_size
-    ext_payloads: list[bytes] = []
-    slots = {}  # tag -> external offset (0 = inline)
-    for tag, typ, count, payload in entries:
-        if len(payload) > 4:
-            if len(payload) % 2:
-                payload += b"\x00"
-            slots[tag] = ext_off
-            ext_payloads.append(payload)
-            ext_off += len(payload)
-        else:
-            slots[tag] = 0
-    data_off = ext_off
-    offsets = []
-    for c in chunks:
-        offsets.append(data_off)
-        data_off += len(c)
-
-    def render(tag, typ, count, payload):
-        if tag == off_tag:  # rebuild with real offsets
-            payload = struct.pack(en + "%dI" % len(offsets), *offsets)
-        if slots[tag]:
-            tail = struct.pack(en + "I", slots[tag])
-        else:
-            tail = payload + b"\x00" * (4 - len(payload))
-        return struct.pack(en + "HHI", tag, typ, count) + tail
-
-    out = [struct.pack(en + "H", len(entries))]
-    for e in entries:
-        out.append(render(*e))
-    out.append(struct.pack(en + "I", next_ifd))
-    for tag, typ, count, payload in entries:
-        if slots[tag]:
-            if tag == off_tag:
-                payload = struct.pack(en + "%dI" % len(offsets), *offsets)
-                if len(payload) % 2:
-                    payload += b"\x00"
-            out.append(payload)
-    out.extend(chunks)
-    return b"".join(out)
+    tags = _image_tags(arr.shape, arr.dtype, counts=counts,
+                       tile_size=tile_size, rows_per_strip=rows_per_strip,
+                       compress=compress, predictor=predictor, **geo)
+    # the chunks follow the IFD and its payloads back to back
+    _set_offsets(tags, np.cumsum([ifd_off + _ifd_size(tags)] + counts)[:-1])
+    return _pack_ifd(tags, ifd_off=ifd_off, en=en) + b"".join(chunks)
 
 
 def write_gtiff(path: str, arr: np.ndarray, *, tile_size: int | None = None,
@@ -262,14 +302,13 @@ def write_gtiff(path: str, arr: np.ndarray, *, tile_size: int | None = None,
     (PixelIsArea); north-up files have positive ``pixel_size[1]`` stored as a
     positive ModelPixelScale y (the reader re-applies the north-up sign).
     """
-    en = "<" if endian == "<" else ">"
+    head = _file_header(endian, 8)
     body = _serialize_image(
-        arr, ifd_off=8, next_ifd=0, tile_size=tile_size,
-        rows_per_strip=rows_per_strip, origin=origin, pixel_size=pixel_size,
-        epsg=epsg, nodata=nodata, endian=endian, compress=compress,
-        predictor=predictor)
+        arr, ifd_off=8, en=endian, tile_size=tile_size,
+        rows_per_strip=rows_per_strip, compress=compress, predictor=predictor,
+        origin=origin, pixel_size=pixel_size, epsg=epsg, nodata=nodata)
     with open(path, "wb") as f:
-        f.write(struct.pack(en + "2sHI", b"II" if en == "<" else b"MM", 42, 8))
+        f.write(head)
         f.write(body)
 
 
@@ -283,103 +322,30 @@ def _tiled_header(*, width: int, height: int, tile_size: int, dtype: str,
     the whole layout is known without touching a pixel).
 
     Returns (header_bytes, data_start, ntx, nty, chunk_bytes)."""
-    en = endian
-    if en not in ("<", ">"):
-        raise ValueError("endian must be '<' (II) or '>' (MM)")
-    if dtype not in _DTYPE_TO_FMT:
-        raise ValueError(f"unsupported dtype {dtype}")
-    bits, sfmt = _DTYPE_TO_FMT[dtype]
     ts = int(tile_size)
     ntx, nty = (width + ts - 1) // ts, (height + ts - 1) // ts
     n_chunks = ntx * nty
-    chunk = ts * ts * np.dtype(dtype).itemsize
-    geo_keys = [1, 1, 0, 3,
-                _KEY_MODEL_TYPE, 0, 1, 1 if 3000 <= epsg else 2,
-                _KEY_RASTER_TYPE, 0, 1, 1,
-                (_KEY_PROJECTED_CS if 3000 <= epsg else _KEY_GEOGRAPHIC_CS),
-                0, 1, epsg]
-    entries = [
-        _entry(TAG_WIDTH, 4, width, en=en),
-        _entry(TAG_HEIGHT, 4, height, en=en),
-        _entry(TAG_BITS, 3, bits, en=en),
-        _entry(TAG_COMPRESSION, 3, 1, en=en),
-        _entry(TAG_PHOTOMETRIC, 3, 1, en=en),
-        _entry(TAG_SAMPLES_PER_PIXEL, 3, 1, en=en),
-        _entry(TAG_PLANAR, 3, 1, en=en),
-        _entry(TAG_SAMPLE_FORMAT, 3, sfmt, en=en),
-        _entry(TAG_PIXEL_SCALE, 12,
-               [float(pixel_size[0]), float(pixel_size[1]), 0.0], en=en),
-        _entry(TAG_TIEPOINT, 12,
-               [0.0, 0.0, 0.0, float(origin[0]), float(origin[1]), 0.0], en=en),
-        _entry(TAG_GEO_KEYS, 3, geo_keys, en=en),
-        _entry(TAG_TILE_W, 3, ts, en=en),
-        _entry(TAG_TILE_H, 3, ts, en=en),
-        _entry(TAG_TILE_COUNTS, 4, [chunk] * n_chunks, en=en),
-        _entry(TAG_TILE_OFFSETS, 4, [0] * n_chunks, en=en),
-    ]
-    if nodata is not None:
-        entries.append(_entry(TAG_GDAL_NODATA, 2, repr(float(nodata)), en=en))
-    entries.sort(key=lambda e: e[0])
-    # BigTIFF when the preallocated layout cannot fit 32-bit offsets
-    # (classic TIFF caps at 4 GiB — a 100 GB COG needs version 43)
-    approx = 4096 + sum(len(p) for _, _, _, p in entries) \
-        + 16 * n_chunks + chunk * n_chunks
+    chunk = ts * ts * _sample_format(dtype)[0] // 8
+    tags = _image_tags((height, width), dtype, counts=[chunk] * n_chunks,
+                       tile_size=ts, origin=origin, pixel_size=pixel_size,
+                       epsg=epsg, nodata=nodata)
     if bigtiff == "auto":
+        # BigTIFF when the preallocated layout cannot fit 32-bit offsets
+        # (classic TIFF caps at 4 GiB — a 100 GB COG needs version 43)
+        approx = 4096 + sum(_nbytes(*tv) for tv in tags.values()) \
+            + 16 * n_chunks + chunk * n_chunks
         bigtiff = approx >= (1 << 32) - (1 << 16)
-    if bigtiff:
-        # tile OFFSETS need LONG8 (they can exceed 2^32); byte COUNTS stay
-        # LONG (one uncompressed chunk is far below 4 GiB)
-        entries = [(t, (16 if t == TAG_TILE_OFFSETS else ty), c, p)
-                   for (t, ty, c, p) in entries]
-        hdr_len, esz, vsz = 16, 20, 8
-        ifd_hdr = 8
-    else:
-        hdr_len, esz, vsz = 8, 12, 4
-        ifd_hdr = 2
-    ifd_off = hdr_len
-    ifd_size = ifd_hdr + esz * len(entries) + vsz
-    ext_off = ifd_off + ifd_size
-
-    def payload_of(tag, typ, payload, offsets):
-        if tag == TAG_TILE_OFFSETS:
-            return struct.pack(en + ("%dQ" if typ == 16 else "%dI")
-                               % n_chunks, *offsets)
-        return payload
-
-    slots = {}
-    for tag, typ, count, payload in entries:
-        plen = len(payload_of(tag, typ, payload, [0] * n_chunks))
-        if plen > vsz:
-            slots[tag] = ext_off
-            ext_off += plen + (plen % 2)
-        else:
-            slots[tag] = 0
-    data_start = ext_off
-    offsets = [data_start + i * chunk for i in range(n_chunks)]
-    if bigtiff:
-        out = [struct.pack(en + "2sHHHQ", b"II" if en == "<" else b"MM",
-                           43, 8, 0, ifd_off),
-               struct.pack(en + "Q", len(entries))]
-    else:
-        out = [struct.pack(en + "2sHI", b"II" if en == "<" else b"MM",
-                           42, ifd_off),
-               struct.pack(en + "H", len(entries))]
-    cfmt = "Q" if bigtiff else "I"
-    for tag, typ, count, payload in entries:
-        payload = payload_of(tag, typ, payload, offsets)
-        if slots[tag]:
-            tail = struct.pack(en + cfmt, slots[tag])
-        else:
-            tail = payload + b"\x00" * (vsz - len(payload))
-        out.append(struct.pack(en + "HH" + cfmt, tag, typ, count) + tail)
-    out.append(struct.pack(en + cfmt, 0))
-    for tag, typ, count, payload in entries:
-        if slots[tag]:
-            payload = payload_of(tag, typ, payload, offsets)
-            if len(payload) % 2:
-                payload += b"\x00"
-            out.append(payload)
-    return b"".join(out), data_start, ntx, nty, chunk
+    # BigTIFF tile OFFSETS need LONG8 (they can exceed 2^32); byte COUNTS
+    # stay LONG (one uncompressed chunk is far below 4 GiB)
+    typ = 16 if bigtiff else 4
+    _set_offsets(tags, [0] * n_chunks, typ)
+    ifd_off = 16 if bigtiff else 8
+    data_start = ifd_off + _ifd_size(tags, bigtiff)
+    _set_offsets(tags, range(data_start, data_start + chunk * n_chunks,
+                             chunk), typ)
+    header = _file_header(endian, ifd_off, bigtiff) + _pack_ifd(
+        tags, ifd_off=ifd_off, en=endian, big=bigtiff)
+    return header, data_start, ntx, nty, chunk
 
 
 def write_gtiff_tiles_streaming(tiles_ds, path: str, *, width: int,
@@ -436,88 +402,44 @@ def write_gtiff_tiles_streaming(tiles_ds, path: str, *, width: int,
     return int(total or 0)
 
 
-def _parse_one_ifd(buf: bytes, en: str, ifd_off: int, big: bool = False):
-    """-> ({tag: values}, next_ifd_offset) for the IFD at ``ifd_off``.
-    ``big``: BigTIFF layout (u64 entry count, 20-byte entries, 8-byte
-    inline value slot, u64 next pointer)."""
-    hdr, esz, vsz = ("Q", 20, 8) if big else ("H", 12, 4)
-    (n,) = struct.unpack_from(en + hdr, buf, ifd_off)
-    base = ifd_off + (8 if big else 2)
-    tags = {}
-    for i in range(n):
-        tag, typ = struct.unpack_from(en + "HH", buf, base + esz * i)
-        (count,) = struct.unpack_from(en + ("Q" if big else "I"), buf,
-                                      base + esz * i + 4)
-        voff = base + esz * i + esz - vsz
-        size = _TYPE_SIZE.get(typ, 1) * count
-        if size > vsz:
-            (voff,) = struct.unpack_from(en + ("Q" if big else "I"),
-                                         buf, voff)
-        if typ == 2:
-            tags[tag] = buf[voff:voff + count].split(b"\x00")[0].decode("latin1")
-        elif typ == 7:   # UNDEFINED: raw bytes (JPEGTables etc.)
-            tags[tag] = bytes(buf[voff:voff + count])
-        elif typ in _TYPE_FMT:
-            tags[tag] = list(struct.unpack_from(en + "%d%s" % (count, _TYPE_FMT[typ]), buf, voff))
-        # unknown types are skipped, per the TIFF readers-ignore rule
-    (nxt,) = struct.unpack_from(en + ("Q" if big else "I"),
-                                buf, base + esz * n)
-    return tags, nxt
-
-
-def _tiff_header(buf: bytes):
-    if buf[:2] == b"II":
+def _tiff_header(head: bytes):
+    """-> (endian, first IFD offset, bigtiff) from a file's first 16 bytes."""
+    if head[:2] == b"II":
         en = "<"
-    elif buf[:2] == b"MM":
+    elif head[:2] == b"MM":
         en = ">"
     else:
         raise ValueError("not a TIFF: bad byte-order mark")
-    (magic,) = struct.unpack(en + "H", buf[2:4])
+    (magic,) = struct.unpack(en + "H", head[2:4])
     if magic == 42:
-        (ifd_off,) = struct.unpack(en + "I", buf[4:8])
+        (ifd_off,) = struct.unpack(en + "I", head[4:8])
         return en, ifd_off, False
     if magic == 43:  # BigTIFF: u16 offsetsize=8, u16 zero, u64 first IFD
-        osize, zero = struct.unpack(en + "HH", buf[4:8])
+        osize, zero, ifd_off = struct.unpack(en + "HHQ", head[4:16])
         if osize != 8 or zero != 0:
             raise ValueError("malformed BigTIFF header")
-        (ifd_off,) = struct.unpack(en + "Q", buf[8:16])
         return en, ifd_off, True
     raise ValueError(f"not a TIFF (magic {magic})")
 
 
-def _parse_ifd_chain(buf: bytes):
-    """-> (endian, [tags, ...]) — image 0 is the full raster, the rest are
-    reduced-resolution overviews in chain order (gdaladdo layout)."""
-    en, off, big = _tiff_header(buf)
-    images = []
-    while off:
-        tags, off = _parse_one_ifd(buf, en, off, big)
-        images.append(tags)
-        if len(images) > 64:
-            raise ValueError("IFD chain too long / cyclic")
-    return en, images
-
-
-def _parse_one_ifd_file(f, en: str, ifd_off: int, big: bool = False):
-    """Seek-based single-IFD parse — only the IFD and its out-of-line
-    payloads are read (a few hundred bytes), never pixel data."""
-    hdr_n, esz, vsz = (8, 20, 8) if big else (2, 12, 4)
-    f.seek(ifd_off)
-    (n,) = struct.unpack(en + ("Q" if big else "H"), f.read(hdr_n))
-    body = f.read(esz * n + vsz)
+def _parse_ifd(read, en: str, ifd_off: int, big: bool = False):
+    """-> ({tag: values}, next IFD offset, offset of the next-IFD pointer)
+    for the IFD at ``ifd_off``, through ``read(offset, n)``: only the IFD
+    and its out-of-line payloads are read (a few hundred bytes), never
+    pixel data.  ``big``: BigTIFF layout (u64 entry count, 20-byte
+    entries, 8-byte value slot, u64 next pointer)."""
+    nfmt, ofmt = _IFD_FORMATS[big]
+    nsz, slot = struct.calcsize(nfmt), struct.calcsize(ofmt)
+    esz = 4 + 2 * slot
+    (n,) = struct.unpack(en + nfmt, read(ifd_off, nsz))
+    body = read(ifd_off + nsz, esz * n + slot)
     tags = {}
     for i in range(n):
-        tag, typ = struct.unpack_from(en + "HH", body, esz * i)
-        (count,) = struct.unpack_from(en + ("Q" if big else "I"),
-                                      body, esz * i + 4)
+        tag, typ, count = struct.unpack_from(en + "HH" + ofmt, body, esz * i)
         size = _TYPE_SIZE.get(typ, 1) * count
-        if size > vsz:
-            (voff,) = struct.unpack_from(en + ("Q" if big else "I"),
-                                         body, esz * i + esz - vsz)
-            f.seek(voff)
-            raw = f.read(size)
-        else:
-            raw = body[esz * i + esz - vsz:esz * i + esz]
+        raw = body[esz * i + esz - slot:esz * (i + 1)]
+        if size > slot:
+            raw = read(struct.unpack(en + ofmt, raw)[0], size)
         if typ == 2:
             tags[tag] = raw[:count].split(b"\x00")[0].decode("latin1")
         elif typ == 7:   # UNDEFINED: raw bytes (JPEGTables etc.)
@@ -525,8 +447,32 @@ def _parse_one_ifd_file(f, en: str, ifd_off: int, big: bool = False):
         elif typ in _TYPE_FMT:
             tags[tag] = list(struct.unpack_from(
                 en + "%d%s" % (count, _TYPE_FMT[typ]), raw, 0))
-    (nxt,) = struct.unpack_from(en + ("Q" if big else "I"), body, esz * n)
-    return tags, nxt
+        # unknown types are skipped, per the TIFF readers-ignore rule
+    (nxt,) = struct.unpack_from(en + ofmt, body, esz * n)
+    return tags, nxt, ifd_off + nsz + esz * n
+
+
+def _read_ifds(read):
+    """-> (endian, bigtiff, [(tags, next-pointer offset), ...]) for the IFD
+    chain read through ``read(offset, n)``: image 0 is the full raster,
+    the rest are reduced-resolution overviews in chain order (gdaladdo
+    layout)."""
+    en, off, big = _tiff_header(read(0, 16))
+    ifds = []
+    while off:
+        tags, off, ptr = _parse_ifd(read, en, off, big)
+        ifds.append((tags, ptr))
+        if len(ifds) > 64:
+            raise ValueError("IFD chain too long / cyclic")
+    return en, big, ifds
+
+
+def _file_reader(f):
+    """``read(offset, n)`` over a seekable binary file."""
+    def read(off: int, n: int) -> bytes:
+        f.seek(off)
+        return f.read(n)
+    return read
 
 
 def append_gtiff_images(path: str, arrs, *, tile_size: int | None = None,
@@ -543,21 +489,13 @@ def append_gtiff_images(path: str, arrs, *, tile_size: int | None = None,
     bytes are never moved (so finished byte ranges in any tile manifest
     stay valid — the resume property)."""
     with open(path, "r+b") as f:
-        head = f.read(16)
-        en, off, big = _tiff_header(head)
+        read = _file_reader(f)
+        en, big, ifds = _read_ifds(read)
         if big:
             raise ValueError(
                 "append_gtiff_images: BigTIFF overview append not "
                 "implemented (write overviews in the initial pass)")
-        while True:
-            f.seek(off)
-            (n,) = struct.unpack(en + "H", f.read(2))
-            ptr_off = off + 2 + 12 * n
-            f.seek(ptr_off)
-            (nxt,) = struct.unpack(en + "I", f.read(4))
-            if nxt == 0:
-                break
-            off = nxt
+        ptr_off = ifds[-1][1]
         for i, arr in enumerate(arrs):
             end = f.seek(0, 2)
             if end % 2:  # keep word alignment, per spec
@@ -565,18 +503,14 @@ def append_gtiff_images(path: str, arrs, *, tile_size: int | None = None,
                 end += 1
             # per-image pixel size (overviews have coarser ground pitch)
             ps = pixel_size[i] if isinstance(pixel_size, list) else pixel_size
-            body = _serialize_image(
-                arr, ifd_off=end, next_ifd=0, tile_size=tile_size,
-                rows_per_strip=rows_per_strip, origin=origin, pixel_size=ps,
-                epsg=epsg, nodata=nodata, endian=en, subfile_type=subfile_type,
-                compress=compress)
-            f.seek(end)
-            f.write(body)
+            f.write(_serialize_image(
+                arr, ifd_off=end, en=en, tile_size=tile_size,
+                rows_per_strip=rows_per_strip, compress=compress,
+                origin=origin, pixel_size=ps, epsg=epsg, nodata=nodata,
+                subfile_type=subfile_type))
             f.seek(ptr_off)
             f.write(struct.pack(en + "I", end))
-            f.seek(end)
-            (n2,) = struct.unpack(en + "H", f.read(2))
-            ptr_off = end + 2 + 12 * n2
+            ptr_off = _parse_ifd(read, en, end)[2]
 
 
 def _chunk_layout(tags, en):
@@ -774,10 +708,9 @@ def read_gtiff(path: str, image: int = 0):
     ``image`` indexes the IFD chain: 0 = full raster, 1.. = overviews."""
     with open(path, "rb") as f:
         buf = f.read()
-    en, images = _parse_ifd_chain(buf)
-    tags = images[image]
-    lay = _chunk_layout(tags, en)
-    lay["n_images"] = len(images)
+    en, _, ifds = _read_ifds(lambda off, n: buf[off:off + n])
+    lay = _chunk_layout(ifds[image][0], en)
+    lay["n_images"] = len(ifds)
     dt = np.dtype(lay["dtype"]).newbyteorder(en)
     ns = lay.get("samples", 1)
     planar = lay.get("planar", 1)
@@ -827,15 +760,9 @@ def read_gtiff_manifest(path: str, image: int = 0) -> dict:
     1.. = overviews).  At 100 TB this is the ONLY driver-side read; pixels
     stay on workers."""
     with open(path, "rb") as f:
-        en, off, big = _tiff_header(f.read(16))
-        images = []
-        while off:
-            tags, off = _parse_one_ifd_file(f, en, off, big)
-            images.append(tags)
-            if len(images) > 64:
-                raise ValueError("IFD chain too long / cyclic")
-    lay = _chunk_layout(images[image], en)
-    lay["n_images"] = len(images)
+        en, _, ifds = _read_ifds(_file_reader(f))
+    lay = _chunk_layout(ifds[image][0], en)
+    lay["n_images"] = len(ifds)
     return lay
 
 
@@ -914,8 +841,6 @@ def gtiff_build_overviews(path: str, levels=(2, 4), kernel: str = "average"):
     LEVELS themselves would be separate tiled objects (the engine's pyramid
     stage) — this driver path mirrors gdaladdo's in-place file semantics.
     """
-    import ray.data as rd  # noqa: F401
-
     lay = read_gtiff_manifest(path)
     if lay["layout"] != "tiles":
         raise ValueError("tiled layout required for overview build")
@@ -979,105 +904,6 @@ def _cog_ghost() -> bytes:
     head = b"GDAL_STRUCTURAL_METADATA_SIZE=%06d bytes\n" % len(body)
     return head + body
 
-
-def _cog_tile_chunks(arr: np.ndarray, ts: int, compress: str | None,
-                     predictor: int, en: str) -> list[bytes]:
-    """Row-major padded tile chunks of one image, compressed."""
-    h, w = arr.shape
-    le = arr.astype(arr.dtype.newbyteorder(en), copy=False)
-    ntx, nty = (w + ts - 1) // ts, (h + ts - 1) // ts
-    chunks = []
-    for ty in range(nty):
-        for tx in range(ntx):
-            pad = np.zeros((ts, ts), dtype=le.dtype)
-            sub = le[ty * ts:(ty + 1) * ts, tx * ts:(tx + 1) * ts]
-            pad[: sub.shape[0], : sub.shape[1]] = sub
-            raw = pad.tobytes()
-            if predictor == 2:
-                from . import tiffcodec as _tc
-
-                raw = _tc.predictor2_encode(raw, ts, ts, arr.dtype, en)
-            if compress == "deflate":
-                import zlib
-
-                raw = zlib.compress(raw, 6)
-            elif compress == "lzw":
-                from . import tiffcodec as _tc
-
-                raw = _tc.lzw_encode(raw)
-            elif compress == "packbits":
-                from . import tiffcodec as _tc
-
-                raw = _tc.packbits_encode(raw)
-            chunks.append(raw)
-    return chunks
-
-
-def _cog_ifd_bytes(shape, dtype: str, *, ifd_off: int, next_ifd: int,
-                   tile_size: int, counts, offsets, origin, pixel_size,
-                   epsg: int, nodata, en: str, subfile_type,
-                   compress, predictor: int) -> bytes:
-    """IFD + external payloads for one COG image, chunk offsets supplied."""
-    h, w = shape
-    bits, sfmt = _DTYPE_TO_FMT[dtype]
-    geo_keys = [1, 1, 0, 3,
-                _KEY_MODEL_TYPE, 0, 1, 1 if 3000 <= epsg else 2,
-                _KEY_RASTER_TYPE, 0, 1, 1,
-                (_KEY_PROJECTED_CS if 3000 <= epsg else _KEY_GEOGRAPHIC_CS),
-                0, 1, epsg]
-    entries = [
-        _entry(TAG_WIDTH, 4, w, en=en),
-        _entry(TAG_HEIGHT, 4, h, en=en),
-        _entry(TAG_BITS, 3, bits, en=en),
-        _entry(TAG_COMPRESSION, 3, _COMPRESS_TAG.get(compress, 1), en=en),
-        _entry(TAG_PHOTOMETRIC, 3, 1, en=en),
-        _entry(TAG_SAMPLES_PER_PIXEL, 3, 1, en=en),
-        _entry(TAG_PLANAR, 3, 1, en=en),
-        _entry(TAG_SAMPLE_FORMAT, 3, sfmt, en=en),
-        _entry(TAG_TILE_W, 3, tile_size, en=en),
-        _entry(TAG_TILE_H, 3, tile_size, en=en),
-        _entry(TAG_TILE_COUNTS, 4, list(counts), en=en),
-        _entry(TAG_TILE_OFFSETS, 4, list(offsets), en=en),
-        _entry(TAG_PIXEL_SCALE, 12,
-               [float(pixel_size[0]), float(pixel_size[1]), 0.0], en=en),
-        _entry(TAG_TIEPOINT, 12,
-               [0.0, 0.0, 0.0, float(origin[0]), float(origin[1]), 0.0],
-               en=en),
-        _entry(TAG_GEO_KEYS, 3, geo_keys, en=en),
-    ]
-    if nodata is not None:
-        entries.append(_entry(TAG_GDAL_NODATA, 2, repr(float(nodata)),
-                              en=en))
-    if subfile_type is not None:
-        entries.append(_entry(TAG_SUBFILE_TYPE, 4, subfile_type, en=en))
-    if predictor != 1:
-        entries.append(_entry(TAG_PREDICTOR, 3, predictor, en=en))
-    entries.sort(key=lambda e: e[0])
-    ifd_size = 2 + 12 * len(entries) + 4
-    ext_off = ifd_off + ifd_size
-    slots = {}
-    ext_payloads = []
-    for tag, typ, count, payload in entries:
-        if len(payload) > 4:
-            if len(payload) % 2:
-                payload += b"\x00"
-            slots[tag] = ext_off
-            ext_payloads.append(payload)
-            ext_off += len(payload)
-        else:
-            slots[tag] = 0
-    out = [struct.pack(en + "H", len(entries))]
-    for tag, typ, count, payload in entries:
-        if slots[tag]:
-            tail = struct.pack(en + "I", slots[tag])
-        else:
-            tail = payload + b"\x00" * (4 - len(payload))
-        out.append(struct.pack(en + "HHI", tag, typ, count) + tail)
-    out.append(struct.pack(en + "I", next_ifd))
-    out.extend(ext_payloads)
-    return b"".join(out)
-
-
 def write_cog(path: str, arr: np.ndarray, *, tile_size: int = 256,
               origin=(0.0, 0.0), pixel_size=(1.0, 1.0), epsg: int = 3857,
               nodata: float | None = None, compress: str | None = "deflate",
@@ -1109,62 +935,45 @@ def write_cog(path: str, arr: np.ndarray, *, tile_size: int = 256,
             images.append(dec.astype(prev.dtype))
     n_img = len(images)
 
-    # pass A: compress all tiles per image
-    per_img_chunks = [_cog_tile_chunks(im, tile_size, compress, predictor,
-                                       en) for im in images]
-    counts = [[len(c) for c in chunks] for chunks in per_img_chunks]
+    chunks = [_encode_chunks(im, tile_size=tile_size, compress=compress,
+                             predictor=predictor, en=en) for im in images]
+    tags = [_image_tags(
+        im.shape, arr.dtype, counts=[len(c) for c in chunks[i]],
+        tile_size=tile_size, origin=origin,
+        pixel_size=(pixel_size[0] * (2 ** i), pixel_size[1] * (2 ** i)),
+        epsg=epsg, nodata=nodata, subfile_type=(1 if i else None),
+        compress=compress, predictor=predictor)
+        for i, im in enumerate(images)]
 
-    # pass B: fixed-size IFD area (offset payloads are 4 bytes per tile,
-    # independent of their values) -> compute each IFD's size with zeros
+    # IFD area after the ghost; each IFD's size follows from its tags
     ghost = _cog_ghost()
     ifd_offs = []
     pos = 8 + len(ghost)
-    sizes = []
-    for i in range(n_img):
-        dummy = _cog_ifd_bytes(
-            images[i].shape, str(arr.dtype), ifd_off=pos, next_ifd=0,
-            tile_size=tile_size, counts=counts[i],
-            offsets=[0] * len(counts[i]), origin=origin,
-            pixel_size=(pixel_size[0] * (2 ** i), pixel_size[1] * (2 ** i)),
-            epsg=epsg, nodata=nodata, en=en,
-            subfile_type=(1 if i else None), compress=compress,
-            predictor=predictor)
-        if pos % 2:
-            pos += 1
+    for t in tags:
+        pos += pos % 2
         ifd_offs.append(pos)
-        sizes.append(len(dummy))
-        pos += len(dummy)
+        pos += _ifd_size(t)
 
     # data area: overviews smallest-first, then full res; leader + trailer
     data_start = pos
-    offsets = [[0] * len(c) for c in counts]
     order = list(range(n_img - 1, -1, -1))  # smallest overview ... main
     for i in order:
-        for j, chunk in enumerate(per_img_chunks[i]):
-            pos += 4                      # BLOCK_LEADER=SIZE_AS_UINT4
-            offsets[i][j] = pos
-            pos += len(chunk) + 4         # payload + repeated trailer
+        offsets = []
+        for chunk in chunks[i]:
+            offsets.append(pos + 4)       # BLOCK_LEADER=SIZE_AS_UINT4
+            pos += 4 + len(chunk) + 4     # leader, payload, repeated trailer
+        _set_offsets(tags[i], offsets)
 
     with open(path, "wb") as f:
-        f.write(struct.pack(en + "2sHI", b"II", 42, ifd_offs[0]))
+        f.write(_file_header(en, ifd_offs[0]))
         f.write(ghost)
         for i in range(n_img):
-            nxt = ifd_offs[i + 1] if i + 1 < n_img else 0
-            body = _cog_ifd_bytes(
-                images[i].shape, str(arr.dtype), ifd_off=ifd_offs[i],
-                next_ifd=nxt, tile_size=tile_size, counts=counts[i],
-                offsets=offsets[i], origin=origin,
-                pixel_size=(pixel_size[0] * (2 ** i),
-                            pixel_size[1] * (2 ** i)),
-                epsg=epsg, nodata=nodata, en=en,
-                subfile_type=(1 if i else None), compress=compress,
-                predictor=predictor)
-            assert len(body) == sizes[i]
             f.seek(ifd_offs[i])
-            f.write(body)
-        f.seek(data_start)
+            f.write(_pack_ifd(tags[i], ifd_off=ifd_offs[i], en=en,
+                              next_ifd=ifd_offs[i + 1] if i + 1 < n_img
+                              else 0))
         for i in order:
-            for chunk in per_img_chunks[i]:
+            for chunk in chunks[i]:
                 f.write(struct.pack(en + "I", len(chunk)))
                 f.write(chunk)
                 f.write(chunk[-4:] if len(chunk) >= 4
@@ -1183,23 +992,13 @@ def validate_cog(path: str) -> dict:
     errors = []
     with open(path, "rb") as f:
         buf = f.read()
-    en, first_off, big = _tiff_header(buf[:16])
-    ghost = buf[8:8 + 43]
-    if not ghost.startswith(b"GDAL_STRUCTURAL_METADATA_SIZE="):
+    en, big, ifds = _read_ifds(lambda off, n: buf[off:off + n])
+    if not buf[8:].startswith(b"GDAL_STRUCTURAL_METADATA_SIZE="):
         errors.append("no GDAL structural metadata ghost area")
-    en2, images = _parse_ifd_chain(buf)
-    lays = [_chunk_layout(t, en2) for t in images]
+    lays = [_chunk_layout(tags, en) for tags, _ in ifds]
     # IFDs (header area) must all precede the first tile byte
     min_data = min(c["offset"] for lay in lays for c in lay["chunks"])
-    ifd_end = max(first_off, 8 + len(_cog_ghost()))
-    # walk the chain to find the highest IFD byte
-    off = first_off
-    last_ifd_end = 0
-    while off:
-        n = struct.unpack(en + "H", buf[off:off + 2])[0]
-        end = off + 2 + 12 * n + 4
-        last_ifd_end = max(last_ifd_end, end)
-        off = struct.unpack(en + "I", buf[end - 4:end])[0]
+    last_ifd_end = max(ptr for _, ptr in ifds) + (8 if big else 4)
     if last_ifd_end > min_data:
         errors.append(f"IFD at {last_ifd_end} after first tile {min_data}")
     # block order: each overview's tiles precede the next-larger image's
@@ -1217,4 +1016,4 @@ def validate_cog(path: str) -> dict:
                     f"at {c['offset']}")
                 break
     return {"valid": not errors, "errors": errors,
-            "n_images": len(images)}
+            "n_images": len(ifds)}

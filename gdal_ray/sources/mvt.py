@@ -21,7 +21,9 @@ MOVETO, LINETO, CLOSEPATH = 1, 2, 7
 POINT, LINESTRING, POLYGON = 1, 2, 3
 
 
+# the one protobuf varint writer and reader (osmpbf and pmtiles use them)
 def _varint(n: int) -> bytes:
+    """Base-128 varint of ``n``; negatives as their 64-bit two's complement."""
     out = bytearray()
     n &= (1 << 64) - 1
     while True:

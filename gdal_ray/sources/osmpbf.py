@@ -23,25 +23,9 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-# --- protobuf wire primitives (independent of mvt.py's writer) -------------
+from .mvt import _read_varint, _unzigzag, _varint, _zigzag
 
-
-def _rv(buf: bytes, i: int) -> tuple[int, int]:
-    """Read one varint -> (value, next_index)."""
-    out = 0
-    shift = 0
-    while True:
-        b = buf[i]
-        i += 1
-        out |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return out, i
-        shift += 7
-
-
-def _zz(v: int) -> int:
-    """Zigzag decode."""
-    return (v >> 1) ^ -(v & 1)
+# --- protobuf wire primitives ------------------------------------------------
 
 
 def _fields(buf: bytes):
@@ -49,13 +33,13 @@ def _fields(buf: bytes):
     i = 0
     n = len(buf)
     while i < n:
-        key, i = _rv(buf, i)
+        key, i = _read_varint(buf, i)
         fno, wt = key >> 3, key & 7
         if wt == 0:
-            v, i = _rv(buf, i)
+            v, i = _read_varint(buf, i)
             yield fno, wt, v
         elif wt == 2:
-            ln, i = _rv(buf, i)
+            ln, i = _read_varint(buf, i)
             yield fno, wt, buf[i:i + ln]
             i += ln
         elif wt == 5:
@@ -72,7 +56,7 @@ def _packed_varints(buf: bytes) -> np.ndarray:
     out = []
     i = 0
     while i < len(buf):
-        v, i = _rv(buf, i)
+        v, i = _read_varint(buf, i)
         out.append(v)
     return np.array(out, dtype=np.uint64)
 
@@ -194,11 +178,11 @@ def decode_block(raw_blob: bytes):
                 kidx = vidx = ()
                 for f2, _w, v2 in _fields(v):
                     if f2 == 1:
-                        nid = _zz(v2)
+                        nid = _unzigzag(v2)
                     elif f2 == 8:
-                        lat = _zz(v2)
+                        lat = _unzigzag(v2)
                     elif f2 == 9:
-                        lon = _zz(v2)
+                        lon = _unzigzag(v2)
                     elif f2 == 2:
                         kidx = _packed_varints(v2)
                     elif f2 == 3:
@@ -358,31 +342,15 @@ def assemble_way_lines(ways_ds, nodes_ds):
 # --- writer -----------------------------------------------------------------
 
 
-def _wv(v: int) -> bytes:
-    out = bytearray()
-    while True:
-        b = v & 0x7F
-        v >>= 7
-        if v:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def _wzz(v: int) -> bytes:
-    return _wv((v << 1) ^ (v >> 63) if v < 0 else v << 1)
-
-
 def _wfield(fno: int, wt: int, payload) -> bytes:
-    key = _wv((fno << 3) | wt)
+    key = _varint((fno << 3) | wt)
     if wt == 0:
-        return key + _wv(payload)
-    return key + _wv(len(payload)) + payload
+        return key + _varint(payload)
+    return key + _varint(len(payload)) + payload
 
 
 def _wpacked_sint(vals) -> bytes:
-    return b"".join(_wzz(int(v)) for v in vals)
+    return b"".join(_varint(_zigzag(int(v))) for v in vals)
 
 
 def write_osm_pbf(path: str, nodes=None, ways=None,
@@ -413,13 +381,13 @@ def write_osm_pbf(path: str, nodes=None, ways=None,
         dense = (_wfield(1, 2, _wpacked_sint(np.diff([0] + ids)))
                  + _wfield(8, 2, _wpacked_sint(np.diff([0] + lats)))
                  + _wfield(9, 2, _wpacked_sint(np.diff([0] + lons)))
-                 + _wfield(10, 2, b"".join(_wv(x) for x in kv)))
+                 + _wfield(10, 2, b"".join(_varint(x) for x in kv)))
         groups += _wfield(2, 2, _wfield(2, 2, dense))
     if ways:
         wbody = b""
         for wid, refs, tags in ways:
-            kidx = b"".join(_wv(s(k)) for k in (tags or {}))
-            vidx = b"".join(_wv(s(v)) for v in (tags or {}).values())
+            kidx = b"".join(_varint(s(k)) for k in (tags or {}))
+            vidx = b"".join(_varint(s(v)) for v in (tags or {}).values())
             w = (_wfield(1, 0, wid) + _wfield(2, 2, kidx)
                  + _wfield(3, 2, vidx)
                  + _wfield(8, 2, _wpacked_sint(np.diff([0] + list(refs)))))

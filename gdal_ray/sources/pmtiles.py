@@ -23,6 +23,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from .mvt import _read_varint, _varint
+
 MAGIC = b"PMTiles"
 
 COMPRESSION_NONE, COMPRESSION_GZIP = 1, 2
@@ -90,68 +92,44 @@ def tileid_to_zxy(tid: int) -> tuple[int, int, int]:
 # --- varint directory codec -------------------------------------------------
 
 
-def _wv(v: int) -> bytes:
-    out = bytearray()
-    while True:
-        b = v & 0x7F
-        v >>= 7
-        if v:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def _rv(buf: bytes, i: int) -> tuple[int, int]:
-    out = 0
-    shift = 0
-    while True:
-        b = buf[i]
-        i += 1
-        out |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return out, i
-        shift += 7
-
-
 def serialize_directory(entries: list[tuple[int, int, int, int]]) -> bytes:
     """entries: sorted (tile_id, offset, length, run_length)."""
-    out = bytearray(_wv(len(entries)))
+    out = bytearray(_varint(len(entries)))
     last = 0
     for tid, _o, _l, _r in entries:
-        out += _wv(tid - last)
+        out += _varint(tid - last)
         last = tid
     for _t, _o, _l, r in entries:
-        out += _wv(r)
+        out += _varint(r)
     for _t, _o, ln, _r in entries:
-        out += _wv(ln)
+        out += _varint(ln)
     for i, (_t, off, ln, _r) in enumerate(entries):
         if i > 0 and off == entries[i - 1][1] + entries[i - 1][2]:
-            out += _wv(0)            # continuation
+            out += _varint(0)            # continuation
         else:
-            out += _wv(off + 1)
+            out += _varint(off + 1)
     return bytes(out)
 
 
 def deserialize_directory(buf: bytes) -> list[tuple[int, int, int, int]]:
-    n, i = _rv(buf, 0)
+    n, i = _read_varint(buf, 0)
     tids = []
     last = 0
     for _ in range(n):
-        d, i = _rv(buf, i)
+        d, i = _read_varint(buf, i)
         last += d
         tids.append(last)
     runs = []
     for _ in range(n):
-        r, i = _rv(buf, i)
+        r, i = _read_varint(buf, i)
         runs.append(r)
     lens = []
     for _ in range(n):
-        ln, i = _rv(buf, i)
+        ln, i = _read_varint(buf, i)
         lens.append(ln)
     offs = []
     for k in range(n):
-        o, i = _rv(buf, i)
+        o, i = _read_varint(buf, i)
         if o == 0:
             offs.append(offs[-1] + lens[k - 1])
         else:

@@ -98,7 +98,7 @@ def _wkb_from_shp_record(content: bytes) -> bytes | None:
             (npts,) = struct.unpack_from("<i", content, 36)
             pts = np.frombuffer(content, dtype="<f8", count=npts * 2,
                                 offset=40).reshape(npts, 2)
-            return _encode_multipoint(pts)
+            return wkb_f.encode_multipoint(pts)
         nparts, npts = struct.unpack_from("<2i", content, 36)
         starts = list(struct.unpack_from("<%di" % nparts, content, 44))
         pts = np.frombuffer(content, dtype="<f8", count=npts * 2,
@@ -108,7 +108,7 @@ def _wkb_from_shp_record(content: bytes) -> bytes | None:
         if stype == SHP_POLYLINE:
             if len(parts) == 1:
                 return wkb_f.encode_linestring(parts[0])
-            return _encode_multilinestring(parts)
+            return wkb_f.encode_multilinestring(parts)
         polys: list[list[np.ndarray]] = []
         for r in parts:
             cw = wkb_f.ring_area(r) < 0
@@ -120,17 +120,6 @@ def _wkb_from_shp_record(content: bytes) -> bytes | None:
             return wkb_f.encode_polygon(polys[0])
         return wkb_f.encode_multipolygon(polys)
     raise ValueError(f"unsupported shapefile shape type {stype}")
-
-
-def _encode_multipoint(pts: np.ndarray) -> bytes:
-    head = struct.pack("<BII", 1, wkb_f.MULTIPOINT, len(pts))
-    body = b"".join(struct.pack("<BI2d", 1, wkb_f.POINT, x, y) for x, y in pts)
-    return head + body
-
-
-def _encode_multilinestring(parts) -> bytes:
-    head = struct.pack("<BII", 1, wkb_f.MULTILINESTRING, len(parts))
-    return head + b"".join(wkb_f.encode_linestring(p) for p in parts)
 
 
 # ---------------------------------------------------------------- .dbf

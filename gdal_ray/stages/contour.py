@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.tilerow import pixels, tile_row
+from ..functions.wkb import encode_linestring, encode_polygon
 from .focal import _assemble_padded, _halo_exchange
 from .polygonize import label_tile
 
@@ -390,8 +391,6 @@ def contour_rings(tiles_ds, levels, nx: int, ny: int, tile_size: int = 64,
 
     Returns per (level, ring): ring_id (minx/miny-ordered), n_vertices,
     closed, area_x100 (shoelace), length_x100, wkb (LINESTRING ring)."""
-    import struct
-
     max_x = float(nx * tile_size - 1)
     max_y = float(ny * tile_size - 1)
 
@@ -484,7 +483,7 @@ def contour_rings(tiles_ds, levels, nx: int, ny: int, tile_size: int = 64,
             if closed:
                 area = abs(np.sum(xs[:-1] * ys[1:] - xs[1:] * ys[:-1])) / 2.0
             length = float(np.hypot(np.diff(xs), np.diff(ys)).sum())
-            wkb = struct.pack("<BII", 1, 2, len(arrp)) + arrp.astype("<f8").tobytes()
+            wkb = encode_linestring(arrp)
             out_rings.append((float(xs.min()), float(ys.min()),
                               len(arrp) - (1 if closed else 0),
                               closed, area, length, wkb))
@@ -602,11 +601,8 @@ def contour_polygons_interp(tiles_ds, levels, nx: int, ny: int,
             parts = [shell] + [
                 rings[h] if signed[h] < 0 else rings[h][::-1]
                 for h in hole_ids]
-            wkb = struct.pack("<BII", 1, 3, len(parts))
-            nverts = 0
-            for p in parts:
-                wkb += struct.pack("<I", len(p)) + p.astype("<f8").tobytes()
-                nverts += len(p) - 1
+            wkb = encode_polygon(parts)
+            nverts = sum(len(p) - 1 for p in parts)
             area = areas[si] - sum(areas[h] for h in hole_ids)
             out.append((float(rings[si][:, 0].min()),
                         float(rings[si][:, 1].min()),

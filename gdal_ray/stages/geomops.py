@@ -430,7 +430,7 @@ def boundary_batch(batch: pa.Table, wkb_col: str = "wkb") -> pa.Table:
             if len(rings) == 1:
                 out_wkb.append(_wkb.encode_linestring(rings[0]))
             else:
-                out_wkb.append(_encode_multilinestring(rings))
+                out_wkb.append(_wkb.encode_multilinestring(rings))
             out_len.append(total)
         elif g.kind in (_wkb.LINESTRING, _wkb.MULTILINESTRING):
             pts = np.vstack([np.asarray(p)[[0, -1]] for p in g.parts])
@@ -441,15 +441,6 @@ def boundary_batch(batch: pa.Table, wkb_col: str = "wkb") -> pa.Table:
             out_len.append(0.0)
     return batch.append_column("boundary_wkb", pa.array(out_wkb, pa.binary())) \
                 .append_column("boundary_len", pa.array(out_len, pa.float64()))
-
-
-def _encode_multilinestring(lines) -> bytes:
-    import struct
-
-    buf = struct.pack("<BII", 1, 5, len(lines))
-    for pts in lines:
-        buf += _wkb.encode_linestring(np.asarray(pts))
-    return buf
 
 
 def set_geom_type_batch(batch: pa.Table, target: str, wkb_col: str = "wkb") -> pa.Table:
@@ -1155,8 +1146,6 @@ def wrap_dateline_batch(batch: pa.Table, wkb_col: str = "wkb") -> pa.Table:
     parts), POLYGON shell (-> MULTIPOLYGON parts via half-plane clipping of
     the unwrapped ring).  Appends n_parts, len_x1e6 (polyline length over
     parts) and area_x1e6 (shoelace sum over parts)."""
-    import struct
-
     out_wkb, out_n, out_len, out_area = [], [], [], []
     for w in batch[wkb_col].to_pylist():
         g = _wkb.decode(w)
@@ -1178,7 +1167,7 @@ def wrap_dateline_batch(batch: pa.Table, wkb_col: str = "wkb") -> pa.Table:
                     parts.append(piece)
             total = sum(float(np.hypot(np.diff(p[:, 0]), np.diff(p[:, 1])).sum())
                         for p in parts)
-            out_wkb.append(_encode_multilinestring(parts) if len(parts) > 1
+            out_wkb.append(_wkb.encode_multilinestring(parts) if len(parts) > 1
                            else _wkb.encode_linestring(parts[0]))
             out_n.append(len(parts)); out_len.append(int(round(total * 1e6)))
             out_area.append(0)

@@ -5,10 +5,12 @@ tile, COG and BigTIFF layouts moved onto one IFD packer and one chunk
 encoder.  Each file is then read back through both public read paths
 (``read_gtiff``: the whole buffer; ``read_gtiff_manifest``: seeks) and the
 tag dicts they hand to ``_chunk_layout`` must be equal, image by image.
+``validate_cog`` walks the same IFD chain, BigTIFF included.
 """
 
 import copy
 import hashlib
+import struct
 
 import numpy as np
 import pyarrow as pa
@@ -154,8 +156,13 @@ PINS = {
         "81c80973caf1356c3f1c237addcb76d638d936e458d6e659da895509960650f9",
     "cog_u8_none":
         "193055af48c6344d20b7b97422ccc4861943e4443eb90befd28d498e04968bff",
+    # the one pin that moved: the old writer reserved the pad byte after an
+    # odd-length GDAL_NODATA string ("-1.5\0") in its offsets but did not
+    # write it, so every chunk sat one byte before its offset (the file read
+    # back shifted).  These bytes are the old file with that NUL inserted
+    # after the string, at byte 321.
     "epsg4326_strips_f32":
-        "2bc729ed02d5d4868f62839cf17195f26a1aa6513606ec9e503ecd7f914c9da2",
+        "4aea495895380a58e7742a277e579bd042d4bce129ad964b56b85b67acd1fd89",
     "nodata_tiles_i16":
         "ed849942bc8bc7a7bb801ad827866353e1074d66aa29f8fcf5083b270fd38adb",
     "overviews_average":
@@ -317,6 +324,58 @@ def test_streaming_and_overview_bytes(ray_session, tmp_path, monkeypatch,
         shapes = gtiff.gtiff_build_overviews(q, levels=(2, 4), kernel=kernel)
         assert shapes == [(48, 64), (24, 32)]
         _check(q, f"overviews_{kernel}", monkeypatch)
+
+
+@pytest.mark.parametrize("tile_size", [None, 32])
+@pytest.mark.parametrize("nodata", [-1.5, 1.25, -1.0])
+def test_odd_length_nodata_string_keeps_chunks_at_their_offsets(
+        tmp_path, tile_size, nodata):
+    """GDAL_NODATA strings of odd length with their NUL (``"-1.5\0"``) are
+    padded to a word boundary, and the pixel chunks start after the pad."""
+    arr = _ramp(70, 50, "float32")
+    p = str(tmp_path / "t.tif")
+    gtiff.write_gtiff(p, arr, tile_size=tile_size, nodata=nodata)
+    back, meta = gtiff.read_gtiff(p)
+    assert meta["nodata"] == nodata
+    assert np.array_equal(back, arr)
+    q = str(tmp_path / "a.tif")
+    gtiff.write_gtiff(q, arr, tile_size=tile_size)
+    gtiff.append_gtiff_images(q, [arr[::2, ::2]], tile_size=tile_size,
+                              nodata=nodata)
+    back, meta = gtiff.read_gtiff(q, image=1)
+    assert meta["nodata"] == nodata
+    assert np.array_equal(back, arr[::2, ::2])
+
+
+@pytest.mark.parametrize("kw,match", [
+    (dict(predictor=2), "integer-only"),
+    (dict(compress="zstd"), "unsupported compression")])
+def test_write_cog_rejects_what_write_gtiff_rejects(tmp_path, kw, match):
+    """COG tiles go through the same chunk encoder: float differencing
+    (lossy) and unknown codecs (written raw, tagged uncompressed) raise."""
+    arr = _ramp(64, 64, "float32")
+    with pytest.raises(ValueError, match=match):
+        gtiff.write_cog(str(tmp_path / "c.tif"), arr, tile_size=32, **kw)
+
+
+def test_validate_cog_walks_a_bigtiff_chain(tmp_path):
+    """A BigTIFF IFD is 8 + 20n + 8 bytes: a copy of the streaming header's
+    IFD chained after the tile data must be reported as an IFD after the
+    first tile (a walk with 12-byte entries never finds the copy)."""
+    header, data_start, ntx, nty, chunk = gtiff._tiled_header(
+        width=64, height=64, tile_size=32, dtype="uint8", bigtiff=True)
+    (n,) = struct.unpack("<Q", header[16:24])
+    ifd_end = 16 + 8 + 20 * n + 8
+    assert ifd_end == 332
+    copy_off = data_start + ntx * nty * chunk
+    f = bytearray(header.ljust(copy_off, b"\x00")) + header[16:ifd_end]
+    f[ifd_end - 8:ifd_end] = struct.pack("<Q", copy_off)
+    p = tmp_path / "chain.tif"
+    p.write_bytes(bytes(f))
+    v = gtiff.validate_cog(str(p))
+    assert v["n_images"] == 2
+    assert (f"IFD at {copy_off + ifd_end - 16} after first tile {data_start}"
+            in v["errors"])
 
 
 def test_every_case_is_pinned():
