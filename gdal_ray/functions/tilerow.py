@@ -7,6 +7,11 @@ stage-specific columns ride along.  GDAL reads every block through one
 typed ``IReadBlock`` keyed by ``GDALDataType`` (gcore/gdal_rasterband.h,
 gcore/gdal.h:49-66); here every stage and query reads a tile through
 ``pixels`` and writes one through ``tile_row``, under one dtype table.
+Every stage that rebuilds a larger window from tiles (the halo exchange,
+retile, the tile-join warp, the overview builders, the multidim warp and
+the block cache) puts each piece into it through ``paste``, as GDAL's
+windowed ``RasterIO`` copies the overlap of each block it visits
+(gcore/rasterio.cpp).
 
 Imports numpy and pyarrow only, so kernels and drivers can use it without
 Ray.
@@ -73,3 +78,20 @@ def tile_row(batch: pa.Table, i: int, arr: np.ndarray) -> dict:
     if "checksum" in row and arr.ndim == 2:
         row["checksum"] = tile_checksum(arr)
     return row
+
+
+def paste(canvas: np.ndarray, arr: np.ndarray, x: int, y: int,
+          covered: np.ndarray | None = None) -> None:
+    """Put ``arr`` into ``canvas`` with its (0, 0) pixel at column ``x``,
+    row ``y``, cast to the canvas dtype and clipped to the canvas (``x`` and
+    ``y`` may be negative, and ``arr`` may run past either edge); mark the
+    pasted cells True in ``covered``, a boolean array shaped like
+    ``canvas``, when one is given."""
+    h, w = arr.shape[:2]
+    x0, y0 = max(x, 0), max(y, 0)
+    x1, y1 = min(x + w, canvas.shape[1]), min(y + h, canvas.shape[0])
+    if x1 <= x0 or y1 <= y0:
+        return
+    canvas[y0:y1, x0:x1] = arr[y0 - y:y1 - y, x0 - x:x1 - x]
+    if covered is not None:
+        covered[y0:y1, x0:x1] = True

@@ -75,26 +75,38 @@ def decode_points(wkbs) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _xy(pts) -> np.ndarray:
+    """``pts`` as little-endian (N, 2) float64 vertices; an empty sequence is
+    zero vertices.  Raises on any other shape: a count of N over k*N
+    doubles would be a corrupt 2-D geometry."""
+    a = np.asarray(pts, dtype="<f8")
+    if a.size == 0:
+        return a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"WKB vertices must be (N, 2) X/Y, got shape {a.shape}")
+    return a
+
+
 def encode_polygon(rings: list[np.ndarray]) -> bytes:
     """rings: list of (N, 2) float64 arrays, first = shell, rest = holes.
     Rings must be closed (first == last vertex)."""
     out = [b"\x01", struct.pack("<II", POLYGON, len(rings))]
     for ring in rings:
-        ring = np.asarray(ring, dtype="<f8")
+        ring = _xy(ring)
         out.append(struct.pack("<I", len(ring)))
         out.append(ring.tobytes())
     return b"".join(out)
 
 
 def encode_linestring(pts: np.ndarray) -> bytes:
-    pts = np.asarray(pts, dtype="<f8")
+    pts = _xy(pts)
     return b"\x01" + struct.pack("<II", LINESTRING, len(pts)) + pts.tobytes()
 
 
 def encode_circularstring(pts: np.ndarray) -> bytes:
     """(N, 2) control points, N odd >= 3: arc k passes through points
     (2k, 2k+1, 2k+2) per ISO SQL/MM (ogr/ogr_core.h wkbCircularString)."""
-    pts = np.asarray(pts, dtype="<f8")
+    pts = _xy(pts)
     if len(pts) < 3 or len(pts) % 2 == 0:
         raise ValueError(f"CircularString needs an odd point count >= 3 "
                          f"(got {len(pts)})")

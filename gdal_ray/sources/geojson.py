@@ -45,6 +45,12 @@ def _coords_to_json(wkb: bytes):
     raise ValueError(f"unsupported WKB kind {g.kind} for GeoJSON")
 
 
+def _xy(positions) -> np.ndarray:
+    """(N, 2) X/Y of GeoJSON positions; a Z (or any further) ordinate, which
+    RFC 7946 allows, is dropped, as ``geomops.force_2d_batch`` drops it."""
+    return np.array([p[:2] for p in positions], dtype=np.float64).reshape(-1, 2)
+
+
 def _json_to_wkb(geom: dict | None) -> bytes | None:
     if geom is None:
         return None
@@ -52,16 +58,15 @@ def _json_to_wkb(geom: dict | None) -> bytes | None:
     if t == "Point":
         return wkb_f.encode_points(np.array([c[0]]), np.array([c[1]]))[0]
     if t == "MultiPoint":
-        return wkb_f.encode_multipoint(c)
+        return wkb_f.encode_multipoint(_xy(c))
     if t == "LineString":
-        return wkb_f.encode_linestring(np.asarray(c, dtype=np.float64))
+        return wkb_f.encode_linestring(_xy(c))
     if t == "MultiLineString":
-        return wkb_f.encode_multilinestring(c)
+        return wkb_f.encode_multilinestring([_xy(p) for p in c])
     if t == "Polygon":
-        return wkb_f.encode_polygon([np.asarray(r, dtype=np.float64) for r in c])
+        return wkb_f.encode_polygon([_xy(r) for r in c])
     if t == "MultiPolygon":
-        return wkb_f.encode_multipolygon(
-            [[np.asarray(r, dtype=np.float64) for r in rings] for rings in c])
+        return wkb_f.encode_multipolygon([[_xy(r) for r in rings] for rings in c])
     raise ValueError(f"unsupported GeoJSON geometry type {t}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.tilerow import pixels, tile_row
-from ..functions.wkb import encode_linestring, encode_polygon
+from ..functions.wkb import decode, encode_linestring, encode_polygon
 from .focal import _assemble_padded, _halo_exchange
 from .polygonize import label_tile
 
@@ -523,8 +523,6 @@ def contour_polygons_interp(tiles_ds, levels, nx: int, ny: int,
     Returns per (level, poly): poly_id ((minx,miny)-ordered), n_holes,
     n_vertices (total incl. holes), area_x100 (shell minus holes), wkb
     (POLYGON, shell CCW / holes CW)."""
-    import struct
-
     max_x = float(nx * tile_size - 1)
     max_y = float(ny * tile_size - 1)
     rings_ds = contour_rings(tiles_ds, levels, nx, ny, tile_size,
@@ -563,10 +561,7 @@ def contour_polygons_interp(tiles_ds, levels, nx: int, ny: int,
         for i in range(g.num_rows):
             if not g["closed"][i].as_py():
                 continue  # open anomaly: not part of any polygon
-            blob = g["wkb"][i].as_py()
-            npts = struct.unpack_from("<I", blob, 5)[0]
-            pts = np.frombuffer(blob, dtype="<f8", offset=9,
-                                count=npts * 2).reshape(-1, 2)
+            pts = decode(g["wkb"][i].as_py()).parts[0]  # the closed LINESTRING
             if ((pts[:, 0] < _EPS_B) | (pts[:, 0] > max_x - _EPS_B)
                     | (pts[:, 1] < _EPS_B) | (pts[:, 1] > max_y - _EPS_B)).any():
                 border_touch = True

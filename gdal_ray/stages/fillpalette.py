@@ -2,8 +2,8 @@
 
 - ``fill_nodata``: inverse-distance fill of nodata pixels from valid pixels
   within a window (reference: ``alg/rasterfill.cpp`` — IDW + smoothing).
-  Distributed with the focal halo-exchange pattern widened to a K-pixel halo
-  via tile-neighbor strips.
+  Distributed through the one halo exchange, ``focal._halo_exchange``, at
+  width K = max_dist; the halo of a missing neighbor holds ``nodata``.
 - ``learn_palette`` / ``apply_palette``: median-cut color quantization
   (reference: ``alg/gdalmediancut.cpp``) as the two-phase pattern of SURVEY
   §2.3: a global color-histogram aggregate (shuffle on bucketed colors) ->
@@ -18,41 +18,19 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.tilerow import pixels
+from .focal import _assemble_padded, _halo_exchange
 
 
 def fill_nodata(tiles_ds, nodata: float = 0.0, max_dist: int = 8):
     """IDW fill of nodata pixels from valid pixels within max_dist (chebyshev
-    window).  Halo = max_dist pixels exchanged via neighbor strips."""
+    window).  Halo = max_dist pixels through ``focal._halo_exchange``; where
+    a neighbor tile is missing the halo holds ``nodata``.  max_dist may not
+    exceed a neighbor tile's width or height (raises ValueError)."""
     K = max_dist
 
-    def expand(batch: pa.Table) -> pa.Table:
-        rows = []
-        for i in range(batch.num_rows):
-            arr = pixels(batch, i)
-            x = batch["x"][i].as_py()
-            y = batch["y"][i].as_py()
-
-            def emit(dx, dy, part, role):
-                if x + dx < 0 or y + dy < 0:
-                    return  # no tile there; also avoids key collapse at -1
-                rows.append(
-                    {"dest": (x + dx) << 32 | (y + dy), "role": role, "x": x, "y": y,
-                     "h": part.shape[0], "w": part.shape[1],
-                     "data": np.ascontiguousarray(part).astype(np.float64).tobytes()}
-                )
-
-            emit(0, 0, arr, "body")
-            emit(1, 0, arr[:, -K:], "L"); emit(-1, 0, arr[:, :K], "R")
-            emit(0, 1, arr[-K:, :], "T"); emit(0, -1, arr[:K, :], "B")
-            emit(1, 1, arr[-K:, -K:], "TL"); emit(-1, 1, arr[-K:, :K], "TR")
-            emit(1, -1, arr[:K, -K:], "BL"); emit(-1, -1, arr[:K, :K], "BR")
-        return pa.Table.from_pylist(rows)
-
-    grouped = tiles_ds.map_batches(expand, batch_format="pyarrow").groupby("dest")
-
     def fill_group(group: pa.Table) -> pa.Table:
-        roles = group["role"].to_pylist()
-        if "body" not in roles:
+        pad, xy, wh = _assemble_padded(group, K, fill=nodata)
+        if pad is None:
             # schema-pinned empty (a zero-COLUMN table makes Ray log
             # RefBundle schema-mismatch warnings and would break if enforced)
             return pa.table(
@@ -65,36 +43,8 @@ def fill_nodata(tiles_ds, nodata: float = 0.0, max_dist: int = 8):
                  "dtype": pa.array([], pa.string()),
                  "data": pa.array([], pa.binary())}
             )
-        bi = roles.index("body")
-        h = group["h"][bi].as_py()
-        w = group["w"][bi].as_py()
-        body = np.frombuffer(group["data"][bi].as_py(), np.float64).reshape(h, w)
-        x = group["x"][bi].as_py()
-        y = group["y"][bi].as_py()
-        pad = np.full((h + 2 * K, w + 2 * K), nodata)
-        pad[K : K + h, K : K + w] = body
-        for j, role in enumerate(roles):
-            if role == "body":
-                continue
-            ph = group["h"][j].as_py()
-            pw = group["w"][j].as_py()
-            part = np.frombuffer(group["data"][j].as_py(), np.float64).reshape(ph, pw)
-            if role == "L":
-                pad[K : K + h, :K] = part
-            elif role == "R":
-                pad[K : K + h, K + w :] = part
-            elif role == "T":
-                pad[:K, K : K + w] = part
-            elif role == "B":
-                pad[K + h :, K : K + w] = part
-            elif role == "TL":
-                pad[:K, :K] = part
-            elif role == "TR":
-                pad[:K, K + w :] = part
-            elif role == "BL":
-                pad[K + h :, :K] = part
-            elif role == "BR":
-                pad[K + h :, K + w :] = part
+        (x, y), (w, h) = xy, wh
+        body = pad[K : K + h, K : K + w]
         out = body.copy()
         holes = np.argwhere(body == nodata)
         if holes.size:
@@ -114,7 +64,7 @@ def fill_nodata(tiles_ds, nodata: float = 0.0, max_dist: int = 8):
               "data": out.tobytes()}]
         )
 
-    return grouped.map_groups(fill_group, batch_format="pyarrow")
+    return _halo_exchange(tiles_ds, K).map_groups(fill_group, batch_format="pyarrow")
 
 
 def pansharpen(ms_tiles_ds, pan_scale: int = 2, weights=(1 / 3, 1 / 3, 1 / 3)):

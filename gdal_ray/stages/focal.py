@@ -5,12 +5,15 @@ Reference: generic 3x3 engine ``GDALGeneric3x3Processing``
 ``apps/gdaldem_lib.cpp:321`` with Horn kernels (hillshade :812, slope,
 aspect); ``raster neighbors`` ``apps/gdalalg_raster_neighbors.h:29``.
 
-Ray-Data shape (SURVEY §2.10): tiles need a 1-pixel halo — each tile
-flat_maps itself plus 8 border strips keyed by the neighbor that needs them
-(each strip a tile row in the tile's own dtype, read back through
-``functions.tilerow``); ``groupby(tile).map_groups`` assembles the padded
-array and runs the numpy stencil.  Edge pixels of the mosaic use edge-replication (GDAL's
-``-compute_edges`` behavior).
+Ray-Data shape (SURVEY §2.10): tiles need a 1-pixel halo.  The one halo
+exchange of width k, ``_halo_exchange``, flat_maps each tile to its body
+plus up to 8 border pieces, each a tile row in the tile's own dtype keyed
+by the neighbor that needs it and tagged with the sender's offset (dx, dy);
+``groupby(tile).map_groups`` assembles the padded array
+(``_assemble_padded``, every piece placed by ``tilerow.paste``) and runs
+the numpy stencil.  Edge pixels of the mosaic use edge-replication (GDAL's
+``-compute_edges`` behavior).  contour and ``fillpalette.fill_nodata``
+(k = max_dist, nodata-filled) use the same exchange.
 """
 
 from __future__ import annotations
@@ -22,91 +25,85 @@ from ..functions import checksum as cks
 from ..functions import tilerow
 
 
-def _halo_exchange(tiles_ds):
-    """tiles -> (dest_tile_key, part) rows: the tile body plus the 8 border
-    strips each neighbor needs.  Returns the grouped dataset keyed by dest."""
+_HALO_ROWS = pa.schema([("dest", pa.int64()), ("dx", pa.int8()), ("dy", pa.int8()),
+                        ("data", pa.binary()), ("dtype", pa.string()),
+                        ("width", pa.int32()), ("height", pa.int32())])
+
+
+def _halo_exchange(tiles_ds, k: int = 1):
+    """The one halo exchange: every tile ships its body to itself and, to
+    each of its 8 neighbours, the k-pixel border piece that neighbour's
+    padded window needs, as F3 pixel rows (``data``, ``dtype``, ``height``,
+    ``width``) in the tile's own dtype.  A row is keyed by ``dest``, the
+    packed (x, y) of the tile that receives it, and tagged with the offset
+    (``dx``, ``dy``) of the sending tile from the receiving one.  Returns
+    the rows grouped by ``dest``."""
+    # the part of a sender at offset d (-1, 0, 1) along an axis that the
+    # receiver needs: its last k, all, or its first k rows / columns
+    cut = (slice(-k, None), slice(None), slice(None, k))
 
     def expand(batch: pa.Table) -> pa.Table:
-        rows = {"dest": [], "role": [], "x": [], "y": [], "data": [], "dtype": [],
-                "width": [], "height": []}
+        rows = []
         for i in range(batch.num_rows):
             x = batch["x"][i].as_py()
             y = batch["y"][i].as_py()
             arr = tilerow.pixels(batch, i)
-            def emit(dx, dy, role, part):
-                if x + dx < 0 or y + dy < 0:
-                    return  # no tile there; avoids dest-key collapse at -1
-                rows["dest"].append((x + dx) << 32 | (y + dy))
-                rows["role"].append(role)
-                rows["x"].append(x)
-                rows["y"].append(y)
-                rows["data"].append(np.ascontiguousarray(part).tobytes())
-                rows["dtype"].append(arr.dtype.name)
-                rows["width"].append(part.shape[1])
-                rows["height"].append(part.shape[0])
-            emit(0, 0, "body", arr)
-            emit(1, 0, "L", arr[:, -1:]);  emit(-1, 0, "R", arr[:, :1])
-            emit(0, 1, "T", arr[-1:, :]);  emit(0, -1, "B", arr[:1, :])
-            emit(1, 1, "TL", arr[-1:, -1:]); emit(-1, 1, "TR", arr[-1:, :1])
-            emit(1, -1, "BL", arr[:1, -1:]); emit(-1, -1, "BR", arr[:1, :1])
-        return pa.table(
-            {
-                "dest": pa.array(rows["dest"], pa.int64()),
-                "role": pa.array(rows["role"]),
-                "x": pa.array(rows["x"], pa.int32()),
-                "y": pa.array(rows["y"], pa.int32()),
-                "data": pa.array(rows["data"], pa.binary()),
-                "dtype": pa.array(rows["dtype"]),
-                "width": pa.array(rows["width"], pa.int32()),
-                "height": pa.array(rows["height"], pa.int32()),
-            }
-        )
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if x - dx < 0 or y - dy < 0:
+                        continue  # no tile there; avoids dest-key collapse at -1
+                    part = arr[cut[dy + 1], cut[dx + 1]]
+                    rows.append({"dest": (x - dx) << 32 | (y - dy), "dx": dx, "dy": dy,
+                                 "data": part.tobytes(), "dtype": arr.dtype.name,
+                                 "width": part.shape[1], "height": part.shape[0]})
+        return pa.Table.from_pylist(rows, schema=_HALO_ROWS)
 
     return tiles_ds.map_batches(expand, batch_format="pyarrow").groupby("dest")
 
 
-def _assemble_padded(group: pa.Table):
-    """Build the (h+2, w+2) padded array; missing halo = edge replication."""
-    roles = group["role"].to_pylist()
-    if "body" not in roles:
+def _band(d: int, k: int, n: int) -> slice:
+    """The rows (or columns) of a padded window before (d = -1), along
+    (0) or after (1) a body n long, with a k-pixel halo."""
+    return (slice(0, k), slice(k, k + n), slice(k + n, 2 * k + n))[d + 1]
+
+
+def _assemble_padded(group: pa.Table, k: int = 1, fill: float | None = None):
+    """(pad, (x, y), (w, h)): the float64 (h + 2k, w + 2k) window of one
+    ``_halo_exchange`` group, each piece pasted where its offset puts it.
+    Where a neighbour is missing the halo holds ``fill``, or with
+    ``fill=None`` replicates the edge, as ``np.pad(mosaic, mode="edge")``
+    does at the mosaic's edge.  (None, None, None) when the group has no
+    body (pieces sent to a tile that does not exist).  Raises when a
+    neighbour tile is narrower than k along its offset."""
+    offsets = list(zip(group["dx"].to_pylist(), group["dy"].to_pylist()))
+    if (0, 0) not in offsets:
         return None, None, None
-    i = roles.index("body")
-    body = tilerow.pixels(group, i).astype(np.float64)
+    body = tilerow.pixels(group, offsets.index((0, 0))).astype(np.float64)
     h, w = body.shape
-    x = group["x"][i].as_py()
-    y = group["y"][i].as_py()
-    pad = np.pad(body, 1, mode="edge")
-    for j, role in enumerate(roles):
-        if role == "body":
-            continue
+    if fill is None:
+        pad = np.pad(body, k, mode="edge")
+    else:
+        pad = np.pad(body, k, constant_values=fill)
+    for j, (dx, dy) in enumerate(offsets):
         part = tilerow.pixels(group, j)
-        if role == "L":
-            pad[1:-1, 0] = part[:, 0]
-        elif role == "R":
-            pad[1:-1, -1] = part[:, 0]
-        elif role == "T":
-            pad[0, 1:-1] = part[0]
-        elif role == "B":
-            pad[-1, 1:-1] = part[0]
-        elif role == "TL":
-            pad[0, 0] = part[0, 0]
-        elif role == "TR":
-            pad[0, -1] = part[0, 0]
-        elif role == "BL":
-            pad[-1, 0] = part[0, 0]
-        elif role == "BR":
-            pad[-1, -1] = part[0, 0]
-    # mosaic-edge corners: when the diagonal neighbor is missing, replicate
-    # from the orthogonal strip (matches np.pad(mosaic, mode="edge") exactly)
-    have = set(roles)
-    if "TL" not in have:
-        pad[0, 0] = pad[1, 0] if "L" in have else (pad[0, 1] if "T" in have else pad[1, 1])
-    if "TR" not in have:
-        pad[0, -1] = pad[1, -1] if "R" in have else (pad[0, -2] if "T" in have else pad[1, -2])
-    if "BL" not in have:
-        pad[-1, 0] = pad[-2, 0] if "L" in have else (pad[-1, 1] if "B" in have else pad[-2, 1])
-    if "BR" not in have:
-        pad[-1, -1] = pad[-2, -1] if "R" in have else (pad[-1, -2] if "B" in have else pad[-2, -2])
+        if (dx and part.shape[1] < k) or (dy and part.shape[0] < k):
+            # no tile beyond the 8 neighbours is shipped, so the window
+            # would miss the pixels of a tile two away
+            raise ValueError(f"a {k}-pixel halo is wider than the "
+                             f"{part.shape[1]}x{part.shape[0]} neighbour tile")
+        tilerow.paste(pad, part, k + (-part.shape[1], 0, w)[dx + 1],
+                      k + (-part.shape[0], 0, h)[dy + 1])
+    # edge mode, missing diagonal neighbour: replicate the side piece that
+    # arrived, left/right first, else keep np.pad's copy of the body corner
+    for dy, dx in ((-1, -1), (-1, 1), (1, -1), (1, 1)) if fill is None else ():
+        if (dx, dy) in offsets:
+            continue
+        rows, cols = _band(dy, k, h), _band(dx, k, w)
+        if (dx, 0) in offsets:
+            pad[rows, cols] = pad[k if dy < 0 else k + h - 1, cols]
+        elif (0, dy) in offsets:
+            pad[rows, cols] = pad[rows, k if dx < 0 else k + w - 1][:, None]
+    x, y = divmod(group["dest"][0].as_py(), 1 << 32)
     return pad, (x, y), (w, h)
 
 

@@ -421,38 +421,34 @@ def _overlay_parts(left_ds, right_ds, res: int = 5, left_id: str = "l_id",
 
         out_parts.append(pairs.map_batches(fin_both, batch_format="pyarrow"))
 
+    parts = pa.schema([("part", pa.string()), ("l_id", pa.int64()), ("r_id", pa.int64()),
+                       ("area", pa.float64()), ("wkb", pa.binary())])
+    seed_schema = pa.schema([("key", pa.int64()), ("self_wkb", pa.binary())])
+    cut_schema = pa.schema([("key", pa.int64()), ("other_wkb", pa.binary())])
+
     def residual(ds, side_kind, id_col, part_name):
         def seed(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            return pa.table({"kind": pa.array([side_kind] * n),
-                             "key": pa.compute.cast(t[id_col], pa.int64()),
-                             "okey": pa.array(np.full(n, -1, np.int64)),
-                             "self_wkb": t["wkb"],
-                             "other_wkb": pa.array([None] * n, pa.binary())})
+            return pa.table({"key": pa.compute.cast(t[id_col], pa.int64()),
+                             "self_wkb": t["wkb"]})
 
-        seeded = ds.map_batches(seed, batch_format="pyarrow").union(
-            pairs.map_batches(
-                lambda t: t.filter(pa.compute.equal(t["kind"], side_kind)),
-                batch_format="pyarrow"))
-
-        parts = pa.schema([("part", pa.string()), ("l_id", pa.int64()), ("r_id", pa.int64()),
-                           ("area", pa.float64()), ("wkb", pa.binary())])
-
-        def fold(g: pa.Table) -> pa.Table:
-            selfs = [w for w in g["self_wkb"].to_pylist() if w is not None]
-            others = [w for w in g["other_wkb"].to_pylist() if w is not None]
+        def fold(seeds: pa.Table, cuts: pa.Table) -> pa.Table:
+            selfs = [w for w in seeds["self_wkb"].to_pylist() if w is not None]
             # pair rows without a seed cannot happen; guard
             res_g = overlay.erase_fold(
-                wkb.decode(selfs[0]), [wkb.decode(w) for w in others]) if selfs else None
+                wkb.decode(selfs[0]),
+                [wkb.decode(w) for w in cuts["other_wkb"].to_pylist()]) if selfs else None
             a = overlay.geom_area(res_g)
             if res_g is None or a <= 0:
                 return parts.empty_table()
-            key = int(g["key"][0].as_py())
+            key = int(seeds["key"][0].as_py())
             lid, rid = (key, -1) if part_name == "left" else (-1, key)
             return pa.Table.from_pylist([{"part": part_name, "l_id": lid, "r_id": rid, "area": a,
                                           "wkb": overlay.encode(res_g)}], schema=parts)
 
-        return seeded.groupby("key").map_groups(fold, batch_format="pyarrow")
+        cuts = pairs.map_batches(lambda t: t.filter(pa.compute.equal(t["kind"], side_kind)),
+                                 batch_format="pyarrow")
+        return cogroup([(ds.map_batches(seed, batch_format="pyarrow"), seed_schema),
+                        (cuts, cut_schema)], "key", fold)
 
     if "left" in want:
         out_parts.append(residual(left_ds, "L", left_id, "left"))
@@ -572,8 +568,9 @@ def clean_coverage(ds, id_col: str = "fid", res: int = 5,
     their neighbors emit NULL wkb and area 0.
 
     Plan: one cell-partitioned self-join (owner-cell rule) to find
-    overlaps and pick losers, one id-keyed groupby folding each loser's
-    difference chain — two shuffles total, no driver geometry."""
+    overlaps and pick losers, one id-keyed ``cogroup`` of the features and
+    their erasers folding each loser's difference chain — two shuffles
+    total, no driver geometry."""
     from . import overlay
 
     if merge_strategy not in ("max-area", "min-area", "min-id"):
@@ -590,39 +587,31 @@ def clean_coverage(ds, id_col: str = "fid", res: int = 5,
             aa, ab = overlay.geom_area(ga), overlay.geom_area(gb)
             bigger_keeps = merge_strategy == "max-area"
             loser = idb if aa == ab or (aa > ab) == bigger_keeps else ida
-        yield {"id": loser, "role": 1, "wkb": overlay.encode(gi)}
+        yield {"id": loser, "wkb": overlay.encode(gi)}
 
     def base_rows(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({"id": pc.cast(b[id_col], pa.int64()),
-                         "role": pa.array(np.zeros(n, np.int8)),
-                         "wkb": b["wkb"]})
+        return pa.table({"id": pc.cast(b[id_col], pa.int64()), "wkb": b["wkb"]})
 
-    schema = pa.schema([("id", pa.int64()), ("role", pa.int8()), ("wkb", pa.binary())])
+    schema = pa.schema([("id", pa.int64()), ("wkb", pa.binary())])
     erasers = _pair_join(ds, None, res, id_col, None, schema, per_pair)
-    both = ds.map_batches(base_rows, batch_format="pyarrow").union(erasers)
 
-    def fold(group: pa.Table) -> pa.Table:
-        roles = group["role"].to_numpy(zero_copy_only=False)
-        wkbs = group["wkb"].to_pylist()
-        feat = None
-        for i in np.nonzero(roles == 0)[0]:
-            feat = wkb.decode(wkbs[int(i)])
-        if feat is None:
+    def fold(feats: pa.Table, cuts: pa.Table) -> pa.Table:
+        if feats.num_rows == 0:
             raise ValueError(
                 f"clean_coverage: eraser rows for id "
-                f"{group['id'][0].as_py()} without a base feature")
-        for i in np.nonzero(roles == 1)[0]:
+                f"{cuts['id'][0].as_py()} without a base feature")
+        feat = wkb.decode(feats["wkb"][feats.num_rows - 1].as_py())
+        for w in cuts["wkb"].to_pylist():
             if feat is None:
                 break
-            feat = overlay.boolean_op(feat, wkb.decode(wkbs[int(i)]),
-                                      "difference")
+            feat = overlay.boolean_op(feat, wkb.decode(w), "difference")
         area = overlay.geom_area(feat)
         return pa.table({
-            "id": pa.array([group["id"][0].as_py()], pa.int64()),
+            "id": pa.array([feats["id"][0].as_py()], pa.int64()),
             "wkb": pa.array([overlay.encode(feat) if feat is not None
                              and area > 0 else None], pa.binary()),
             "clean_area": pa.array([max(area, 0.0)], pa.float64()),
         })
 
-    return both.groupby("id").map_groups(fold, batch_format="pyarrow")
+    return cogroup([(ds.map_batches(base_rows, batch_format="pyarrow"), schema),
+                    (erasers, schema)], "id", fold)

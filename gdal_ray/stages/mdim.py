@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.tilerow import decode
+from ..functions.tilerow import decode, paste
 from .relational import cogroup
 
 
@@ -551,11 +551,9 @@ def mdim_reproject(ds, md: MDim, src_gt, dst_gt, width: int, height: int,
         outer = int(group["outer"][0].as_py())
         full = np.zeros((src_h, src_w))
         for i in range(group.num_rows):
-            sh = group["shape"][i].as_py()
-            sub = decode(group["data"][i].as_py(), group["dtype"][i].as_py(), sh)
-            y0 = group["y0"][i].as_py()
-            x0 = group["x0"][i].as_py()
-            full[y0:y0 + sh[0], x0:x0 + sh[1]] = sub
+            paste(full, decode(group["data"][i].as_py(), group["dtype"][i].as_py(),
+                               group["shape"][i].as_py()),
+                  group["x0"][i].as_py(), group["y0"][i].as_py())
         warper = AffineWarper(
             SourceRaster(full, src_gt, crs=src_crs, nodata=nodata),
             dst_gt, resample=resample, dst_crs=dst_crs)

@@ -29,7 +29,7 @@ import pyarrow as pa
 
 from ..functions import checksum as cks
 from ..functions import geo
-from ..functions.tilerow import pixels
+from ..functions.tilerow import paste, pixels
 from ..state.session import fetch, map_cached
 
 
@@ -466,6 +466,20 @@ def _overview_reduce(arr: np.ndarray, kernel: str) -> np.ndarray:
     raise ValueError(f"unknown overview kernel {kernel!r}")
 
 
+def _reduce_quads(group: pa.Table, nodata: float, reduce) -> tuple:
+    """(z, x, y, pixels) of the parent of ``group``'s child tiles (rows
+    keyed by ``parent``, the packed parent x, y): a float64 tile as wide as
+    the first child, each child ``reduce``d 2x2 into its quadrant, and the
+    quadrants with no child tile holding ``nodata``, not fabricated zeros."""
+    parent = int(group["parent"][0].as_py())
+    t = int(group["width"][0].as_py())
+    out = np.full((t, t), nodata, dtype=np.float64)
+    for i in range(group.num_rows):
+        paste(out, reduce(pixels(group, i)), (group["x"][i].as_py() % 2) * (t // 2),
+              (group["y"][i].as_py() % 2) * (t // 2))
+    return int(group["z"][0].as_py()) - 1, parent >> 32, parent & 0xFFFFFFFF, out
+
+
 def warp_tiles_join(
     src_tiles_ds,
     src_gt,
@@ -552,16 +566,8 @@ def warp_tiles_join(
         canvas = np.full((y_hi - y_lo, x_hi - x_lo), nodata, dtype=np.float64)
         covered = np.zeros(canvas.shape, dtype=bool)
         for i in range(group.num_rows):
-            arr = pixels(group, i)
-            h, w = arr.shape
-            ox = group["sx"][i].as_py() * src_tile_size - x_lo
-            oy = group["sy"][i].as_py() * src_tile_size - y_lo
-            cx0, cy0 = max(0, ox), max(0, oy)
-            cx1 = min(canvas.shape[1], ox + w)
-            cy1 = min(canvas.shape[0], oy + h)
-            if cx1 > cx0 and cy1 > cy0:
-                canvas[cy0:cy1, cx0:cx1] = arr[cy0 - oy : cy1 - oy, cx0 - ox : cx1 - ox]
-                covered[cy0:cy1, cx0:cx1] = True
+            paste(canvas, pixels(group, i), group["sx"][i].as_py() * src_tile_size - x_lo,
+                  group["sy"][i].as_py() * src_tile_size - y_lo, covered)
         # SAME kernel math as TileWarper via the shared _grid_sample, shifted
         # into canvas coords (x_lo/y_lo are integers, so floor/frac are
         # bit-identical); 'covered' marks populated canvas cells
@@ -604,20 +610,10 @@ def build_overview(tiles_ds, tile_px: int = 256, kernel: str = "average"):
     tagged = tiles_ds.map_batches(tag_parent, batch_format="pyarrow")
 
     def reduce_parent(group: pa.Table) -> pa.Table:
-        z = int(group["z"][0].as_py()) - 1
-        px_ = int(group["parent"][0].as_py() >> 32)
-        py_ = int(group["parent"][0].as_py() & 0xFFFFFFFF)
-        t = int(group["width"][0].as_py())
         nodata = float(group["nodata"][0].as_py()) if "nodata" in group.column_names else 0.0
-        # quadrants with no child tile hold NODATA, not fabricated zeros
-        out = np.full((t, t), nodata, dtype=np.float64)
-        for i in range(group.num_rows):
-            cx = group["x"][i].as_py()
-            cy = group["y"][i].as_py()
-            small = _overview_reduce(pixels(group, i), kernel)
-            ox = (cx % 2) * (t // 2)
-            oy = (cy % 2) * (t // 2)
-            out[oy : oy + t // 2, ox : ox + t // 2] = small
+        z, px_, py_, out = _reduce_quads(group, nodata,
+                                         lambda a: _overview_reduce(a, kernel))
+        t = out.shape[0]
         return pa.table(
             {
                 "z": pa.array([z], pa.int16()),
@@ -749,20 +745,11 @@ def refresh_overviews(tiles_ds, dirty_xy, kernel: str = "average"):
     tagged = tiles_ds.map_batches(pick, batch_format="pyarrow")
 
     def reduce_parent(group: pa.Table) -> pa.Table:
-        z = int(group["z"][0].as_py()) - 1
-        px_ = int(group["parent"][0].as_py() >> 32)
-        py_ = int(group["parent"][0].as_py() & 0xFFFFFFFF)
-        t = int(group["width"][0].as_py())
         nod = group["nodata"][0].as_py()
         nod = 0.0 if nod is None else float(nod)
-        out = np.full((t, t), nod, dtype=np.float64)
-        for i in range(group.num_rows):
-            cx = group["x"][i].as_py()
-            cy = group["y"][i].as_py()
-            small = _overview_reduce(pixels(group, i).astype(np.float64), kernel)
-            ox = (cx % 2) * (t // 2)
-            oy = (cy % 2) * (t // 2)
-            out[oy:oy + t // 2, ox:ox + t // 2] = small
+        z, px_, py_, out = _reduce_quads(
+            group, nod, lambda a: _overview_reduce(a.astype(np.float64), kernel))
+        t = out.shape[0]
         return pa.table({
             "z": pa.array([z], pa.int64()),
             "x": pa.array([px_], pa.int64()),

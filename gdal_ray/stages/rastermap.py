@@ -20,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import checksum as cks
-from ..functions.tilerow import bands, dtype_of, pixels, tile_row
+from ..functions.tilerow import bands, dtype_of, paste, pixels, tile_row
 from .relational import cogroup
 
 
@@ -345,9 +345,7 @@ def retile(tiles_ds, tile_size: int, out_size: int, overlap: int,
         oh = group["oh"][0].as_py()
         out = np.zeros((oh, ow), dtype=np.float64)
         for r in range(group.num_rows):
-            piece = pixels(group, r)
-            px, py = group["px"][r].as_py(), group["py"][r].as_py()
-            out[py:py + piece.shape[0], px:px + piece.shape[1]] = piece
+            paste(out, pixels(group, r), group["px"][r].as_py(), group["py"][r].as_py())
         return pa.Table.from_pylist([{
             "x": group["i"][0].as_py(), "y": group["j"][0].as_py(),
             "width": ow, "height": oh, "dtype": "float64",

@@ -16,6 +16,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..functions.tilerow import paste
+
 
 class RasterBlockStore:
     """A georeferenced raster sharded into object-store blocks.
@@ -96,14 +98,7 @@ class BlockCache:
         out = np.empty((y1c - y0c, x1c - x0c), dtype=np.float64)
         for by in range(y0c // B, (y1c - 1) // B + 1):
             for bx in range(x0c // B, (x1c - 1) // B + 1):
-                blk = self._block(by, bx)
-                gy0, gx0 = by * B, bx * B
-                sy0 = max(y0c, gy0)
-                sy1 = min(y1c, gy0 + blk.shape[0])
-                sx0 = max(x0c, gx0)
-                sx1 = min(x1c, gx0 + blk.shape[1])
-                out[sy0 - y0c:sy1 - y0c, sx0 - x0c:sx1 - x0c] = \
-                    blk[sy0 - gy0:sy1 - gy0, sx0 - gx0:sx1 - gx0]
+                paste(out, self._block(by, bx), bx * B - x0c, by * B - y0c)
         return out, x0c, y0c
 
     def window_for(self, px: np.ndarray, py: np.ndarray, margin: int = 2):

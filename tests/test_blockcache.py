@@ -42,6 +42,22 @@ def test_block_window_assembly_and_lru(ray_session):
     assert W.size == 0
 
 
+def test_block_window_straddles_block_edges_and_border(ray_session):
+    from gdal_ray.state.blockcache import BlockCache, RasterBlockStore
+
+    # 200 x 300 in 64-px blocks: the last block row is 8 px, the last column 44
+    gy, gx = np.mgrid[0:200, 0:300]
+    a = (gx * 1000 + gy).astype(np.float64) + 0.5
+    cache = BlockCache(RasterBlockStore.put(a, GT, block=64), capacity=64)
+    for y0, y1, x0, x1 in [(63, 65, 63, 65), (0, 200, 0, 300), (-5, 7, 250, 310),
+                           (190, 230, -20, 70), (128, 129, 255, 257),
+                           (60, 140, 100, 300), (199, 200, 299, 300)]:
+        W, ox, oy = cache.window(y0, y1, x0, x1)
+        ys, xs = slice(max(0, y0), min(200, y1)), slice(max(0, x0), min(300, x1))
+        assert W.dtype == np.float64 and (ox, oy) == (xs.start, ys.start)
+        assert W.shape == a[ys, xs].shape and (W == a[ys, xs]).all()
+    assert (cache.hits, cache.misses) == (25, 20)
+
 def test_warp_blocked_source_matches_broadcast(ray_session):
     from gdal_ray.state.blockcache import RasterBlockStore
 

@@ -11,7 +11,10 @@ feature hashing (``% 2001``) and the SQL-mirrored sampling in
 ``queries.py`` (``% 100``).  It also fails on a module that names a side
 tag column (``side`` / ``_side`` / ``layer``) and calls both ``union`` and
 ``groupby``: rows tagged by side, unioned and grouped are a hand-written
-co-group.
+co-group.  Row-kind tags (``kind`` / ``role``) are common column names, so
+for them the scope is one top-level function: a function that names one and
+calls both ``union`` and ``groupby`` (in it or in a function nested in it)
+is a hand-written co-group too.
 """
 
 import ast
@@ -22,6 +25,18 @@ OWNER = os.path.join("gdal_ray", "stages", "relational.py")
 BUCKET_COLUMNS = {"_part", "_dpart"}
 BUCKET_COUNTS = {"num_partitions", "num_buckets"}
 SIDE_TAGS = {"side", "_side", "layer"}
+KIND_TAGS = {"kind", "role"}
+
+
+def _tagged_cogroups(scope, tags) -> list:
+    """[(line, what)] of the ``tags`` constants in ``scope`` if ``scope``
+    calls both ``union`` and ``groupby``."""
+    calls = {n.func.attr for n in ast.walk(scope)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    if not {"union", "groupby"} <= calls:
+        return []
+    return sorted((n.lineno, f"side tag {n.value!r}") for n in ast.walk(scope)
+                  if isinstance(n, ast.Constant) and n.value in tags)
 
 
 def _violations(source: str) -> list:
@@ -34,11 +49,10 @@ def _violations(source: str) -> list:
             for name in sorted(names & BUCKET_COUNTS):
                 out.append((node.lineno, f"% {name}"))
     tree = ast.parse(source)
-    calls = {n.func.attr for n in ast.walk(tree)
-             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
-    if {"union", "groupby"} <= calls:
-        out += sorted((n.lineno, f"side tag {n.value!r}") for n in ast.walk(tree)
-                      if isinstance(n, ast.Constant) and n.value in SIDE_TAGS)
+    out += _tagged_cogroups(tree, SIDE_TAGS)
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            out += _tagged_cogroups(top, KIND_TAGS)
     return out
 
 
@@ -77,6 +91,39 @@ def test_scanner_flags_a_hand_written_cogroup():
     # a tagged union that no groupby follows, and a groupby of one input, pass
     assert _violations("def f(a, b):\n    return a.union(b.add_column('side'))\n") == []
     assert _violations("def f(a):\n    return a.groupby('side').count()\n") == []
+
+
+# ``layeralg``'s two kind/role tag-unions as they were before they moved
+# onto ``cogroup``, abridged
+KIND_TAGGED_COGROUPS = """
+def _overlay_parts(left_ds, right_ds, res: int = 5):
+    def residual(ds, side_kind, id_col, part_name):
+        def seed(t: pa.Table) -> pa.Table:
+            return pa.table({"kind": pa.array([side_kind] * n)})
+
+        seeded = ds.map_batches(seed, batch_format="pyarrow").union(
+            pairs.map_batches(
+                lambda t: t.filter(pa.compute.equal(t["kind"], side_kind)),
+                batch_format="pyarrow"))
+        return seeded.groupby("key").map_groups(fold, batch_format="pyarrow")
+
+
+def clean_coverage(ds, id_col: str = "fid", res: int = 5):
+    def base_rows(b: pa.Table) -> pa.Table:
+        return pa.table({"id": pc.cast(b[id_col], pa.int64()),
+                         "role": pa.array(np.zeros(n, np.int8))})
+
+    both = ds.map_batches(base_rows, batch_format="pyarrow").union(erasers)
+    return both.groupby("id").map_groups(fold, batch_format="pyarrow")
+"""
+
+
+def test_scanner_flags_kind_and_role_tag_unions():
+    assert _violations(KIND_TAGGED_COGROUPS) == [
+        (5, "side tag 'kind'"), (9, "side tag 'kind'"), (17, "side tag 'role'")]
+    # a kind column in a function that does not also union and group passes
+    assert _violations("def f(t):\n    return t.filter(t['kind'])\n\n\n"
+                       "def g(a, b):\n    return a.union(b).groupby('k')\n") == []
 
 
 def test_keyed_shuffles_go_through_bucket_groups():

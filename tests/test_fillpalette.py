@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from gdal_ray.stages import fillpalette
@@ -36,6 +37,16 @@ def test_fill_nodata_gradient_weighted():
     v = got[(1, 0)][8, 0]
     # IDW of a linear ramp at the hole center ~ the ramp value there (10+16*2)
     assert abs(v - 42.0) < 2.0
+
+
+def test_fill_nodata_rejects_a_halo_wider_than_a_tile():
+    # the halo comes from the 8 neighbours only: a 9-px window over 8-px
+    # tiles would skip the pixels of the tiles two away
+    arr = np.full((8, 24), 50, dtype=np.uint8)
+    arr[4, 12] = 0
+    tiles = _tiles_from_mosaic(arr, 8)
+    with pytest.raises(ValueError, match="wider than"):
+        fillpalette.fill_nodata(rd.from_arrow(tiles), nodata=0.0, max_dist=9).take_all()
 
 
 def _rgb_tiles():

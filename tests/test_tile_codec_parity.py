@@ -16,6 +16,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from gdal_ray.functions import tilerow
 from gdal_ray.sources import netcdf3, synthetic
 from gdal_ray.stages import (contour, fillpalette, focal, mdim, proximity,
                              pyramid, rastermap, viewshed)
@@ -23,8 +24,21 @@ from gdal_ray.stages import (contour, fillpalette, focal, mdim, proximity,
 _ADDRESS = ("z", "x", "y", "band", "width", "height")
 
 
-def _tiles(kind: str, nx: int, ny: int, wide: bool, size: int = 16):
+def _tiles(kind: str, nx: int, ny: int, wide: bool, size: int = 16,
+           drop=(), ragged: bool = False):
+    """``nx`` x ``ny`` synthetic tiles without the (x, y) tiles in ``drop``;
+    ``ragged`` cuts the last column and row of tiles to half their size."""
     t = synthetic.make_raster_tiles(kind, nx, ny, size=size)
+    if drop or ragged:
+        rows = []
+        for i in range(t.num_rows):
+            x, y = t["x"][i].as_py(), t["y"][i].as_py()
+            if (x, y) in drop:
+                continue
+            cut = [size // 2 if ragged and c == n - 1 else size
+                   for c, n in ((y, ny), (x, nx))]
+            rows.append(tilerow.tile_row(t, i, tilerow.pixels(t, i)[:cut[0], :cut[1]]))
+        t = pa.Table.from_pylist(rows, schema=t.schema)
     if wide:
         for c in _ADDRESS:
             t = t.set_column(t.schema.get_field_index(c), c, t[c].cast(pa.int64()))
@@ -104,7 +118,32 @@ TILE_CASES = {
     "warp_tiles_join": lambda w: pyramid.warp_tiles_join(
         _tiles("ramp", 2, 2, w), (0.0, 0.5, 0.0, 10.0, 0.0, -0.5), 6,
         tile_px=16, resample="bilinear", src_tile_size=16),
+    "retile_ragged": lambda w: rastermap.retile(
+        _tiles("ramp", 3, 3, w, ragged=True), 16, 12, 2, 3, 3),
+    "warp_tiles_join_nearest": lambda w: pyramid.warp_tiles_join(
+        _tiles("ramp", 3, 3, w, ragged=True), (0.0, 0.5, 0.0, 10.0, 0.0, -0.5), 6,
+        tile_px=16, resample="nearest", src_tile_size=16),
 }
+
+# the halo stages on 3x3 mosaics with the centre tile missing, with one
+# corner tile missing, and with a last column and row of 8 px of 16
+MOSAICS = {
+    "hole_centre": {"drop": {(1, 1)}},
+    "hole_corner": {"drop": {(2, 2)}},
+    "ragged": {"ragged": True},
+}
+HALO_CASES = {
+    "focal_hillshade": lambda w, m: focal.focal(_tiles("hump", 3, 3, w, **m), "hillshade"),
+    "neighbors_median": lambda w, m: focal.neighbors(
+        _tiles("blobs", 3, 3, w, **m), "median"),
+    "contour": lambda w, m: contour.contour(
+        _tiles("hump", 3, 3, w, **m), [100.0, 150.0, 200.0], 3, 3, 16),
+    "fill_nodata": lambda w, m: fillpalette.fill_nodata(
+        _tiles("blobs", 3, 3, w, **m), nodata=0.0, max_dist=8),
+}
+TILE_CASES.update({
+    f"{name}_{mosaic}": (lambda w, f=f, m=m: f(w, m))
+    for name, f in HALO_CASES.items() for mosaic, m in MOSAICS.items()})
 
 
 def _float64_pyramid_base() -> rd.Dataset:
@@ -251,6 +290,41 @@ DIGESTS = {
     "warp_tiles_join_narrow": "f2302f6d6888be4a7ce1ee691de8afeb490470b9d2c44067c346e16ab48ed06c",
     "warp_tiles_join_wide": "f2302f6d6888be4a7ce1ee691de8afeb490470b9d2c44067c346e16ab48ed06c",
 }
+
+# the sparse, corner-less and ragged mosaics, ``retile`` on the ragged one
+# and ``warp_tiles_join`` nearest, recorded on the two role-keyed halo
+# exchanges and the stages' own clip-and-copy loops, before they moved onto
+# ``focal._halo_exchange`` and ``tilerow.paste``
+DIGESTS.update({
+    "contour_hole_centre_narrow": "9d663df388dd06df369c6ee3172469f3028919a66e62c9642a0378bbec2e3985",
+    "contour_hole_centre_wide": "9d663df388dd06df369c6ee3172469f3028919a66e62c9642a0378bbec2e3985",
+    "contour_hole_corner_narrow": "c35fe2cd7d73e72b86b2a7e82b6ddebfa7c1866643168b6158a8b09751aafe79",
+    "contour_hole_corner_wide": "c35fe2cd7d73e72b86b2a7e82b6ddebfa7c1866643168b6158a8b09751aafe79",
+    "contour_ragged_narrow": "d7c71ee5e0b80e500e4a3dbe053593519678c1cb7039731c5af26bcace2b7b45",
+    "contour_ragged_wide": "d7c71ee5e0b80e500e4a3dbe053593519678c1cb7039731c5af26bcace2b7b45",
+    "fill_nodata_hole_centre_narrow": "90ec0945ddc3f780219073e94fd70dbf994ec6ca6c33ee32397215288afe5c2b",
+    "fill_nodata_hole_centre_wide": "90ec0945ddc3f780219073e94fd70dbf994ec6ca6c33ee32397215288afe5c2b",
+    "fill_nodata_hole_corner_narrow": "8071393da8ebe570111b5b26fefba04a010d3d5c110d931615a06093cb20a29b",
+    "fill_nodata_hole_corner_wide": "8071393da8ebe570111b5b26fefba04a010d3d5c110d931615a06093cb20a29b",
+    "fill_nodata_ragged_narrow": "02d895dcb425347904f3bd95d0330f302f7ff752024cf93c19992ae983616054",
+    "fill_nodata_ragged_wide": "02d895dcb425347904f3bd95d0330f302f7ff752024cf93c19992ae983616054",
+    "focal_hillshade_hole_centre_narrow": "b8fb5b2e2253006caf7928cb716764e16bb02e7354102a4ec31c12d7378611a4",
+    "focal_hillshade_hole_centre_wide": "b8fb5b2e2253006caf7928cb716764e16bb02e7354102a4ec31c12d7378611a4",
+    "focal_hillshade_hole_corner_narrow": "96b8f0dc69e852463433b78cd63c440e5a2ed30fd4ed41506481ce2b20f168ac",
+    "focal_hillshade_hole_corner_wide": "96b8f0dc69e852463433b78cd63c440e5a2ed30fd4ed41506481ce2b20f168ac",
+    "focal_hillshade_ragged_narrow": "7dd5df6ecf4cbdc45fe9921804e8747fcd4a34a4c5a647944737f84f6cb58ecd",
+    "focal_hillshade_ragged_wide": "7dd5df6ecf4cbdc45fe9921804e8747fcd4a34a4c5a647944737f84f6cb58ecd",
+    "neighbors_median_hole_centre_narrow": "674985674d8a5efd7b69d23b20c23bb8a8bb1a2cc6c21736a092feed08a2248e",
+    "neighbors_median_hole_centre_wide": "674985674d8a5efd7b69d23b20c23bb8a8bb1a2cc6c21736a092feed08a2248e",
+    "neighbors_median_hole_corner_narrow": "7a576bbd549c53b2c7833ce3065d0425105721ae76f40ad68874d5f5392b406d",
+    "neighbors_median_hole_corner_wide": "7a576bbd549c53b2c7833ce3065d0425105721ae76f40ad68874d5f5392b406d",
+    "neighbors_median_ragged_narrow": "b541edcc33dad34abd62b1ea6c60fa4aec46322a14147922963d8ebb21d05742",
+    "neighbors_median_ragged_wide": "b541edcc33dad34abd62b1ea6c60fa4aec46322a14147922963d8ebb21d05742",
+    "retile_ragged_narrow": "06c55e97252df9c5a08b07409f6a9eee42f5024387b54b4af128b1e3dddebf5b",
+    "retile_ragged_wide": "06c55e97252df9c5a08b07409f6a9eee42f5024387b54b4af128b1e3dddebf5b",
+    "warp_tiles_join_nearest_narrow": "8981328716e5af4ae6c7e061a65b240114c5e9ff8fe767d33e309f3eb09819f8",
+    "warp_tiles_join_nearest_wide": "8981328716e5af4ae6c7e061a65b240114c5e9ff8fe767d33e309f3eb09819f8",
+})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -57,6 +57,38 @@ def test_multipoint_rejects_three_ordinates():
         wkb.encode_multipoint([[1.0, 2.0, 3.0]])
 
 
+def test_encoders_reject_a_third_ordinate():
+    xyz = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    for bad in (xyz, xyz.ravel(), xyz[:, :1]):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            wkb.encode_linestring(bad)
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            wkb.encode_polygon([xyz[:, :2], bad])
+    # an empty sequence stays a valid empty geometry
+    assert wkb.encode_linestring([]) == _linestring(np.empty((0, 2)))
+    assert wkb.decode(wkb.encode_linestring([])).parts[0].shape == (0, 2)
+    assert wkb.encode_polygon([]) == struct.pack("<BII", 1, wkb.POLYGON, 0)
+    assert wkb.decode(wkb.encode_polygon([[]])).parts[0][0].shape == (0, 2)
+
+
+def test_geojson_keeps_x_y_of_each_position():
+    ring = [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]
+    xy = np.array(ring, float)[:, :2]
+    got = geojson._json_to_wkb({"type": "Polygon", "coordinates": [ring]})
+    assert got == wkb.encode_polygon([xy])
+    assert (wkb.decode(got).parts[0][0] == xy).all()
+    assert geojson._json_to_wkb({"type": "LineString", "coordinates": ring}) \
+        == _linestring(xy)
+    assert geojson._json_to_wkb(
+        {"type": "MultiLineString", "coordinates": [ring, ring[:2]]}) \
+        == _multilinestring([xy, xy[:2]])
+    assert geojson._json_to_wkb({"type": "MultiPoint", "coordinates": ring}) \
+        == _multipoint(xy)
+    assert geojson._json_to_wkb(
+        {"type": "MultiPolygon", "coordinates": [[ring]]}) \
+        == wkb.encode_multipolygon([[xy]])
+
+
 @pytest.mark.parametrize("w", [
     _multipoint(PTS), _multilinestring(LINES),
     wkb.encode_multipolygon([[np.array([[0, 0], [1, 0], [1, 1], [0, 0]],
